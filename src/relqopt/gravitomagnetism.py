@@ -15,6 +15,7 @@ for the principal-null (radial) and transverse (impact-parameter) cases.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,6 +27,24 @@ from .errors import DomainError
 Vector = np.ndarray
 
 
+def _finite_vector(value, name: str) -> tuple:
+    """The three components of `value` as floats; DomainError unless finite."""
+    try:
+        x, y, z = (float(v) for v in value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a finite 3-vector") from None
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise DomainError(f"{name} must be a finite 3-vector")
+    return x, y, z
+
+
+def _unit_vector(value, name: str) -> tuple:
+    v = _finite_vector(value, name)
+    if not abs(math.hypot(*v) - 1.0) <= 1e-9:
+        raise DomainError(f"{name} must be a unit vector")
+    return v
+
+
 @dataclass(frozen=True)
 class GravField:
     """Field sample at a point: rotation vector omega (1/m) and E_g (1/m^2 scale)."""
@@ -34,11 +53,8 @@ class GravField:
     eg: tuple
 
     def __post_init__(self):
-        for name in ("omega", "eg"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (3,) or not np.all(np.isfinite(v)):
-                raise DomainError(f"{name} must be a finite 3-vector")
-            object.__setattr__(self, name, tuple(float(x) for x in v))
+        object.__setattr__(self, "omega", _finite_vector(self.omega, "omega"))
+        object.__setattr__(self, "eg", _finite_vector(self.eg, "eg"))
 
 
 @dataclass(frozen=True)
@@ -51,16 +67,11 @@ class RayState:
     lam: float = 0.0
 
     def __post_init__(self):
-        pos = np.asarray(self.position, dtype=float)
-        k = np.asarray(self.khat, dtype=float)
-        f = np.asarray(self.fhat, dtype=float)
-        if abs(np.linalg.norm(k) - 1.0) > 1e-9:
-            raise DomainError("khat must be a unit vector")
-        if abs(np.linalg.norm(f) - 1.0) > 1e-9:
-            raise DomainError("fhat must be a unit vector")
-        object.__setattr__(self, "position", tuple(float(v) for v in pos))
-        object.__setattr__(self, "khat", tuple(float(v) for v in k))
-        object.__setattr__(self, "fhat", tuple(float(v) for v in f))
+        object.__setattr__(self, "position", _finite_vector(self.position, "position"))
+        object.__setattr__(self, "khat", _unit_vector(self.khat, "khat"))
+        object.__setattr__(self, "fhat", _unit_vector(self.fhat, "fhat"))
+        if not math.isfinite(self.lam):
+            raise DomainError("lam must be finite")
 
 
 @dataclass(frozen=True)
@@ -81,14 +92,24 @@ class SpinningBody:
         object.__setattr__(self, "spin_axis", tuple(float(v) for v in ax / n))
 
 
+def _rotation_rate(omega, eg, khat, k) -> tuple:
+    """Omega = 2 omega - (omega . khat) khat - E_g x k on float 3-tuples."""
+    wx, wy, wz = omega
+    ex, ey, ez = eg
+    nx, ny, nz = khat
+    kx, ky, kz = k
+    d = wx * nx + wy * ny + wz * nz
+    return (
+        2.0 * wx - d * nx - (ey * kz - ez * ky),
+        2.0 * wy - d * ny - (ez * kx - ex * kz),
+        2.0 * wz - d * nz - (ex * ky - ey * kx),
+    )
+
+
 def rotation_rate(field: GravField, khat, k) -> Vector:
     """Omega = 2 omega - (omega . khat) khat - E_g x k (per unit affine length)."""
-    kh = np.asarray(khat, dtype=float)
-    if abs(np.linalg.norm(kh) - 1.0) > 1e-9:
-        raise DomainError("khat must be a unit vector")
-    om = np.asarray(field.omega)
-    eg = np.asarray(field.eg)
-    return 2.0 * om - float(om @ kh) * kh - np.cross(eg, np.asarray(k, dtype=float))
+    kh = _unit_vector(khat, "khat")
+    return np.array(_rotation_rate(field.omega, field.eg, kh, _finite_vector(k, "k")))
 
 
 def phase_rate(field: GravField, khat, frame_term: float = 0.0) -> float:
@@ -106,29 +127,43 @@ def transport_ray(
     """RK4-transport khat and fhat along the ray from state.lam to lam_end.
 
     The position advances with dx/dlambda = khat so the sampler sees the
-    spatial point; khat and fhat are renormalized after every step.
+    spatial point; khat and fhat are renormalized after every step.  The
+    state is y = (position, khat, fhat) as nine floats.
     """
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+        raise DomainError("steps must be an integer")
     if steps < 1:
         raise DomainError("steps must be >= 1")
+    if not math.isfinite(lam_end):
+        raise DomainError("lam_end must be finite")
     h = (lam_end - state.lam) / steps
-    pos = np.asarray(state.position, dtype=float)
-    k = np.asarray(state.khat, dtype=float)
-    f = np.asarray(state.fhat, dtype=float)
 
     def deriv(y):
-        p, kh, fh = y[0:3], y[3:6], y[6:9]
-        om = rotation_rate(sampler(p), kh / np.linalg.norm(kh), kh)
-        return np.concatenate([kh, np.cross(om, kh), np.cross(om, fh)])
+        px, py, pz, kx, ky, kz, fx, fy, fz = y
+        field = sampler(np.array((px, py, pz)))
+        n = math.sqrt(kx * kx + ky * ky + kz * kz)
+        ox, oy, oz = _rotation_rate(field.omega, field.eg, (kx / n, ky / n, kz / n), (kx, ky, kz))
+        return (
+            kx, ky, kz,
+            oy * kz - oz * ky, oz * kx - ox * kz, ox * ky - oy * kx,
+            oy * fz - oz * fy, oz * fx - ox * fz, ox * fy - oy * fx,
+        )
 
-    y = np.concatenate([pos, k, f])
+    def shift(y, c, dy):
+        return [a + c * b for a, b in zip(y, dy)]
+
+    y = [*state.position, *state.khat, *state.fhat]
+    half, sixth = 0.5 * h, h / 6.0
     for _ in range(steps):
         k1 = deriv(y)
-        k2 = deriv(y + 0.5 * h * k1)
-        k3 = deriv(y + 0.5 * h * k2)
-        k4 = deriv(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        y[3:6] /= np.linalg.norm(y[3:6])
-        y[6:9] /= np.linalg.norm(y[6:9])
+        k2 = deriv(shift(y, half, k1))
+        k3 = deriv(shift(y, half, k2))
+        k4 = deriv(shift(y, h, k3))
+        y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        for i in (3, 6):
+            n = math.sqrt(y[i] * y[i] + y[i + 1] * y[i + 1] + y[i + 2] * y[i + 2])
+            y[i], y[i + 1], y[i + 2] = y[i] / n, y[i + 1] / n, y[i + 2] / n
     return RayState(tuple(y[0:3]), tuple(y[3:6]), tuple(y[6:9]), lam_end)
 
 

@@ -30,6 +30,8 @@ from .errors import DomainError
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 K_REF = np.array([1.0, 0.0, 0.0, 1.0])
 _LORENTZ_TOL = 1e-10
+# eta_i eta_j: (eta M^T eta)[i, j] = eta_i eta_j M[j, i]
+_METRIC_SIGNS = np.outer(np.diag(ETA), np.diag(ETA))
 
 
 def _embed(r3: np.ndarray) -> np.ndarray:
@@ -122,13 +124,16 @@ class FourMomentum:
     k: tuple
 
     def __post_init__(self):
-        kv = np.asarray(self.k, dtype=float)
-        if kv.shape != (3,):
-            raise DomainError("k must be a 3-vector")
-        object.__setattr__(self, "k", tuple(float(v) for v in kv))
+        try:
+            x, y, z = (float(v) for v in self.k)
+        except (TypeError, ValueError):
+            raise DomainError("k must be a 3-vector") from None
+        object.__setattr__(self, "k", (x, y, z))
         if not (math.isfinite(self.energy) and self.energy > 0.0):
             raise DomainError("energy must be positive and finite")
-        if abs(self.energy - float(np.linalg.norm(kv))) > 1e-12 * self.energy:
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise DomainError("k must be finite")
+        if not abs(self.energy - math.hypot(x, y, z)) <= 1e-12 * self.energy:
             raise DomainError("momentum is not null")
 
     @classmethod
@@ -153,32 +158,50 @@ def direction_angles(khat) -> tuple[float, float]:
     return theta, phi
 
 
+def _standard_matrix(khat, energy: float) -> np.ndarray:
+    """Raw L(k) = Rz(phi) Ry(theta) Bz(ln energy) for a unit direction khat."""
+    theta, phi = direction_angles(khat)
+    ct, st = math.cos(theta), math.sin(theta)
+    cp, sp = math.cos(phi), math.sin(phi)
+    u = math.log(energy)
+    ch, sh = math.cosh(u), math.sinh(u)
+    return np.array(
+        [
+            [ch, 0.0, 0.0, sh],
+            [cp * st * sh, cp * ct, -sp, cp * st * ch],
+            [sp * st * sh, sp * ct, cp, sp * st * ch],
+            [ct * sh, -st, 0.0, ct * ch],
+        ]
+    )
+
+
 def standard_rotation(khat) -> LorentzMatrix:
     """R(khat) = Rz(phi) Ry(theta); carries the z-axis onto khat."""
     n = np.asarray(khat, dtype=float)
     norm = float(np.linalg.norm(n))
     if norm == 0.0:
         raise DomainError("direction must be nonzero")
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:
         raise DomainError("direction must be a unit vector")
-    theta, phi = direction_angles(n / norm)
-    return LorentzMatrix.rotation_z(phi) @ LorentzMatrix.rotation_y(theta)
+    return LorentzMatrix(_standard_matrix(n / norm, 1.0))
 
 
 def standard_transform(k: FourMomentum) -> LorentzMatrix:
     """L(k) = R(khat) Bz(ln energy); maps k_R to k."""
-    return standard_rotation(k.khat) @ LorentzMatrix.boost_z(math.log(k.energy))
+    return LorentzMatrix(_standard_matrix(k.khat, k.energy))
 
 
-def _null_translation(a: float, b: float) -> np.ndarray:
-    """exp(a A + b B) for the little-group null generators A, B."""
+def _little_group_element(a: float, b: float, xi: float) -> np.ndarray:
+    """S(a, b) Rz(xi), where S = exp(a A + b B) for the null generators A, B."""
+    c, s = math.cos(xi), math.sin(xi)
     z = 0.5 * (a * a + b * b)
+    u, v = a * c + b * s, b * c - a * s
     return np.array(
         [
-            [1.0 + z, a, b, -z],
-            [a, 1.0, 0.0, -a],
-            [b, 0.0, 1.0, -b],
-            [z, a, b, 1.0 - z],
+            [1.0 + z, u, v, -z],
+            [a, c, -s, -a],
+            [b, s, c, -b],
+            [z, u, v, 1.0 - z],
         ]
     )
 
@@ -189,29 +212,28 @@ def wigner_angle(lam: LorentzMatrix, p: FourMomentum) -> float:
     W is factored as S(a, b) Rz(xi); the null-translation part S is computed
     for the consistency check but not returned.  Helicity amplitudes
     transform as alpha_{+/-} -> exp(+/- i xi) alpha_{+/-}.
+
+    Both arguments were validated when they were built, so the products
+    here run on raw arrays; L^-1 is the metric transpose eta L^T eta.
     """
-    p_out = lam.apply(p.as_array())
-    if p_out[0] <= 0.0:
+    m = lam.matrix
+    p_out = m @ p.as_array()
+    energy = float(p_out[0])
+    if not energy > 0.0:
         raise DomainError("transformed momentum must have positive energy")
-    l_in = standard_transform(p)
-    l_out = standard_transform(FourMomentum.from_array(p_out))
-    w = l_out.inverse().matrix @ lam.matrix @ l_in.matrix
-    if np.max(np.abs(w @ K_REF - K_REF)) > _LORENTZ_TOL:
+    k_out = p_out[1:]
+    norm = math.hypot(*k_out)
+    if not (math.isfinite(energy) and abs(energy - norm) <= 1e-12 * energy):
+        raise DomainError("transformed momentum is not null")
+    l_out = _standard_matrix(k_out / norm, energy)
+    w = (_METRIC_SIGNS * l_out.T) @ m @ _standard_matrix(p.khat, p.energy)
+    if not np.abs(w @ K_REF - K_REF).max() <= _LORENTZ_TOL:
         raise DomainError("decomposition is singular: W does not fix k_R")
     xi = math.atan2(w[2, 1], w[1, 1])
     if xi <= -math.pi:
         xi = math.pi
-    a, b = w[1, 0], w[2, 0]
-    rz = _embed(
-        np.array(
-            [
-                [math.cos(xi), -math.sin(xi), 0.0],
-                [math.sin(xi), math.cos(xi), 0.0],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-    )
-    if np.max(np.abs(w - _null_translation(a, b) @ rz)) > _LORENTZ_TOL:
+    residual = np.abs(w - _little_group_element(w[1, 0], w[2, 0], xi)).max()
+    if not residual <= _LORENTZ_TOL:
         raise DomainError("decomposition is singular: residual too large")
     return xi
 

@@ -111,6 +111,38 @@ def test_transport_preserves_orthonormality_over_many_steps():
     assert abs(float(ko @ fo)) < 1e-9
 
 
+@pytest.mark.parametrize("position, khat, fhat", [
+    ((0.0, 0.0, 0.0), (math.nan, 0.0, 0.0), (0.0, 1.0, 0.0)),
+    ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, math.nan, 1.0)),
+    ((math.inf, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
+    ((0.0, math.nan, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
+], ids=["nan_khat", "nan_fhat", "inf_position", "nan_position"])
+def test_ray_state_rejects_non_finite_vectors(position, khat, fhat):
+    with pytest.raises(DomainError):
+        RayState(position=position, khat=khat, fhat=fhat)
+
+
+_X_START = RayState(position=(0.0, 0.0, 0.0), khat=(1.0, 0.0, 0.0), fhat=(0.0, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("lam_end", [math.nan, math.inf, -math.inf])
+def test_transport_rejects_non_finite_end(lam_end):
+    with pytest.raises(DomainError):
+        transport_ray(_X_START, _uniform_field((0.0, 0.0, 0.1)), lam_end, 4)
+
+
+@pytest.mark.parametrize("steps", [4.0, True, "4", 0, -3],
+                         ids=["float", "bool", "str", "zero", "negative"])
+def test_transport_requires_a_positive_integer_step_count(steps):
+    with pytest.raises(DomainError):
+        transport_ray(_X_START, _uniform_field((0.0, 0.0, 0.1)), 1.0, steps)
+
+
+def test_transport_accepts_numpy_integer_steps():
+    field = _uniform_field((0.0, 0.0, 0.1))
+    assert transport_ray(_X_START, field, 1.0, np.int64(4)) == transport_ray(_X_START, field, 1.0, 4)
+
+
 # ------------------------------------------------------------ closed forms
 
 

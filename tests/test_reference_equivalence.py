@@ -1,0 +1,95 @@
+"""The library kernels agree with the reference formulations in reference_kernels.py."""
+
+import math
+
+import numpy as np
+import pytest
+
+import reference_kernels as ref
+from relqopt.constants import C_LIGHT, EARTH, GRAVITATIONAL_G
+from relqopt.gravitomagnetism import GravField, RayState, transport_ray
+from relqopt.wigner import FourMomentum, LorentzMatrix, wigner_angle
+
+TOL = 1e-12
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def _criterion_4_geometries():
+    """The 1000 boosts and photons of test_criterion_04, drawn in the same order."""
+    rng = np.random.default_rng(20260815)
+    for _ in range(1000):
+        theta = rng.uniform(0.0, 0.5 * math.pi)
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        theta_b = rng.uniform(0.0, math.pi)
+        phi_b = rng.uniform(0.0, 2.0 * math.pi)
+        beta = rng.uniform(1e-4, 1e-3)
+        khat = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
+                math.cos(theta))
+        bvec = (beta * math.sin(theta_b) * math.cos(phi_b),
+                beta * math.sin(theta_b) * math.sin(phi_b), beta * math.cos(theta_b))
+        yield LorentzMatrix.boost(bvec), FourMomentum(1.0, khat)
+
+
+def _fast_boost_geometries(n=500):
+    """Boosts up to |beta| = 0.99 composed with rotations, photons of energy 0.5 to 2."""
+    rng = np.random.default_rng(4417)
+    for _ in range(n):
+        boost = LorentzMatrix.boost(_unit(rng.normal(size=3)) * rng.uniform(0.0, 0.99))
+        rotation = LorentzMatrix.rotation(rng.normal(size=3), rng.uniform(-math.pi, math.pi))
+        energy = rng.uniform(0.5, 2.0)
+        yield boost @ rotation, FourMomentum(energy, tuple(energy * _unit(rng.normal(size=3))))
+
+
+@pytest.mark.parametrize("geometries", [_criterion_4_geometries, _fast_boost_geometries],
+                         ids=["criterion_4", "fast_boosts"])
+def test_wigner_angle_matches_reference(geometries):
+    worst = max(abs(wigner_angle(lam, p) - ref.wigner_angle(lam, p))
+                for lam, p in geometries())
+    assert worst <= TOL
+
+
+_LT = GRAVITATIONAL_G / C_LIGHT**3
+_EG = GRAVITATIONAL_G * EARTH.mass / C_LIGHT**2
+
+
+def _lense_thirring(pos):
+    """Earth's gravitomagnetic dipole (spin along +z) and Newtonian E_g."""
+    x, y, z = (float(v) for v in pos)
+    r2 = x * x + y * y + z * z
+    r = math.sqrt(r2)
+    w = _LT / (r2 * r)
+    jr = 3.0 * EARTH.angular_momentum * z / r2
+    g = -_EG / (r2 * r)
+    return GravField(omega=(w * jr * x, w * jr * y, w * (jr * z - EARTH.angular_momentum)),
+                     eg=(g * x, g * y, g * z))
+
+
+def _strong_field(pos):
+    return GravField(omega=(0.03 * math.cos(0.05 * pos[1]), 0.01, 0.02 * math.sin(0.04 * pos[0])),
+                     eg=(1e-4, 0.0, -2e-4))
+
+
+def _rays(rng, n, radius):
+    for _ in range(n):
+        k = _unit(rng.normal(size=3))
+        f = _unit(np.cross(k, rng.normal(size=3)))
+        yield RayState(tuple(radius * _unit(rng.normal(size=3))), tuple(k), tuple(f))
+
+
+@pytest.mark.parametrize("sampler, radius, length, steps", [
+    (_lense_thirring, EARTH.radius + 800e3, 1.5e6, 8),
+    (_strong_field, 0.0, 50.0, 50),
+], ids=["lense_thirring", "strong_field"])
+def test_transport_ray_matches_reference(sampler, radius, length, steps):
+    rng = np.random.default_rng(907)
+    for start in _rays(rng, 40, radius):
+        got = transport_ray(start, sampler, length, steps)
+        want = ref.transport_ray(start, sampler, length, steps)
+        assert np.max(np.abs(np.subtract(got.khat, want.khat))) <= TOL
+        assert np.max(np.abs(np.subtract(got.fhat, want.fhat))) <= TOL
+        scale = max(np.linalg.norm(want.position), length)
+        assert np.linalg.norm(np.subtract(got.position, want.position)) <= TOL * scale
+        assert got.lam == want.lam

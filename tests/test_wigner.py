@@ -93,6 +93,13 @@ def test_non_lorentz_matrix_rejected():
         LorentzMatrix(np.diag([1.0, 2.0, 1.0, 1.0]))
 
 
+@pytest.mark.parametrize("k", [(math.nan, 0.0, 0.0), (0.0, math.inf, 1.0), (1.0, 0.0)],
+                         ids=["nan", "inf", "two_components"])
+def test_four_momentum_rejects_non_finite_or_malformed_k(k):
+    with pytest.raises(DomainError):
+        FourMomentum(1.0, k)
+
+
 # ------------------------------------------------------------- wigner angle
 
 

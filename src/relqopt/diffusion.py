@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,11 +41,13 @@ class CircleDensity:
         c = np.asarray(coefficients, dtype=complex).copy()
         if c.ndim != 1 or c.size < 1:
             raise DomainError("coefficients must be a 1-d array")
-        if abs(c[0].imag) > 1e-12 or abs(2.0 * math.pi * c[0].real - 1.0) > 1e-9:
+        if not np.isfinite(c).all():
+            raise DomainError("coefficients must be finite")
+        if not (abs(c[0].imag) <= 1e-12 and abs(2.0 * math.pi * c[0].real - 1.0) <= 1e-9):
             raise DomainError("density must integrate to 1 (rho_0 = 1/2pi)")
         self.coefficients = c
         grid = self.to_grid(max(8, 4 * (c.size - 1)), clamp=False)
-        if grid.min() < _GRID_FLOOR:
+        if not grid.min() >= _GRID_FLOOR:
             raise DomainError("density is negative beyond tolerance")
 
     @property
@@ -66,8 +69,10 @@ class CircleDensity:
     @classmethod
     def wrapped_gaussian(cls, mean: float, sigma: float,
                          modes: int = DEFAULT_MODES) -> "CircleDensity":
-        if sigma <= 0:
-            raise DomainError("sigma must be positive")
+        if not math.isfinite(mean):
+            raise DomainError("mean must be finite")
+        if not 0.0 < sigma < math.inf:
+            raise DomainError("sigma must be positive and finite")
         m = np.arange(modes + 1)
         c = np.exp(-0.5 * (m * sigma) ** 2) * np.exp(-1j * m * mean) / (2.0 * math.pi)
         return cls(c)
@@ -78,9 +83,11 @@ class CircleDensity:
         v = np.asarray(values, dtype=float)
         if v.ndim != 1 or v.size < 4:
             raise DomainError("need at least 4 grid samples")
-        if v.min() < _GRID_FLOOR:
+        if not np.isfinite(v).all():
+            raise DomainError("grid samples must be finite")
+        if not v.min() >= _GRID_FLOOR:
             raise DomainError("grid density is negative beyond tolerance")
-        if abs(2.0 * math.pi * v.mean() - 1.0) > 1e-9:
+        if not abs(2.0 * math.pi * v.mean() - 1.0) <= 1e-9:
             raise DomainError("grid density must integrate to 1")
         m = min(modes, v.size // 2 - 1)
         return cls(np.fft.fft(v)[: m + 1] / v.size)
@@ -93,7 +100,7 @@ class CircleDensity:
         spec[: self.modes + 1] = self.coefficients * n
         v = np.fft.irfft(spec, n=n)
         if clamp:
-            if v.min() < _GRID_FLOOR:
+            if not v.min() >= _GRID_FLOOR:
                 raise DomainError("density is negative beyond tolerance")
             v = np.where(v < 0.0, 0.0, v)
             v *= 1.0 / (2.0 * math.pi * v.mean())
@@ -119,15 +126,21 @@ class DiffusionParams:
     d_drift: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.c_diff) and math.isfinite(self.d_drift)):
+            raise DomainError("c_diff and d_drift must be finite")
         if self.c_diff < 0:
             raise DomainError("c_diff must be nonnegative (anti-diffusion)")
+
+
+def _check_span(lambda_span: float) -> None:
+    if not 0.0 <= lambda_span < math.inf:
+        raise DomainError("lambda_span must be finite and nonnegative")
 
 
 def evolve_equator(rho0: CircleDensity, params: DiffusionParams,
                    lambda_span: float) -> CircleDensity:
     """Spectral evolution rho_m -> rho_m exp(-c m^2 L - i m d L)."""
-    if lambda_span < 0:
-        raise DomainError("lambda_span must be nonnegative")
+    _check_span(lambda_span)
     m = np.arange(rho0.modes + 1)
     factor = np.exp(
         -params.c_diff * m.astype(float) ** 2 * lambda_span
@@ -220,13 +233,14 @@ class BlochTensorModel:
             thetas = np.linspace(0.05, math.pi - 0.05, 17)
         for th in thetas:
             k = np.asarray(self.k_tensor(float(th)), dtype=float)
-            if k.shape != (2, 2) or np.max(np.abs(k - k.T)) > 1e-12:
-                raise DomainError("k_tensor must return a symmetric 2x2 tensor")
+            if (k.shape != (2, 2) or not np.isfinite(k).all()
+                    or np.max(np.abs(k - k.T)) > 1e-12):
+                raise DomainError("k_tensor must return a finite symmetric 2x2 tensor")
             if np.linalg.eigvalsh(k).min() < -1e-12:
                 raise DomainError("k_tensor must be positive semidefinite")
             u = np.asarray(self.u_vector(float(th)), dtype=float)
-            if u.shape != (2,):
-                raise DomainError("u_vector must return a 2-vector")
+            if u.shape != (2,) or not np.isfinite(u).all():
+                raise DomainError("u_vector must return a finite 2-vector")
             if not self.density_of_states(float(th)) > 0:
                 raise DomainError("density_of_states must be positive")
 
@@ -261,9 +275,18 @@ def equivariance_check(
     noise.  `coefficient_samplers` is a test hook: a pair of callables
     (c(beta), d(beta)) injecting azimuth-dependent coefficients, which breaks
     the symmetry and makes the deviation finite.
+
+    Both paths advance together as one (2, grid_n // 2 + 1) state of rfft
+    coefficients under classical RK4: each stage takes one batched irfft of
+    [ik V, V] to the grid, forms c d_beta v - d v there, and returns ik times
+    its rfft.
     """
-    if lambda_span < 0:
-        raise DomainError("lambda_span must be nonnegative")
+    _check_span(lambda_span)
+    if not math.isfinite(rotation):
+        raise DomainError("rotation must be finite")
+    if not isinstance(grid_n, numbers.Integral) or isinstance(grid_n, bool):
+        raise DomainError("grid_n must be an integer")
+    grid_n = int(grid_n)
     model.validate()
     v0 = rho0.to_grid(grid_n, clamp=False)
     h = 2.0 * math.pi / grid_n
@@ -278,32 +301,40 @@ def equivariance_check(
         c_fn, d_fn = coefficient_samplers
         c_arr = np.asarray([float(c_fn(b)) for b in beta])
         d_arr = np.asarray([float(d_fn(b)) for b in beta])
+        if not (np.isfinite(c_arr).all() and np.isfinite(d_arr).all()):
+            raise DomainError("injected coefficients must be finite")
         if c_arr.min() < 0:
             raise DomainError("injected diffusion coefficient must be nonnegative")
 
     m_max = grid_n // 2
     ik = 1j * np.arange(m_max + 1)
+    if grid_n % 2 == 0:
+        # irfft drops the imaginary Nyquist term that ik V would carry; a zero keeps
+        # the state the rfft of a real grid
+        ik[m_max] = 0.0
+    coeffs = np.stack([c_arr, d_arr])
+    pair = np.empty((2, 2, m_max + 1), dtype=complex)
 
-    def d_beta(v):
-        return np.fft.irfft(ik * np.fft.rfft(v), n=grid_n)
-
-    def rhs(v):
-        return d_beta(c_arr * d_beta(v) - d_arr * v)
+    def rhs(spec):
+        np.multiply(ik, spec, out=pair[:, 0])
+        pair[:, 1] = spec
+        grid = np.fft.irfft(pair, n=grid_n)
+        grid *= coeffs
+        out = np.fft.rfft(np.subtract(grid[:, 0], grid[:, 1]))
+        out *= ik
+        return out
 
     stiff = float(c_arr.max()) * m_max**2 + abs(d_arr).max() * m_max
     n_steps = max(64, int(lambda_span * stiff / 2.0) + 1)
     dt = lambda_span / n_steps
 
-    def evolve(v):
-        v = v.copy()
-        for _ in range(n_steps):
-            k1 = rhs(v)
-            k2 = rhs(v + 0.5 * dt * k1)
-            k3 = rhs(v + 0.5 * dt * k2)
-            k4 = rhs(v + dt * k3)
-            v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return v
-
-    path_a = _rotate_grid(evolve(v0), rotation)
-    path_b = evolve(_rotate_grid(v0, rotation))
+    spec = np.fft.rfft(np.stack([v0, _rotate_grid(v0, rotation)]))
+    for _ in range(n_steps):
+        k1 = rhs(spec)
+        k2 = rhs(spec + 0.5 * dt * k1)
+        k3 = rhs(spec + 0.5 * dt * k2)
+        k4 = rhs(spec + dt * k3)
+        spec = spec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    evolved, path_b = np.fft.irfft(spec, n=grid_n)
+    path_a = _rotate_grid(evolved, rotation)
     return float(np.sum(np.abs(path_a - path_b)) * h)

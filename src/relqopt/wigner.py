@@ -49,9 +49,11 @@ class LorentzMatrix:
             raise DomainError("Lorentz matrix must be 4x4")
         if not np.all(np.isfinite(m)):
             raise DomainError("Lorentz matrix must be finite")
-        if np.max(np.abs(m.T @ ETA @ m - ETA)) > _LORENTZ_TOL:
+        # rounding in M^T eta M and det M grows as max|M_ij|^2 eps (gamma^2 eps for a boost)
+        tol = _LORENTZ_TOL * max(1.0, float(np.abs(m).max()) ** 2)
+        if np.max(np.abs(m.T @ ETA @ m - ETA)) > tol:
             raise DomainError("matrix does not preserve the metric")
-        if abs(np.linalg.det(m) - 1.0) > _LORENTZ_TOL:
+        if abs(np.linalg.det(m) - 1.0) > tol:
             raise DomainError("matrix must have determinant +1")
         if m[0, 0] < 1.0 - _LORENTZ_TOL:
             raise DomainError("matrix must be orthochronous")

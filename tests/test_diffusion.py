@@ -58,6 +58,36 @@ def test_negative_density_rejected():
         CircleDensity(c)
 
 
+def test_density_rejects_non_finite_coefficients():
+    c = CircleDensity.wrapped_gaussian(mean=0.3, sigma=0.5, modes=32).coefficients
+    for bad in (math.nan, math.inf, complex(0.0, math.nan)):
+        c_bad = c.copy()
+        c_bad[3] = bad
+        with pytest.raises(DomainError):
+            CircleDensity(c_bad)
+    c_bad = c.copy()
+    c_bad[0] = math.nan
+    with pytest.raises(DomainError):
+        CircleDensity(c_bad)
+
+
+def test_from_grid_rejects_non_finite_samples():
+    grid = CircleDensity.wrapped_gaussian(mean=0.3, sigma=0.5, modes=32).to_grid(128)
+    for bad in (math.nan, math.inf, -math.inf):
+        g = grid.copy()
+        g[5] = bad
+        with pytest.raises(DomainError):
+            CircleDensity.from_grid(g, modes=32)
+
+
+@pytest.mark.parametrize("mean, sigma", [
+    (math.nan, 0.5), (math.inf, 0.5), (0.0, math.nan), (0.0, math.inf), (0.0, 0.0),
+])
+def test_wrapped_gaussian_rejects_non_finite_parameters(mean, sigma):
+    with pytest.raises(DomainError):
+        CircleDensity.wrapped_gaussian(mean=mean, sigma=sigma, modes=8)
+
+
 def test_grid_round_trip():
     rho = CircleDensity.wrapped_gaussian(mean=-0.7, sigma=0.5, modes=64)
     grid = rho.to_grid(512)
@@ -262,3 +292,76 @@ def test_equator_params_extraction():
     assert params.d_drift == -0.2
     with pytest.raises(DomainError):
         DiffusionParams(-1.0, 0.0)
+
+
+@pytest.mark.parametrize("c_diff, d_drift", [
+    (math.nan, 0.0), (math.inf, 0.0), (0.1, math.nan), (0.1, math.inf), (0.1, -math.inf),
+])
+def test_diffusion_params_reject_non_finite(c_diff, d_drift):
+    with pytest.raises(DomainError):
+        DiffusionParams(c_diff, d_drift)
+
+
+@pytest.mark.parametrize("span", [math.nan, math.inf, -1.0])
+def test_evolve_rejects_non_finite_or_negative_span(span):
+    rho = CircleDensity.wrapped_gaussian(mean=0.0, sigma=0.5, modes=16)
+    with pytest.raises(DomainError):
+        evolve_equator(rho, DiffusionParams(0.1, 0.2), span)
+
+
+@pytest.mark.parametrize("rotation, span", [
+    (0.9, math.nan), (0.9, math.inf), (0.9, -0.5), (math.nan, 0.5), (math.inf, 0.5),
+])
+def test_equivariance_check_rejects_non_finite_rotation_or_span(rotation, span):
+    rho0 = CircleDensity.wrapped_gaussian(mean=1.0, sigma=0.5, modes=16)
+    with pytest.raises(DomainError):
+        equivariance_check(_constant_model(), rho0, rotation=rotation, lambda_span=span)
+
+
+@pytest.mark.parametrize("grid_n", [256.0, np.float64(256.0), True, "256"],
+                         ids=["float", "numpy_float", "bool", "str"])
+def test_equivariance_check_requires_an_integer_grid(grid_n):
+    rho0 = CircleDensity.wrapped_gaussian(mean=1.0, sigma=0.5, modes=16)
+    with pytest.raises(DomainError):
+        equivariance_check(_constant_model(), rho0, rotation=0.9, lambda_span=0.01,
+                           grid_n=grid_n)
+
+
+def test_equivariance_check_accepts_numpy_integer_grid():
+    rho0 = CircleDensity.wrapped_gaussian(mean=1.0, sigma=0.5, modes=16)
+    args = (_constant_model(), rho0, 0.9, 0.01)
+    assert (equivariance_check(*args, grid_n=np.int64(64))
+            == equivariance_check(*args, grid_n=64))
+
+
+@pytest.mark.parametrize("model", [
+    BlochTensorModel(k_tensor=lambda th: np.diag([math.inf, math.inf]),
+                     u_vector=lambda th: np.array([0.0, 0.3]),
+                     density_of_states=lambda th: 1.0),
+    BlochTensorModel(k_tensor=lambda th: np.diag([0.05, math.nan]),
+                     u_vector=lambda th: np.array([0.0, 0.3]),
+                     density_of_states=lambda th: 1.0),
+    BlochTensorModel(k_tensor=lambda th: np.diag([0.05, 0.05]),
+                     u_vector=lambda th: np.array([0.0, math.nan]),
+                     density_of_states=lambda th: 1.0),
+    BlochTensorModel(k_tensor=lambda th: np.diag([0.05, 0.05]),
+                     u_vector=lambda th: np.array([0.0, math.inf]),
+                     density_of_states=lambda th: 1.0),
+], ids=["k_inf", "k_bb_nan", "u_b_nan", "u_b_inf"])
+def test_equivariance_check_rejects_non_finite_equator_coefficients(model):
+    rho0 = CircleDensity.wrapped_gaussian(mean=1.0, sigma=0.5, modes=16)
+    with pytest.raises(DomainError):
+        equivariance_check(model, rho0, rotation=0.9, lambda_span=0.5)
+
+
+@pytest.mark.parametrize("samplers", [
+    (lambda b: math.inf, lambda b: 0.3),
+    (lambda b: 0.05 if b < 3.0 else math.nan, lambda b: 0.3),
+    (lambda b: 0.05, lambda b: math.nan),
+    (lambda b: 0.05, lambda b: -math.inf),
+], ids=["c_inf", "c_nan_somewhere", "d_nan", "d_minus_inf"])
+def test_equivariance_check_rejects_non_finite_sampler_values(samplers):
+    rho0 = CircleDensity.wrapped_gaussian(mean=1.0, sigma=0.5, modes=16)
+    with pytest.raises(DomainError):
+        equivariance_check(_constant_model(), rho0, rotation=0.9, lambda_span=0.5,
+                           coefficient_samplers=samplers)

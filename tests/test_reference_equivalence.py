@@ -7,6 +7,7 @@ import pytest
 
 import reference_kernels as ref
 from relqopt.constants import C_LIGHT, EARTH, GRAVITATIONAL_G
+from relqopt.diffusion import BlochTensorModel, CircleDensity, equivariance_check
 from relqopt.gravitomagnetism import GravField, RayState, transport_ray
 from relqopt.wigner import FourMomentum, LorentzMatrix, wigner_angle
 
@@ -93,3 +94,52 @@ def test_transport_ray_matches_reference(sampler, radius, length, steps):
         scale = max(np.linalg.norm(want.position), length)
         assert np.linalg.norm(np.subtract(got.position, want.position)) <= TOL * scale
         assert got.lam == want.lam
+
+
+def _constant(value):
+    return lambda theta: value
+
+
+def _witness_cases(n=50, grid_n=256):
+    """Constant-coefficient models over the diffusion_witness ranges: c in [0.004, 0.02],
+    d in [-0.4, 0.4], 32 to 126 modes, lambda giving log-uniform 100 to 1000 RK4 steps."""
+    rng = np.random.default_rng(5203)
+    m_max = grid_n // 2
+    for _ in range(n):
+        c = rng.uniform(0.004, 0.02)
+        d = rng.uniform(-0.4, 0.4)
+        k_aa = c * rng.uniform(0.5, 2.0)
+        k_ab = rng.uniform(-0.5, 0.5) * math.sqrt(k_aa * c)
+        model = BlochTensorModel(
+            k_tensor=_constant(np.array([[k_aa, k_ab], [k_ab, c]])),
+            u_vector=_constant(np.array([rng.uniform(-0.5, 0.5), d])),
+            density_of_states=lambda theta: math.sin(theta) + 1e-2,
+        )
+        rho0 = CircleDensity.wrapped_gaussian(rng.uniform(0.0, 2.0 * math.pi),
+                                              rng.uniform(0.3, 1.2),
+                                              modes=int(rng.integers(32, 127)))
+        steps = 10 ** rng.uniform(2.0, 3.0)
+        lam = 2.0 * steps / (c * m_max**2 + abs(d) * m_max)
+        yield model, rho0, rng.uniform(0.0, 2.0 * math.pi), lam
+
+
+def test_equivariance_check_matches_reference_on_constant_models():
+    devs = [(equivariance_check(*case), ref.equivariance_check(*case))
+            for case in _witness_cases()]
+    assert len(devs) >= 50
+    assert max(abs(got - want) for got, want in devs) <= TOL
+    assert max(want for _, want in devs) <= 1e-9
+
+
+@pytest.mark.parametrize("grid_n", [256, 255, 130])
+def test_equivariance_check_matches_reference_with_azimuth_dependent_coefficients(grid_n):
+    model, _, _, _ = next(_witness_cases(1))
+    rho0 = CircleDensity.wrapped_gaussian(mean=1.0, sigma=0.5, modes=60)
+    samplers = (lambda b: 0.05 * (1.0 + 0.5 * math.cos(b)),
+                lambda b: 0.3 + 0.1 * math.sin(2.0 * b))
+    got = equivariance_check(model, rho0, 0.9, 0.5, grid_n=grid_n,
+                             coefficient_samplers=samplers)
+    want = ref.equivariance_check(model, rho0, 0.9, 0.5, grid_n=grid_n,
+                                  coefficient_samplers=samplers)
+    assert want > 1e-4
+    assert abs(got - want) <= TOL

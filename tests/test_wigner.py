@@ -93,6 +93,28 @@ def test_non_lorentz_matrix_rejected():
         LorentzMatrix(np.diag([1.0, 2.0, 1.0, 1.0]))
 
 
+def _boost_with_gamma(gamma, direction=(1.0, 2.0, -0.5)):
+    n = np.asarray(direction) / np.linalg.norm(direction)
+    return LorentzMatrix.boost(math.sqrt(1.0 - 1.0 / gamma**2) * n)
+
+
+@pytest.mark.parametrize("gamma", [1e3, 1e4])
+def test_high_gamma_boosts_are_accepted(gamma):
+    # rounding in M^T eta M and det M grows as gamma^2 eps, past an absolute 1e-10 at gamma ~ 1000;
+    # beta^2 itself carries a relative gamma^2 eps, hence the loose check on gamma
+    for direction in ((1.0, 0.0, 0.0), (1.0, 2.0, -0.5)):
+        m = _boost_with_gamma(gamma, direction).matrix
+        assert m[0, 0] == pytest.approx(gamma, rel=1e-6)
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1)])
+def test_perturbed_high_gamma_boost_is_rejected(entry):
+    m = _boost_with_gamma(1e3).matrix.copy()
+    m[entry] *= 1.0 + 1e-6
+    with pytest.raises(DomainError):
+        LorentzMatrix(m)
+
+
 @pytest.mark.parametrize("k", [(math.nan, 0.0, 0.0), (0.0, math.inf, 1.0), (1.0, 0.0)],
                          ids=["nan", "inf", "two_components"])
 def test_four_momentum_rejects_non_finite_or_malformed_k(k):

@@ -27,9 +27,6 @@ CHSH_SETTINGS = (
     (math.pi / 4.0, 3.0 * math.pi / 8.0),
 )
 
-OUTCOME_LABELS = ("pp", "pm", "mp", "mm")
-
-
 @dataclass(frozen=True)
 class SettingPair:
     alpha: float

@@ -16,10 +16,11 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from . import bell, diffusion, kinematics, orbits, qft_effects, wigner
+from . import bell, diffusion, orbits, qft_effects, wigner
 from . import scenario as scen
 from .constants import C_LIGHT
 from .errors import ConfigurationError, DomainError, EffectError, NumericFailure
@@ -45,25 +46,15 @@ def _write_rows(rows, header, fmt: str, stream) -> None:
         stream.write("\n")
 
 
-_EFFECT_HEADER = ("effect", "value", "unit", "paper_ref")
-
-
-def _effect_rows(entries):
-    return [(e.effect, e.value, e.unit, e.paper_ref) for e in entries]
+def _write_entries(entries, fmt: str, stream) -> int:
+    rows = [(e.effect, e.value, e.unit, e.paper_ref) for e in entries]
+    _write_rows(rows, ("effect", "value", "unit", "paper_ref"), fmt, stream)
+    return 0
 
 
 def _load_scenario(args) -> scen.Scenario:
-    if getattr(args, "scenario", None):
-        s = scen.load_scenario(args.scenario)
-    else:
-        s = scen.Scenario()
-    seed = getattr(args, "seed", None)
-    if seed is not None and not 0 <= seed < 2**64:
-        raise ConfigurationError("seed must fit in an unsigned 64-bit integer")
-    workers = getattr(args, "workers", None)
-    if workers is not None and workers < 1:
-        raise ConfigurationError("workers must be >= 1")
-    return scen.with_overrides(s, seed=seed, workers=workers)
+    s = scen.load_scenario(args.scenario) if args.scenario else scen.Scenario()
+    return scen.with_overrides(s, seed=args.seed, workers=args.workers)
 
 
 def _parse_effects(raw: str | None):
@@ -78,91 +69,71 @@ def _parse_effects(raw: str | None):
 def _cmd_report(args, stream) -> int:
     s = _load_scenario(args)
     report = scen.run_report(s, effects=_parse_effects(args.effects))
-    _write_rows(_effect_rows(report.entries), _EFFECT_HEADER, args.format, stream)
-    return 0
+    return _write_entries(report.entries, args.format, stream)
 
 
 def _cmd_bell_sim(args, stream) -> int:
     s = _load_scenario(args)
-    n = args.photons if args.photons is not None else s.photon_budget
-    if n < 1:
-        raise ConfigurationError("photons must be >= 1")
-    try:
-        n_req = bell.required_photons(s.visibility)
-        counts = bell.simulate_coincidences(
-            s.visibility, n, seed=s.seed, workers=s.workers)
-        result = bell.chsh_estimate(counts)
-    except (ArithmeticError, ValueError) as exc:
-        raise EffectError("bell", str(exc)) from exc
-    rows = [
-        ("bell.visibility", s.visibility, "dimensionless", "§8.1"),
-        ("bell.photon_budget", float(n), "count", "§8.1"),
-        ("bell.required_photons", float(n_req), "count", "§8.1 Eq. (29)"),
-        ("bell.seed", float(s.seed), "dimensionless", "§8.1"),
-        ("bell.workers", float(s.workers), "dimensionless", "§8.1"),
-        ("bell.simulated_s", result.s_value, "dimensionless", "§8.1"),
-        ("bell.sigma", result.sigma, "dimensionless", "§8.1"),
-        ("bell.n_sigma_violation", result.n_sigma_violation, "dimensionless", "§8.1"),
-    ]
-    _write_rows(rows, _EFFECT_HEADER, args.format, stream)
+    if args.photons is not None:
+        s = replace(s, photon_budget=args.photons)
+    rows = [scen.ReportEntry("bell.visibility", s.visibility, "dimensionless", "§8.1"),
+            scen.ReportEntry("bell.photon_budget", float(s.photon_budget), "count", "§8.1")]
+    for e in scen.run_report(s, effects={"bell"}).entries:
+        rows.append(e)
+        if e.effect == "bell.seed":
+            rows.append(scen.ReportEntry("bell.workers", float(s.workers),
+                                         "dimensionless", "§8.1"))
+    _write_entries(rows, args.format, stream)
     if args.counts_out:
         with open(args.counts_out, "w", encoding="utf-8", newline="") as fh:
-            bell.write_counts_csv(counts, fh)
+            bell.write_counts_csv(scen.bell_counts(s), fh)
     return 0
+
+
+def _affine_parameter(s: scen.Scenario, sat) -> list:
+    lam = diffusion.affine_parameter(s.light_time_s(), s.frequency_hz())
+    return [scen.ReportEntry("diffusion.affine_parameter", lam, "s/J", "§5.2")]
 
 
 def _cmd_diffusion(args, stream) -> int:
     s = _load_scenario(args)
-    report = scen.run_report(s, effects=frozenset({"diffusion"}))
-    nu = C_LIGHT / s.wavelength
-    t = kinematics.light_travel_time(s.separation_m())
-    try:
-        lam = diffusion.affine_parameter(t, nu)
-    except (ArithmeticError, ValueError) as exc:
-        raise EffectError("diffusion", str(exc)) from exc
-    rows = [("diffusion.affine_parameter", lam, "s/J", "§5.2")]
-    rows.extend(_effect_rows(report.entries))
-    _write_rows(rows, _EFFECT_HEADER, args.format, stream)
-    return 0
+    report = scen.evaluate(s, [("diffusion", _affine_parameter),
+                               ("diffusion", scen.GROUPS["diffusion"])])
+    return _write_entries(report.entries, args.format, stream)
+
+
+def _direction(theta: float, phi: float) -> np.ndarray:
+    return np.array([
+        math.sin(theta) * math.cos(phi),
+        math.sin(theta) * math.sin(phi),
+        math.cos(theta),
+    ])
 
 
 def _cmd_wigner(args, stream) -> int:
     s = _load_scenario(args)
-    if args.beta is not None:
-        beta = args.beta
-        v = beta * C_LIGHT
-    else:
-        v = orbits.propagate(s.orbit_spec(), 0.0).speed
-        beta = v / C_LIGHT
-    theta = math.radians(args.theta)
-    phi = math.radians(args.phi)
-    theta_b = math.radians(args.theta_b)
-    phi_b = math.radians(args.phi_b)
-    try:
-        khat = np.array([
-            math.sin(theta) * math.cos(phi),
-            math.sin(theta) * math.sin(phi),
-            math.cos(theta),
-        ])
-        nhat = np.array([
-            math.sin(theta_b) * math.cos(phi_b),
-            math.sin(theta_b) * math.sin(phi_b),
-            math.cos(theta_b),
-        ])
-        lam = wigner.LorentzMatrix.boost(tuple(beta * nhat))
-        exact = wigner.wigner_angle(lam, wigner.FourMomentum(1.0, tuple(khat)))
-        first = wigner.first_order_boost_phase(theta, phi, theta_b, phi_b, v)
-        ratio = wigner.diffraction_transform(1.0, s.relative_speed)
-    except (ArithmeticError, ValueError) as exc:
-        raise EffectError("wigner", str(exc)) from exc
-    rows = [
-        ("wigner.beta", beta, "dimensionless", "§3.1.1"),
-        ("wigner.exact_angle", exact, "rad", "§3.1.1"),
-        ("wigner.first_order_phase", first, "rad", "§3.1.1 Eq. (13)"),
-        ("wigner.diffraction_ratio", ratio, "dimensionless", "§3.1.1"),
-    ]
-    _write_rows(rows, _EFFECT_HEADER, args.format, stream)
-    return 0
+    theta, phi, theta_b, phi_b = map(math.radians, (args.theta, args.phi, args.theta_b, args.phi_b))
+
+    def angles(s, sat) -> list:
+        v = sat.speed if args.beta is None else args.beta * C_LIGHT
+        beta = v / C_LIGHT if args.beta is None else args.beta
+        lam = wigner.LorentzMatrix.boost(tuple(beta * _direction(theta_b, phi_b)))
+        exact = wigner.wigner_angle(lam, wigner.FourMomentum(1.0, tuple(_direction(theta, phi))))
+        return [
+            scen.ReportEntry("wigner.beta", beta, "dimensionless", "§3.1.1"),
+            scen.ReportEntry("wigner.exact_angle", exact, "rad", "§3.1.1"),
+            scen.ReportEntry("wigner.first_order_phase",
+                             wigner.first_order_boost_phase(theta, phi, theta_b, phi_b, v),
+                             "rad", "§3.1.1 Eq. (13)"),
+        ]
+
+    report = scen.evaluate(s, [("wigner", angles), ("wigner", scen.GROUPS["wigner"])])
+    # a row given here replaces the report group's row of the same name, which
+    # is taken at the report's fixed geometry
+    rows = {}
+    for e in report.entries:
+        rows.setdefault(e.effect, e)
+    return _write_entries(rows.values(), args.format, stream)
 
 
 def _cmd_orbit(args, stream) -> int:
@@ -178,7 +149,7 @@ def _cmd_orbit(args, stream) -> int:
     if track_station:
         header += ["range", "range_rate"]
     rows = []
-    try:
+    with scen.effect_errors("orbit"):
         for t in np.linspace(0.0, duration, args.samples):
             state = orbits.propagate(spec, float(t))
             row = [state.time, *state.position, *state.velocity]
@@ -187,8 +158,6 @@ def _cmd_orbit(args, stream) -> int:
                 rng, rate, _ = orbits.relative_geometry(state, gs)
                 row += [rng, rate]
             rows.append(tuple(row))
-    except (ArithmeticError, ValueError) as exc:
-        raise EffectError("orbit", str(exc)) from exc
     _write_rows(rows, header, args.format, stream)
     return 0
 
@@ -202,10 +171,8 @@ def _cmd_curves(args, stream) -> int:
             raise ConfigurationError("need v_min <= v_max <= 1")
         vs = np.linspace(args.v_min, args.v_max, args.points)
         if args.format == "csv":
-            try:
+            with scen.effect_errors("bell"):
                 bell.write_photon_curve_csv(vs, stream)
-            except (ArithmeticError, ValueError) as exc:
-                raise EffectError("bell", str(exc)) from exc
             return 0
         rows = [(float(v), float(bell.required_photons(float(v)))) for v in vs]
         _write_rows(rows, ("V", "N"), args.format, stream)
@@ -215,13 +182,9 @@ def _cmd_curves(args, stream) -> int:
     d_max = args.delta_max if args.delta_max is not None else 6.0 * s.detector_resolution
     if d_max <= 0:
         raise ConfigurationError("delta_max must be positive")
-    rows = []
-    try:
-        for delta in np.linspace(0.0, d_max, args.points):
-            rows.append((float(delta),
-                         qft_effects.ralph_correlation(model, float(delta))))
-    except (ArithmeticError, ValueError) as exc:
-        raise EffectError("qft", str(exc)) from exc
+    with scen.effect_errors("qft"):
+        rows = [(float(delta), qft_effects.ralph_correlation(model, float(delta)))
+                for delta in np.linspace(0.0, d_max, args.points)]
     _write_rows(rows, ("delta", "C"), args.format, stream)
     return 0
 

@@ -32,73 +32,6 @@ _ANGLE_FACTORS = {
 # tolerated spelling for the milliarcsecond tag
 _ANGLE_ALIASES = {"arc msec": "arcmsec", "mas": "arcmsec"}
 
-UNIT_TAGS = frozenset(
-    {
-        "m", "s", "kg", "rad", "deg", "arcsec", "arcmsec", "Hz", "K",
-        "m/s", "m/s^2", "s/m", "1/s^2", "s^2", "J/kg", "kg m^2/s",
-        "dimensionless", "count",
-    }
-)
-
-
-@dataclass(frozen=True)
-class Constants:
-    """Bundle of the fundamental constants, injectable for tests."""
-
-    c: float = C_LIGHT
-    h: float = PLANCK_H
-    hbar: float = HBAR
-    k_b: float = BOLTZMANN_K
-    g_newton: float = GRAVITATIONAL_G
-    g0: float = G0
-
-    def __post_init__(self):
-        for name in ("c", "h", "hbar", "k_b", "g_newton", "g0"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise DomainError(f"constant {name} must be positive and finite")
-
-
-CONSTANTS = Constants()
-
-
-@dataclass(frozen=True)
-class Quantity:
-    """A value with a unit tag. Mixed-tag addition is rejected.
-
-    This is deliberately not a units-of-measure algebra: tags are opaque
-    labels checked for equality, enough to keep report plumbing honest.
-    """
-
-    value: float
-    unit: str
-
-    def __post_init__(self):
-        if self.unit not in UNIT_TAGS:
-            raise ConfigurationError(f"unknown unit tag {self.unit!r}")
-
-    def _check(self, other: "Quantity") -> None:
-        if not isinstance(other, Quantity):
-            raise TypeError("expected a Quantity")
-        if other.unit != self.unit:
-            raise ConfigurationError(
-                f"unit mismatch: {self.unit!r} vs {other.unit!r}"
-            )
-
-    def __add__(self, other: "Quantity") -> "Quantity":
-        self._check(other)
-        return Quantity(self.value + other.value, self.unit)
-
-    def __sub__(self, other: "Quantity") -> "Quantity":
-        self._check(other)
-        return Quantity(self.value - other.value, self.unit)
-
-    def __neg__(self) -> "Quantity":
-        return Quantity(-self.value, self.unit)
-
-    def scaled(self, factor: float) -> "Quantity":
-        return Quantity(self.value * factor, self.unit)
-
 
 def convert_angle(x: float, target: str) -> float:
     """Convert an angle in radians to rad / deg / arcsec / arcmsec."""
@@ -107,15 +40,6 @@ def convert_angle(x: float, target: str) -> float:
         return x * _ANGLE_FACTORS[tag]
     except KeyError:
         raise ConfigurationError(f"unknown angle unit tag {target!r}") from None
-
-
-def angle_in_radians(x: float, source: str) -> float:
-    """Inverse of convert_angle: bring an angle in `source` units to radians."""
-    tag = _ANGLE_ALIASES.get(source, source)
-    try:
-        return x / _ANGLE_FACTORS[tag]
-    except KeyError:
-        raise ConfigurationError(f"unknown angle unit tag {source!r}") from None
 
 
 def cgs_angular_momentum_to_si(j_cgs: float) -> float:

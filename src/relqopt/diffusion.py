@@ -185,25 +185,6 @@ def diffusion_bound_from_decay(mu: float, t: float, nu: float) -> float:
 
 
 @dataclass(frozen=True)
-class StokesLinear:
-    """Linear Stokes pair (Q, U)."""
-
-    q_stokes: float
-    u_stokes: float
-
-    @property
-    def degree(self) -> float:
-        return math.hypot(self.q_stokes, self.u_stokes)
-
-
-def stokes_angle(s: StokesLinear) -> tuple[float, float]:
-    """(Phi, P) = (atan2(U, Q), sqrt(Q^2 + U^2)); undefined at Q = U = 0."""
-    if s.q_stokes == 0.0 and s.u_stokes == 0.0:
-        raise DomainError("polarization angle undefined for Q = U = 0")
-    return math.atan2(s.u_stokes, s.q_stokes), s.degree
-
-
-@dataclass(frozen=True)
 class BlochTensorModel:
     """Polar-angle samplers for the general sphere model: K^{AB}(theta),
     u^A(theta), density of states n(theta).

@@ -112,12 +112,6 @@ def rotation_rate(field: GravField, khat, k) -> Vector:
     return np.array(_rotation_rate(field.omega, field.eg, kh, _finite_vector(k, "k")))
 
 
-def phase_rate(field: GravField, khat, frame_term: float = 0.0) -> float:
-    """dchi/dlambda = omega . khat plus a caller-supplied frame-rotation term."""
-    kh = np.asarray(khat, dtype=float)
-    return float(np.asarray(field.omega) @ kh) + frame_term
-
-
 def transport_ray(
     state: RayState,
     sampler: Callable[[Vector], GravField],

@@ -158,14 +158,14 @@ def circular_speed(r: float, earth: EarthParams = EARTH) -> float:
 def preset_orbit(name: str) -> OrbitSpec:
     """Named circular/transfer presets used by scenario files."""
     try:
-        return _PRESETS[name]
+        return PRESETS[name]
     except KeyError:
         raise DomainError(
-            f"unknown orbit preset {name!r}; choose from {sorted(_PRESETS)}"
+            f"unknown orbit preset {name!r}; choose from {sorted(PRESETS)}"
         ) from None
 
 
-_PRESETS = {
+PRESETS = {
     "leo500": OrbitSpec(semi_major_axis=EARTH.radius + 500e3),
     "leo1000": OrbitSpec(semi_major_axis=EARTH.radius + 1000e3),
     # 250 km x GEO-radius transfer ellipse

@@ -22,7 +22,6 @@ class DetectorPair:
 
     separation: float
     interaction_time: float
-    gap_frequency: float = 0.0  # rad/s
 
     def __post_init__(self):
         if self.separation <= 0 or self.interaction_time <= 0:

@@ -340,38 +340,3 @@ def concurrence(state: TwoPhotonState) -> float:
     """C = 2 |a_pp a_mm - a_pm a_mp| for a pure two-photon state."""
     pp, pm, mp, mm = state.amplitudes
     return 2.0 * abs(pp * mm - pm * mp)
-
-
-@dataclass(frozen=True)
-class PolarizationTriad:
-    """Right-handed orthonormal basis (eps1, eps2, khat) for linear polarization."""
-
-    eps1: tuple
-    eps2: tuple
-    khat: tuple
-
-    def __post_init__(self):
-        e1 = np.asarray(self.eps1, dtype=float)
-        e2 = np.asarray(self.eps2, dtype=float)
-        k = np.asarray(self.khat, dtype=float)
-        for name, v in (("eps1", e1), ("eps2", e2), ("khat", k)):
-            if abs(float(np.linalg.norm(v)) - 1.0) > _NORM_TOL:
-                raise DomainError(f"{name} must be a unit vector")
-        if abs(float(e1 @ e2)) > _NORM_TOL or abs(float(e1 @ k)) > _NORM_TOL \
-                or abs(float(e2 @ k)) > _NORM_TOL:
-            raise DomainError("triad must be orthogonal")
-        if np.max(np.abs(np.cross(e1, e2) - k)) > 1e-10:
-            raise DomainError("triad must be right-handed (eps1 x eps2 = khat)")
-        object.__setattr__(self, "eps1", tuple(float(v) for v in e1))
-        object.__setattr__(self, "eps2", tuple(float(v) for v in e2))
-        object.__setattr__(self, "khat", tuple(float(v) for v in k))
-
-
-def standard_triad(khat) -> PolarizationTriad:
-    """Linear-polarization basis carried from (x, y, z) by R(khat)."""
-    r = standard_rotation(khat).matrix[1:, 1:]
-    return PolarizationTriad(
-        eps1=tuple(r @ np.array([1.0, 0.0, 0.0])),
-        eps2=tuple(r @ np.array([0.0, 1.0, 0.0])),
-        khat=tuple(r @ np.array([0.0, 0.0, 1.0])),
-    )

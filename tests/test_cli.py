@@ -223,3 +223,33 @@ def test_curves_ralph(capsys):
 def test_console_entry_point():
     import relqopt.cli as cli
     assert callable(cli.run)
+
+
+def test_non_finite_scenario_number_exits_2_naming_the_key(capsys, tmp_path):
+    for text, where in (("[diffusion]\ndrift_d = nan\n", "[diffusion] drift_d"),
+                        ("[diffusion]\ncmb_chi = -inf\n", "[diffusion] cmb_chi"),
+                        ("[orbit]\nsemi_major_axis = nan\n", "[orbit] semi_major_axis")):
+        code, out, err = _run(capsys, "report", "--scenario", _write(tmp_path, text))
+        assert code == 2 and out == ""
+        assert where in err
+
+
+def test_huge_photon_budget_exits_2_naming_the_key(capsys, tmp_path):
+    path = _write(tmp_path, "[bell]\nphoton_budget = 1e30\n")
+    code, _, err = _run(capsys, "report", "--scenario", path, "--effects", "bell")
+    assert code == 2
+    assert "[bell] photon_budget" in err
+
+
+def test_seed_flag_is_checked_by_the_key_table(capsys):
+    code, _, err = _run(capsys, "report", "--effects", "bell", "--seed", str(2**64))
+    assert code == 2 and "[bell] seed" in err
+    code, _, _ = _run(capsys, "report", "--effects", "bell", "--seed", str(2**64 - 1))
+    assert code == 0
+
+
+def test_non_finite_result_exits_3_naming_the_group(capsys, tmp_path):
+    path = _write(tmp_path, "[geometry]\nseparation = 1e300\n")
+    code, out, err = _run(capsys, "report", "--scenario", path)
+    assert code == 3 and out == ""
+    assert "'geometry'" in err

@@ -9,7 +9,6 @@ from relqopt.diffusion import (
     BlochTensorModel,
     CircleDensity,
     DiffusionParams,
-    StokesLinear,
     affine_parameter,
     angle_shift,
     diffusion_bound_from_decay,
@@ -17,7 +16,6 @@ from relqopt.diffusion import (
     equivariance_check,
     evolve_equator,
     polarization_decay,
-    stokes_angle,
 )
 from relqopt.errors import DomainError
 
@@ -222,21 +220,6 @@ def test_bounds_invert_forecasts():
         c = rng.uniform(1e-30, 1e-8)
         assert drift_bound_from_angle(angle_shift(t, nu, d), t, nu) == pytest.approx(d, rel=1e-12)
         assert diffusion_bound_from_decay(polarization_decay(t, nu, c), t, nu) == pytest.approx(c, rel=1e-12)
-
-
-# ------------------------------------------------------------------ stokes
-
-
-def test_stokes_angles():
-    assert stokes_angle(StokesLinear(1.0, 0.0)) == (0.0, 1.0)
-    phi, p = stokes_angle(StokesLinear(0.0, 1.0))
-    assert phi == pytest.approx(0.5 * math.pi)
-    assert p == 1.0
-    phi, p = stokes_angle(StokesLinear(3.0, 4.0))
-    assert p == 5.0
-    assert phi == pytest.approx(math.atan2(4.0, 3.0))
-    with pytest.raises(DomainError):
-        stokes_angle(StokesLinear(0.0, 0.0))
 
 
 # ------------------------------------------------------------ equivariance

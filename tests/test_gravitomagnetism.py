@@ -12,7 +12,6 @@ from relqopt.gravitomagnetism import (
     axial_impact_rotation,
     closed_path_rotation,
     kerr_principal_null_rotation,
-    phase_rate,
     rotation_rate,
     transport_ray,
 )
@@ -41,13 +40,6 @@ def test_rotation_rate_transverse_with_parallel_eg():
     field = GravField(omega=(0.0, 0.0, w), eg=(e, 0.0, 0.0))
     out = rotation_rate(field, (1.0, 0.0, 0.0), (3.0, 0.0, 0.0))
     assert np.allclose(out, [0.0, 0.0, 2.0 * w])
-
-
-def test_phase_rate():
-    field = GravField(omega=(0.0, 0.2, 0.3), eg=(0.0, 0.0, 0.0))
-    assert phase_rate(field, (1.0, 0.0, 0.0)) == 0.0
-    assert phase_rate(field, (0.0, 0.0, 1.0)) == pytest.approx(0.3)
-    assert phase_rate(field, (0.0, 0.0, 1.0), frame_term=0.1) == pytest.approx(0.4)
 
 
 # --------------------------------------------------------------- transport

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,7 @@ from relqopt.constants import C_LIGHT, EARTH, ROUNDED_EARTH
 from relqopt.errors import ConfigurationError, EffectError
 from relqopt.scenario import (
     EFFECT_GROUPS,
+    SECTIONS,
     Scenario,
     load_scenario,
     run_report,
@@ -251,3 +253,103 @@ def test_scenario_validation_errors_name_fields():
     ):
         with pytest.raises(ConfigurationError, match=field):
             Scenario(**kwargs)
+
+
+# ------------------------------------------------------- the key table
+
+
+def test_domain_error_names_section_and_key(tmp_path):
+    path = _write(tmp_path, "[link]\nwavelength = -800e-9\n")
+    with pytest.raises(ConfigurationError, match=r"^\[link\] wavelength must be > 0$"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("section, key, raw", [
+    ("diffusion", "drift_d", "nan"),
+    ("diffusion", "cmb_chi", "-inf"),
+    ("link", "wavelength", "inf"),
+    ("orbit", "semi_major_axis", "nan"),
+    ("orbit", "inclination", "inf"),
+])
+def test_non_finite_numbers_are_rejected(tmp_path, section, key, raw):
+    extra = "semi_major_axis = 7e6\n" if section == "orbit" and key != "semi_major_axis" else ""
+    path = _write(tmp_path, f"[{section}]\n{extra}{key} = {raw}\n")
+    with pytest.raises(ConfigurationError, match=rf"\[{section}\] {key} must be finite"):
+        load_scenario(path)
+
+
+def test_non_finite_station_coordinate_is_rejected(tmp_path):
+    path = _write(tmp_path, "[stations]\nstation1 = 40.0 nan 0\n")
+    with pytest.raises(ConfigurationError, match=r"\[stations\] station1 must be finite"):
+        load_scenario(path)
+
+
+def test_non_finite_field_is_rejected_without_a_file():
+    with pytest.raises(ConfigurationError, match=r"\[diffusion\] drift_d must be finite"):
+        Scenario(drift_d=math.nan)
+
+
+def test_seed_beyond_double_precision_loads_exactly(tmp_path):
+    s = load_scenario(_write(tmp_path, "[bell]\nseed = 9007199254740993\n"))
+    assert s.seed == 9007199254740993
+
+
+def test_largest_seed_is_kept_and_two_to_the_64_is_rejected(tmp_path):
+    s = load_scenario(_write(tmp_path, "[bell]\nseed = 18446744073709551615\n"))
+    assert s.seed == 2**64 - 1
+    with pytest.raises(ConfigurationError, match=r"\[bell\] seed"):
+        load_scenario(_write(tmp_path, "[bell]\nseed = 18446744073709551616\n"))
+
+
+def test_integer_in_exponent_form_loads_as_an_int(tmp_path):
+    s = load_scenario(_write(tmp_path, "[bell]\nphoton_budget = 1e6\nworkers = 2.0\n"))
+    assert s.photon_budget == 1_000_000 and type(s.photon_budget) is int
+    assert s.workers == 2 and type(s.workers) is int
+
+
+@pytest.mark.parametrize("raw", ["1e30", "1e999999999"])
+def test_huge_photon_budget_names_the_key(tmp_path, raw):
+    with pytest.raises(ConfigurationError, match=r"\[bell\] photon_budget"):
+        load_scenario(_write(tmp_path, f"[bell]\nphoton_budget = {raw}\n"))
+
+
+@pytest.mark.parametrize("raw", ["1.5", "2.5e-1", "nan", "seven"])
+def test_non_integer_is_rejected(tmp_path, raw):
+    with pytest.raises(ConfigurationError, match=r"\[bell\] seed must be an integer"):
+        load_scenario(_write(tmp_path, f"[bell]\nseed = {raw}\n"))
+
+
+def test_overrides_are_checked_by_the_key_table():
+    with pytest.raises(ConfigurationError, match=r"\[bell\] seed"):
+        with_overrides(Scenario(), seed=2**64)
+    with pytest.raises(ConfigurationError, match=r"\[bell\] workers"):
+        with_overrides(Scenario(), workers=0)
+    with pytest.raises(ConfigurationError, match=r"\[bell\] seed must be an integer"):
+        with_overrides(Scenario(), seed=1.0)
+    assert with_overrides(Scenario(), seed=2**64 - 1).seed == 2**64 - 1
+
+
+def test_non_finite_report_value_fails_naming_the_group():
+    with pytest.raises(EffectError) as err:
+        run_report(Scenario(separation=1e300), effects={"geometry"})
+    assert err.value.effect == "geometry"
+
+
+def test_readme_scenario_block_matches_the_key_table():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    shown, section = {}, None
+    for line in block.splitlines():
+        line = line.split(";", 1)[0].strip()
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif line:
+            key, raw = (part.strip() for part in line.split("=", 1))
+            shown[(section, key)] = raw
+    table = {(sec, key) for sec, keys in SECTIONS.items() for key in keys}
+    assert set(shown) == table
+    for sec, keys in SECTIONS.items():
+        for key, f in keys.items():
+            if f is not None and f.default is not None:
+                where = f"[{sec}] {key}"
+                assert f.metadata["parse"](where, shown[(sec, key)]) == f.default, where

@@ -12,7 +12,6 @@ from relqopt.wigner import (
     FourMomentum,
     HelicityState,
     LorentzMatrix,
-    PolarizationTriad,
     TwoPhotonState,
     apply_helicity_phase,
     concurrence,
@@ -21,7 +20,6 @@ from relqopt.wigner import (
     first_order_boost_phase,
     standard_rotation,
     standard_transform,
-    standard_triad,
     wigner_angle,
 )
 
@@ -276,20 +274,3 @@ def test_concurrence_invariant_under_helicity_phases():
         out = apply_helicity_phase(state, rng.uniform(-4, 4), photon=0)
         out = apply_helicity_phase(out, rng.uniform(-4, 4), photon=1)
         assert concurrence(out) == pytest.approx(ref, abs=1e-12)
-
-
-def test_standard_triad_is_orthonormal_right_handed():
-    rng = np.random.default_rng(16)
-    for _ in range(30):
-        khat = _random_direction(rng)
-        triad = standard_triad(khat)
-        e1, e2, e3 = np.array(triad.eps1), np.array(triad.eps2), np.array(triad.khat)
-        assert np.allclose(e3, khat, atol=1e-12)
-        basis = np.stack([e1, e2, e3])
-        assert np.allclose(basis @ basis.T, np.eye(3), atol=1e-12)
-        assert np.allclose(np.cross(e1, e2), e3, atol=1e-12)
-
-
-def test_triad_validation():
-    with pytest.raises(DomainError):
-        PolarizationTriad(eps1=(1.0, 0.0, 0.0), eps2=(1.0, 0.0, 0.0), khat=(0.0, 0.0, 1.0))

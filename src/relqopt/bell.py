@@ -7,9 +7,8 @@ A 3-sigma violation is one-sided: (S - 2)/sigma >= 3.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,6 +16,9 @@ from .errors import DomainError
 
 V_MIN = 1.0 / math.sqrt(2.0)
 PHOTON_CAP = 1.0e12
+# Monte Carlo streams: each one costs a SeedSequence child and a Philox
+# generator built in a Python loop, so the count is bounded
+WORKER_CAP = 1024
 
 # standard CHSH arrangement (alpha, beta) per correlation slot; S uses
 # E1 - E2 + E3 + E4
@@ -27,20 +29,15 @@ CHSH_SETTINGS = (
     (math.pi / 4.0, 3.0 * math.pi / 8.0),
 )
 
-@dataclass(frozen=True)
-class SettingPair:
-    alpha: float
-    beta: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise DomainError("analyzer angles must be finite")
-
-
-def _as_setting_pairs(settings) -> tuple[SettingPair, ...]:
+def _as_setting_pairs(settings) -> tuple[tuple[float, float], ...]:
+    """Analyzer settings as (alpha, beta) float pairs; DomainError unless finite."""
     out = []
-    for s in settings:
-        out.append(s if isinstance(s, SettingPair) else SettingPair(*s))
+    for alpha, beta in settings:
+        alpha, beta = float(alpha), float(beta)
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise DomainError("analyzer angles must be finite")
+        out.append((alpha, beta))
     return tuple(out)
 
 
@@ -64,8 +61,7 @@ class CoincidenceCounts:
         return float(self.counts.sum())
 
 
-@dataclass(frozen=True)
-class ChshResult:
+class ChshResult(NamedTuple):
     s_value: float
     sigma: float
     n_sigma_violation: float
@@ -88,7 +84,7 @@ def analytic_counts(v: float, pairs_per_setting: float,
                     settings=CHSH_SETTINGS) -> CoincidenceCounts:
     """Exact expected counts (generally non-integer), for estimator checks."""
     settings = _as_setting_pairs(settings)
-    rows = [pairs_per_setting * joint_probabilities(v, s.alpha, s.beta) for s in settings]
+    rows = [pairs_per_setting * joint_probabilities(v, alpha, beta) for alpha, beta in settings]
     return CoincidenceCounts(settings, np.array(rows))
 
 
@@ -149,39 +145,20 @@ def simulate_coincidences(
     settings = _as_setting_pairs(settings)
     if n_pairs <= 0:
         raise DomainError("n_pairs must be positive")
-    if workers < 1:
-        raise DomainError("workers must be >= 1")
+    if not 1 <= workers <= WORKER_CAP:
+        raise DomainError(f"workers must lie in [1, {WORKER_CAP}]")
     n_set = len(settings)
     per_setting = [n_pairs // n_set + (1 if i < n_pairs % n_set else 0) for i in range(n_set)]
     streams = np.random.SeedSequence(seed).spawn(workers)
     counts = np.zeros((n_set, 4))
     for w, stream in enumerate(streams):
         rng = np.random.Generator(np.random.Philox(stream))
-        for i, setting in enumerate(settings):
+        for i, (alpha, beta) in enumerate(settings):
             n_i = per_setting[i]
             share = n_i // workers + (1 if w < n_i % workers else 0)
             if share == 0:
                 continue
-            probs = joint_probabilities(v, setting.alpha, setting.beta)
+            probs = joint_probabilities(v, alpha, beta)
             counts[i] += rng.multinomial(share, probs)
     return CoincidenceCounts(settings, counts)
 
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
-def write_counts_csv(counts: CoincidenceCounts, stream) -> None:
-    """RFC-4180-style CSV of the counts table (LF endings, 17 significant digits)."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["alpha", "beta", "n_pp", "n_pm", "n_mp", "n_mm"])
-    for setting, row in zip(counts.settings, counts.counts):
-        writer.writerow([_fmt(setting.alpha), _fmt(setting.beta), *(_fmt(x) for x in row)])
-
-
-def write_photon_curve_csv(visibilities, stream) -> None:
-    """CSV of the required-photon curve, columns V, N."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["V", "N"])
-    for v in visibilities:
-        writer.writerow([_fmt(float(v)), str(required_photons(float(v)))])

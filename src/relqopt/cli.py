@@ -26,8 +26,9 @@ from .constants import C_LIGHT
 from .errors import ConfigurationError, DomainError, EffectError, NumericFailure
 
 
-def _fmt_full(x: float) -> str:
-    return format(float(x), ".17g")
+def _fmt_full(x) -> str:
+    # an int (seed, count) prints exactly; a float prints its 17 digits
+    return str(x) if isinstance(x, int) else format(float(x), ".17g")
 
 
 def _write_rows(rows, header, fmt: str, stream) -> None:
@@ -47,9 +48,13 @@ def _write_rows(rows, header, fmt: str, stream) -> None:
 
 
 def _write_entries(entries, fmt: str, stream) -> int:
-    rows = [(e.effect, e.value, e.unit, e.paper_ref) for e in entries]
-    _write_rows(rows, ("effect", "value", "unit", "paper_ref"), fmt, stream)
+    _write_rows(entries, scen.ReportEntry._fields, fmt, stream)
     return 0
+
+
+def _require(ok: bool, flag: str, rule: str) -> None:
+    if not ok:
+        raise ConfigurationError(f"{flag} must be {rule}")
 
 
 def _load_scenario(args) -> scen.Scenario:
@@ -77,16 +82,17 @@ def _cmd_bell_sim(args, stream) -> int:
     if args.photons is not None:
         s = replace(s, photon_budget=args.photons)
     rows = [scen.ReportEntry("bell.visibility", s.visibility, "dimensionless", "§8.1"),
-            scen.ReportEntry("bell.photon_budget", float(s.photon_budget), "count", "§8.1")]
+            scen.ReportEntry("bell.photon_budget", s.photon_budget, "count", "§8.1")]
     for e in scen.run_report(s, effects={"bell"}).entries:
         rows.append(e)
         if e.effect == "bell.seed":
-            rows.append(scen.ReportEntry("bell.workers", float(s.workers),
-                                         "dimensionless", "§8.1"))
+            rows.append(scen.ReportEntry("bell.workers", s.workers, "dimensionless", "§8.1"))
     _write_entries(rows, args.format, stream)
     if args.counts_out:
+        counts = scen.bell_counts(s)
         with open(args.counts_out, "w", encoding="utf-8", newline="") as fh:
-            bell.write_counts_csv(scen.bell_counts(s), fh)
+            _write_rows([(*pair, *row) for pair, row in zip(counts.settings, counts.counts)],
+                        ("alpha", "beta", "n_pp", "n_pm", "n_mp", "n_mm"), "csv", fh)
     return 0
 
 
@@ -111,6 +117,11 @@ def _direction(theta: float, phi: float) -> np.ndarray:
 
 
 def _cmd_wigner(args, stream) -> int:
+    _require(0.0 <= args.theta <= 90.0, "--theta", "in [0, 90]")
+    for flag, x in (("--phi", args.phi), ("--theta-b", args.theta_b), ("--phi-b", args.phi_b)):
+        _require(math.isfinite(x), flag, "finite")
+    if args.beta is not None:
+        _require(0.0 <= args.beta < 1.0, "--beta", "in [0, 1)")
     s = _load_scenario(args)
     theta, phi, theta_b, phi_b = map(math.radians, (args.theta, args.phi, args.theta_b, args.phi_b))
 
@@ -137,13 +148,12 @@ def _cmd_wigner(args, stream) -> int:
 
 
 def _cmd_orbit(args, stream) -> int:
+    _require(args.samples >= 2, "--samples", ">= 2")
+    if args.duration is not None:
+        _require(0.0 < args.duration < math.inf, "--duration", "finite and > 0")
     s = _load_scenario(args)
     spec = s.orbit_spec()
-    if args.samples < 2:
-        raise ConfigurationError("samples must be >= 2")
     duration = args.duration if args.duration is not None else spec.period()
-    if duration <= 0:
-        raise ConfigurationError("duration must be positive")
     header = ["t", "x", "y", "z", "vx", "vy", "vz"]
     track_station = bool(s.stations)
     if track_station:
@@ -163,25 +173,21 @@ def _cmd_orbit(args, stream) -> int:
 
 
 def _cmd_curves(args, stream) -> int:
+    _require(args.points >= 2, "--points", ">= 2")
     s = _load_scenario(args)
     if args.which == "photons":
-        if not args.v_min > bell.V_MIN:
-            raise ConfigurationError("v_min must exceed 1/sqrt(2)")
-        if not args.v_min <= args.v_max <= 1.0:
-            raise ConfigurationError("need v_min <= v_max <= 1")
-        vs = np.linspace(args.v_min, args.v_max, args.points)
-        if args.format == "csv":
-            with scen.effect_errors("bell"):
-                bell.write_photon_curve_csv(vs, stream)
-            return 0
-        rows = [(float(v), float(bell.required_photons(float(v)))) for v in vs]
+        _require(args.v_min > bell.V_MIN, "--v-min", "> 1/sqrt(2)")
+        _require(args.v_min <= args.v_max <= 1.0, "--v-max", "in [--v-min, 1]")
+        with scen.effect_errors("bell"):
+            rows = [(float(v), bell.required_photons(float(v)))
+                    for v in np.linspace(args.v_min, args.v_max, args.points)]
         _write_rows(rows, ("V", "N"), args.format, stream)
         return 0
     # Ralph correlation vs proper-time differential
+    if args.delta_max is not None:
+        _require(0.0 < args.delta_max < math.inf, "--delta-max", "finite and > 0")
     model = qft_effects.EventOperatorModel(detector_resolution=s.detector_resolution)
     d_max = args.delta_max if args.delta_max is not None else 6.0 * s.detector_resolution
-    if d_max <= 0:
-        raise ConfigurationError("delta_max must be positive")
     with scen.effect_errors("qft"):
         rows = [(float(delta), qft_effects.ralph_correlation(model, float(delta)))
                 for delta in np.linspace(0.0, d_max, args.points)]

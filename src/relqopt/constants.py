@@ -42,11 +42,6 @@ def convert_angle(x: float, target: str) -> float:
         raise ConfigurationError(f"unknown angle unit tag {target!r}") from None
 
 
-def cgs_angular_momentum_to_si(j_cgs: float) -> float:
-    """g cm^2/s -> kg m^2/s (factor 1e-7)."""
-    return j_cgs * 1.0e-7
-
-
 @dataclass(frozen=True)
 class EarthParams:
     """Earth model: mass, spin angular momentum, GM, radius, spin rate."""
@@ -68,20 +63,8 @@ class EarthParams:
         if rel > 1e-10:
             raise DomainError("mu must equal G*mass")
 
-    @classmethod
-    def from_cgs(cls, mass_g: float, angular_momentum_cgs: float,
-                 radius: float = 6378137.0,
-                 rotation_rate: float = 7.2921159e-5) -> "EarthParams":
-        """Build from cgs inputs (g, g cm^2/s)."""
-        return cls(
-            mass=mass_g * 1.0e-3,
-            angular_momentum=cgs_angular_momentum_to_si(angular_momentum_cgs),
-            radius=radius,
-            rotation_rate=rotation_rate,
-        )
-
 
 EARTH = EarthParams()
-# Rounded textbook cgs values (M = 5.98e27 g, J = 5.86e40 g cm^2/s); these feed
-# the frame-dragging magnitudes so they stay reproducible independent of EARTH.
-ROUNDED_EARTH = EarthParams.from_cgs(mass_g=5.98e27, angular_momentum_cgs=5.86e40)
+# Rounded textbook values (M = 5.98e27 g, J = 5.86e40 g cm^2/s, here in SI); these
+# feed the frame-dragging magnitudes so they stay reproducible independent of EARTH.
+ROUNDED_EARTH = EarthParams(mass=5.98e24, angular_momentum=5.86e33)

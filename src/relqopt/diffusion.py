@@ -77,21 +77,6 @@ class CircleDensity:
         c = np.exp(-0.5 * (m * sigma) ** 2) * np.exp(-1j * m * mean) / (2.0 * math.pi)
         return cls(c)
 
-    @classmethod
-    def from_grid(cls, values, modes: int = DEFAULT_MODES) -> "CircleDensity":
-        """Build from samples on N uniform azimuth points (integral must be 1)."""
-        v = np.asarray(values, dtype=float)
-        if v.ndim != 1 or v.size < 4:
-            raise DomainError("need at least 4 grid samples")
-        if not np.isfinite(v).all():
-            raise DomainError("grid samples must be finite")
-        if not v.min() >= _GRID_FLOOR:
-            raise DomainError("grid density is negative beyond tolerance")
-        if not abs(2.0 * math.pi * v.mean() - 1.0) <= 1e-9:
-            raise DomainError("grid density must integrate to 1")
-        m = min(modes, v.size // 2 - 1)
-        return cls(np.fft.fft(v)[: m + 1] / v.size)
-
     def to_grid(self, n: int = 1024, clamp: bool = True) -> np.ndarray:
         """Evaluate on n uniform points; small negative ringing is clamped."""
         if n < 2 * self.modes + 2:
@@ -105,17 +90,6 @@ class CircleDensity:
             v = np.where(v < 0.0, 0.0, v)
             v *= 1.0 / (2.0 * math.pi * v.mean())
         return v
-
-    def circular_mean(self) -> float:
-        """Mean azimuth, arg <e^{i beta}>."""
-        r = 2.0 * math.pi * np.conj(self.coefficient(1))
-        if abs(r) == 0.0:
-            raise DomainError("circular mean undefined for isotropic density")
-        return math.atan2(r.imag, r.real)
-
-    def resultant_length(self) -> float:
-        """|<e^{i beta}>|, the m = 1 polarization observable."""
-        return 2.0 * math.pi * abs(self.coefficient(1))
 
 
 @dataclass(frozen=True)

@@ -76,20 +76,14 @@ class RayState:
 
 @dataclass(frozen=True)
 class SpinningBody:
-    """Point spinning mass: M (kg), angular momentum J (kg m^2/s), spin axis."""
+    """Point spinning mass: M (kg), angular momentum J (kg m^2/s)."""
 
     mass: float
     angular_momentum: float
-    spin_axis: tuple = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
         if self.mass <= 0 or self.angular_momentum <= 0:
             raise DomainError("mass and angular momentum must be positive")
-        ax = np.asarray(self.spin_axis, dtype=float)
-        n = np.linalg.norm(ax)
-        if n == 0:
-            raise DomainError("spin axis must be nonzero")
-        object.__setattr__(self, "spin_axis", tuple(float(v) for v in ax / n))
 
 
 def _rotation_rate(omega, eg, khat, k) -> tuple:

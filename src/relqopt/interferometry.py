@@ -49,10 +49,6 @@ class OpticalLink:
         if self.fibre_length < 0 or self.altitude < 0 or self.index < 1.0:
             raise DomainError("invalid fibre_length, altitude or index")
 
-    @property
-    def delay(self) -> float:
-        return self.index * self.fibre_length / C_LIGHT
-
 
 def cow_neutron_phase(beam: NeutronBeam, area: float, tilt: float, g: float = G0) -> float:
     """Neutron interferometer phase, -lambda m^2 g A sin(alpha) / (2 pi hbar^2).

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,16 +37,14 @@ class Event:
         return np.array([self.x, self.y, self.z])
 
 
-@dataclass(frozen=True)
-class IntervalResult:
+class IntervalResult(NamedTuple):
     """kind is 'spacelike' (magnitude in m), 'timelike' (s) or 'lightlike' (0)."""
 
     kind: str
     magnitude: float
 
 
-@dataclass(frozen=True)
-class SimultaneityBoost:
+class SimultaneityBoost(NamedTuple):
     """Boost speed (fraction of c) that makes a spacelike pair simultaneous."""
 
     beta: float
@@ -53,8 +52,9 @@ class SimultaneityBoost:
 
 
 def _quadratic_form(e1: Event, e2: Event) -> tuple[float, float, float]:
-    dvec = e2.position - e1.position
-    dx2 = float(dvec @ dvec)
+    # float arithmetic: an overflow gives inf without a numpy RuntimeWarning
+    dx, dy, dz = e2.x - e1.x, e2.y - e1.y, e2.z - e1.z
+    dx2 = dx * dx + dy * dy + dz * dz
     cdt = C_LIGHT * (e2.t - e1.t)
     return dx2 - cdt * cdt, dx2, cdt
 

@@ -33,7 +33,7 @@ class OrbitSpec:
         if not 0.0 <= self.eccentricity < 1.0:
             raise DomainError("eccentricity must lie in [0, 1)")
         if self.semi_major_axis * (1.0 - self.eccentricity) <= EARTH.radius:
-            raise DomainError("perigee must clear the Earth's surface")
+            raise DomainError("semi_major_axis must put the perigee above the Earth's surface")
 
     def period(self, earth: EarthParams = EARTH) -> float:
         return 2.0 * math.pi * math.sqrt(self.semi_major_axis**3 / earth.mu)

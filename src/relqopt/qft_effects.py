@@ -17,18 +17,6 @@ from .errors import DomainError
 
 
 @dataclass(frozen=True)
-class DetectorPair:
-    """Two spacelike-separated detectors: separation R, interaction time T."""
-
-    separation: float
-    interaction_time: float
-
-    def __post_init__(self):
-        if self.separation <= 0 or self.interaction_time <= 0:
-            raise DomainError("separation and interaction_time must be positive")
-
-
-@dataclass(frozen=True)
 class EventOperatorModel:
     """Detector timing resolution d_t and maximum correlation C_max."""
 
@@ -88,9 +76,12 @@ def berry_phase_difference(
     return cmath.phase(math.cosh(q) ** 2 - cmath.exp(2j * math.pi * g_frac) * math.sinh(q) ** 2)
 
 
-def negativity_bound(pair: DetectorPair) -> float:
-    """Vacuum-entanglement negativity scale N = exp(-(R/(cT))^3)."""
-    ratio = pair.separation / (C_LIGHT * pair.interaction_time)
+def negativity_bound(separation: float, interaction_time: float) -> float:
+    """Vacuum-entanglement negativity scale N = exp(-(R/(cT))^3) for two
+    detectors at separation R that interact for a time T."""
+    if separation <= 0 or interaction_time <= 0:
+        raise DomainError("separation and interaction_time must be positive")
+    ratio = separation / (C_LIGHT * interaction_time)
     return math.exp(-(ratio**3))
 
 

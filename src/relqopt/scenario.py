@@ -18,27 +18,25 @@ import numbers
 import operator
 import re
 from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 from . import bell, diffusion, gravitomagnetism, interferometry, kinematics, orbits, qft_effects, wigner
 from .constants import C_LIGHT, EARTH, G0, ROUNDED_EARTH
-from .errors import ConfigurationError, EffectError
+from .errors import ConfigurationError, DomainError, EffectError
 from .orbits import GroundStation, OrbitSpec, preset_orbit
 
 
-@dataclass(frozen=True)
-class ReportEntry:
+class ReportEntry(NamedTuple):
+    """One report row; integer counts and seeds stay `int`."""
+
     effect: str
     value: float
     unit: str
     paper_ref: str
 
 
-@dataclass(frozen=True)
-class EffectReport:
+class EffectReport(NamedTuple):
     entries: tuple
-
-    def by_name(self) -> dict:
-        return {e.effect: e for e in self.entries}
 
 
 # -- effect groups: fn(scenario, satellite state at epoch) -> entries ---------
@@ -126,8 +124,6 @@ def _interferometry(s: Scenario, sat) -> list:
 
 
 def _qft(s: Scenario, sat) -> list:
-    pair = qft_effects.DetectorPair(
-        separation=s.separation_m(), interaction_time=s.interaction_s())
     phi_low = orbits.newtonian_potential(EARTH.radius)
     phi_high = orbits.newtonian_potential(sat.radius)
     delta = qft_effects.proper_time_differential(
@@ -142,7 +138,8 @@ def _qft(s: Scenario, sat) -> list:
         ReportEntry("qft.berry_phase",
                     qft_effects.berry_phase_difference(s.berry_gap, s.berry_a(), s.berry_g),
                     "rad", "§4.1 Eq. (24)"),
-        ReportEntry("qft.negativity_bound", qft_effects.negativity_bound(pair),
+        ReportEntry("qft.negativity_bound", qft_effects.negativity_bound(
+                        s.separation_m(), s.interaction_s()),
                     "dimensionless", "§3.3"),
         ReportEntry("qft.spacelike_window",
                     qft_effects.spacelike_window(s.separation_m()),
@@ -181,8 +178,8 @@ def _bell(s: Scenario, sat) -> list:
     n_req = bell.required_photons(s.visibility)
     result = bell.chsh_estimate(bell_counts(s))
     return [
-        ReportEntry("bell.required_photons", float(n_req), "count", "§8.1 Eq. (29)"),
-        ReportEntry("bell.seed", float(s.seed), "dimensionless", "§8.1"),
+        ReportEntry("bell.required_photons", n_req, "count", "§8.1 Eq. (29)"),
+        ReportEntry("bell.seed", s.seed, "dimensionless", "§8.1"),
         ReportEntry("bell.simulated_s", result.s_value, "dimensionless", "§8.1"),
         ReportEntry("bell.sigma", result.sigma, "dimensionless", "§8.1"),
         ReportEntry("bell.n_sigma_violation", result.n_sigma_violation,
@@ -287,7 +284,7 @@ class Scenario:
     visibility: float = _key("bell", 0.95, (">", 0), ("<=", 1))
     photon_budget: int = _key("bell", 1_000_000, (">=", 1), ("<=", bell.PHOTON_CAP), parse=_int)
     seed: int = _key("bell", 1, (">=", 0), ("<", 2**64), parse=_int)
-    workers: int = _key("bell", 1, (">=", 1), parse=_int)
+    workers: int = _key("bell", 1, (">=", 1), ("<=", bell.WORKER_CAP), parse=_int)
     separation: float | None = _key("geometry", None, (">", 0))
     delay: float | None = _key("geometry", None, (">=", 0))
     relative_speed: float = _key("geometry", 15e3, (">", 0), ("<", C_LIGHT))
@@ -382,7 +379,11 @@ def _orbit(section) -> OrbitSpec:
         raise ConfigurationError("[orbit] semi_major_axis is required for a custom orbit")
     a, e, *angles, epoch = (_float(f"[orbit] {key}", section.get(key, "0"))
                             for key in _ORBIT_KEYS)
-    return OrbitSpec(a, e, *map(math.radians, angles), epoch)
+    try:
+        return OrbitSpec(a, e, *map(math.radians, angles), epoch)
+    except DomainError as exc:
+        # OrbitSpec's messages start with the [orbit] key they reject
+        raise ConfigurationError(f"[orbit] {exc}") from None
 
 
 def _station(key: str, raw: str) -> GroundStation:
@@ -391,7 +392,11 @@ def _station(key: str, raw: str) -> GroundStation:
     if len(parts) != 3:
         raise ConfigurationError(f"{where} needs 'lat_deg lon_deg alt_m'")
     lat, lon, alt = (_float(where, p) for p in parts)
-    return GroundStation(latitude=math.radians(lat), longitude=math.radians(lon), altitude=alt)
+    try:
+        return GroundStation(latitude=math.radians(lat), longitude=math.radians(lon),
+                             altitude=alt)
+    except DomainError as exc:
+        raise ConfigurationError(f"{where} {exc}") from None
 
 
 def load_scenario(path: str) -> Scenario:

@@ -177,22 +177,6 @@ def _standard_matrix(khat, energy: float) -> np.ndarray:
     )
 
 
-def standard_rotation(khat) -> LorentzMatrix:
-    """R(khat) = Rz(phi) Ry(theta); carries the z-axis onto khat."""
-    n = np.asarray(khat, dtype=float)
-    norm = float(np.linalg.norm(n))
-    if norm == 0.0:
-        raise DomainError("direction must be nonzero")
-    if not abs(norm - 1.0) <= 1e-12:
-        raise DomainError("direction must be a unit vector")
-    return LorentzMatrix(_standard_matrix(n / norm, 1.0))
-
-
-def standard_transform(k: FourMomentum) -> LorentzMatrix:
-    """L(k) = R(khat) Bz(ln energy); maps k_R to k."""
-    return LorentzMatrix(_standard_matrix(k.khat, k.energy))
-
-
 def _little_group_element(a: float, b: float, xi: float) -> np.ndarray:
     """S(a, b) Rz(xi), where S = exp(a A + b B) for the null generators A, B."""
     c, s = math.cos(xi), math.sin(xi)
@@ -286,19 +270,6 @@ _NORM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class HelicityState:
-    """Single-photon helicity amplitudes (alpha_plus, alpha_minus), unit norm."""
-
-    plus: complex
-    minus: complex
-
-    def __post_init__(self):
-        n = abs(self.plus) ** 2 + abs(self.minus) ** 2
-        if abs(n - 1.0) > _NORM_TOL:
-            raise DomainError("helicity state must be normalized")
-
-
-@dataclass(frozen=True)
 class TwoPhotonState:
     """Amplitudes over the helicity product basis (++, +-, -+, --), unit norm."""
 
@@ -317,23 +288,20 @@ class TwoPhotonState:
 
 
 def apply_helicity_phase(state, chi: float, photon: int | None = None):
-    """Multiply helicity amplitudes by exp(+/- i chi).
+    """Multiply one photon's helicity amplitudes by exp(+/- i chi).
 
-    For a TwoPhotonState, `photon` selects which photon (0 or 1) acquired the
+    `photon` selects which photon (0 or 1) of the TwoPhotonState acquired the
     phase; call once per photon for a collective rotation.
     """
-    if isinstance(state, HelicityState):
-        ph = complex(math.cos(chi), math.sin(chi))
-        return HelicityState(plus=state.plus * ph, minus=state.minus * ph.conjugate())
-    if isinstance(state, TwoPhotonState):
-        if photon not in (0, 1):
-            raise DomainError("photon index must be 0 or 1")
-        ph = complex(math.cos(chi), math.sin(chi))
-        pp, pm, mp, mm = state.amplitudes
-        if photon == 0:
-            return TwoPhotonState((pp * ph, pm * ph, mp * ph.conjugate(), mm * ph.conjugate()))
-        return TwoPhotonState((pp * ph, pm * ph.conjugate(), mp * ph, mm * ph.conjugate()))
-    raise DomainError("state must be a HelicityState or TwoPhotonState")
+    if not isinstance(state, TwoPhotonState):
+        raise DomainError("state must be a TwoPhotonState")
+    if photon not in (0, 1):
+        raise DomainError("photon index must be 0 or 1")
+    ph = complex(math.cos(chi), math.sin(chi))
+    pp, pm, mp, mm = state.amplitudes
+    if photon == 0:
+        return TwoPhotonState((pp * ph, pm * ph, mp * ph.conjugate(), mm * ph.conjugate()))
+    return TwoPhotonState((pp * ph, pm * ph.conjugate(), mp * ph, mm * ph.conjugate()))
 
 
 def concurrence(state: TwoPhotonState) -> float:

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -6,17 +5,16 @@ import pytest
 
 from relqopt.bell import (
     CHSH_SETTINGS,
+    WORKER_CAP,
     CoincidenceCounts,
-    SettingPair,
     analytic_counts,
     chsh_estimate,
     joint_probabilities,
     required_photons,
     simulate_coincidences,
     singlet_correlation,
-    write_counts_csv,
-    write_photon_curve_csv,
 )
+from relqopt.cli import main
 from relqopt.errors import DomainError
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -87,7 +85,9 @@ def test_estimator_rejects_degenerate_input():
     with pytest.raises(DomainError):
         chsh_estimate(CoincidenceCounts(CHSH_SETTINGS, perfect))
     with pytest.raises(DomainError):
-        chsh_estimate(analytic_counts(0.9, 100.0), settings=CHSH_SETTINGS[:3] + (SettingPair(0.0, 0.0),))
+        chsh_estimate(analytic_counts(0.9, 100.0), settings=CHSH_SETTINGS[:3] + ((0.0, 0.0),))
+    with pytest.raises(DomainError):
+        analytic_counts(0.9, 100.0, settings=CHSH_SETTINGS[:3] + ((0.0, math.nan),))
 
 
 # -------------------------------------------------------- required photons
@@ -160,33 +160,42 @@ def test_invalid_simulation_inputs():
         simulate_coincidences(0.9, 0)
     with pytest.raises(DomainError):
         simulate_coincidences(0.9, 100, workers=0)
+    with pytest.raises(DomainError):
+        simulate_coincidences(0.9, 100, workers=WORKER_CAP + 1)
 
 
 # ------------------------------------------------------------------- csv
 
 
-def test_counts_csv_format():
-    counts = simulate_coincidences(0.9, 1000, seed=6)
-    buf = io.StringIO()
-    write_counts_csv(counts, buf)
-    lines = buf.getvalue().split("\n")
+def test_counts_csv_format(tmp_path, capsys):
+    path = tmp_path / "counts.csv"
+    assert main(["bell-sim", "--photons", "1000", "--seed", "6", "--workers", "3",
+                 "--counts-out", str(path)]) == 0
+    text = path.read_bytes().decode("utf-8")
+    lines = text.split("\n")
     assert lines[0] == "alpha,beta,n_pp,n_pm,n_mp,n_mm"
     assert lines[-1] == ""
     assert len(lines) == 6  # header + 4 rows + trailing newline
-    total = 0.0
-    for row in lines[1:5]:
+    total = 0
+    for row, (alpha, beta) in zip(lines[1:5], CHSH_SETTINGS):
         cells = row.split(",")
         assert len(cells) == 6
-        total += sum(float(x) for x in cells[2:])
-    assert total == 1000.0
-    assert "\r" not in buf.getvalue()
+        assert (float(cells[0]), float(cells[1])) == (alpha, beta)
+        total += sum(int(x) for x in cells[2:])
+    assert total == 1000
+    assert "\r" not in text
 
 
-def test_photon_curve_csv():
-    buf = io.StringIO()
-    write_photon_curve_csv([0.85, 0.9, 1.0], buf)
-    lines = buf.getvalue().strip().split("\n")
+def test_photon_curve_csv(capsys):
+    argv = ["curves", "--which", "photons", "--v-min", "0.85", "--v-max", "1.0", "--points", "7"]
+    assert main([*argv, "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "V,N"
-    assert [row.split(",")[1] for row in lines[1:]] == ["564", "288", "105"]
+    rows = [row.split(",") for row in lines[1:]]
+    assert [n for _, n in rows] == [str(required_photons(float(v))) for v, _ in rows]
     # 17 significant digits round-trip for the float column
-    assert float(lines[1].split(",")[0]) == 0.85
+    assert float(rows[0][0]) == 0.85
+    # the table prints the same rows to 9 digits
+    assert main(argv) == 0
+    table = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert table == [[format(float(v), ".9g"), format(float(n), ".9g")] for v, n in rows]

@@ -248,8 +248,61 @@ def test_seed_flag_is_checked_by_the_key_table(capsys):
     assert code == 0
 
 
+@pytest.mark.filterwarnings("error")
 def test_non_finite_result_exits_3_naming_the_group(capsys, tmp_path):
     path = _write(tmp_path, "[geometry]\nseparation = 1e300\n")
     code, out, err = _run(capsys, "report", "--scenario", path)
     assert code == 3 and out == ""
-    assert "'geometry'" in err
+    assert "'geometry'" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["curves", "--points", "-1"], "--points"),
+    (["curves", "--which", "ralph", "--points", "1"], "--points"),
+    (["curves", "--which", "ralph", "--delta-max", "nan"], "--delta-max"),
+    (["curves", "--which", "ralph", "--delta-max", "0"], "--delta-max"),
+    (["curves", "--v-max", "nan"], "--v-max"),
+    (["wigner", "--beta", "1.5"], "--beta"),
+    (["wigner", "--beta", "nan"], "--beta"),
+    (["wigner", "--beta", "-0.1"], "--beta"),
+    (["wigner", "--theta", "200"], "--theta"),
+    (["wigner", "--theta", "nan"], "--theta"),
+    (["wigner", "--theta-b", "nan"], "--theta-b"),
+    (["wigner", "--phi", "inf"], "--phi"),
+    (["wigner", "--phi-b=-inf"], "--phi-b"),
+    (["orbit", "--duration", "nan"], "--duration"),
+    (["orbit", "--duration", "inf"], "--duration"),
+    (["orbit", "--duration", "-60"], "--duration"),
+    (["orbit", "--samples", "1"], "--samples"),
+])
+@pytest.mark.filterwarnings("error")
+def test_flag_outside_its_domain_exits_2_naming_the_flag(capsys, argv, flag):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag} must be ")
+
+
+def test_workers_above_the_cap_exit_2_naming_the_key(capsys, tmp_path):
+    path = _write(tmp_path, "[bell]\nworkers = 1e9\nphoton_budget = 1000\n")
+    for argv in (["report", "--scenario", path],
+                 ["bell-sim", "--workers", str(10**9), "--photons", "1000"]):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "[bell] workers must be >= 1 and <= 1024" in err
+
+
+def test_integer_rows_print_exactly_in_csv(capsys):
+    seed = 2**53 + 1
+    code, out, _ = _run(capsys, "bell-sim", "--seed", str(seed), "--photons", "1000",
+                        "--workers", "3", "--format", "csv")
+    assert code == 0
+    values = {r[0]: r[1] for r in _csv_rows(out)[1:]}
+    assert values["bell.seed"] == "9007199254740993"
+    assert values["bell.photon_budget"] == "1000"
+    assert values["bell.workers"] == "3"
+    assert values["bell.required_photons"] == "168"
+    # the table keeps 9 significant digits
+    code, out, _ = _run(capsys, "report", "--effects", "bell", "--seed", str(seed))
+    assert code == 0
+    row = next(line.split() for line in out.splitlines() if line.startswith("bell.seed"))
+    assert row[1] == format(float(seed), ".9g")

@@ -6,7 +6,6 @@ from relqopt.constants import (
     EARTH,
     ROUNDED_EARTH,
     EarthParams,
-    cgs_angular_momentum_to_si,
     convert_angle,
 )
 from relqopt.errors import ConfigurationError, DomainError
@@ -33,11 +32,6 @@ def test_angle_aliases():
 def test_unknown_angle_unit_rejected():
     with pytest.raises(ConfigurationError):
         convert_angle(1.0, "furlong")
-
-
-def test_cgs_angular_momentum():
-    assert cgs_angular_momentum_to_si(0.0) == 0.0
-    assert cgs_angular_momentum_to_si(1.0e7) == 1.0
 
 
 def test_earth_mu_from_cgs_construction():

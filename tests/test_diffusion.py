@@ -69,15 +69,6 @@ def test_density_rejects_non_finite_coefficients():
         CircleDensity(c_bad)
 
 
-def test_from_grid_rejects_non_finite_samples():
-    grid = CircleDensity.wrapped_gaussian(mean=0.3, sigma=0.5, modes=32).to_grid(128)
-    for bad in (math.nan, math.inf, -math.inf):
-        g = grid.copy()
-        g[5] = bad
-        with pytest.raises(DomainError):
-            CircleDensity.from_grid(g, modes=32)
-
-
 @pytest.mark.parametrize("mean, sigma", [
     (math.nan, 0.5), (math.inf, 0.5), (0.0, math.nan), (0.0, math.inf), (0.0, 0.0),
 ])
@@ -89,8 +80,8 @@ def test_wrapped_gaussian_rejects_non_finite_parameters(mean, sigma):
 def test_grid_round_trip():
     rho = CircleDensity.wrapped_gaussian(mean=-0.7, sigma=0.5, modes=64)
     grid = rho.to_grid(512)
-    back = CircleDensity.from_grid(grid, modes=64)
-    assert np.allclose(back.coefficients, rho.coefficients, atol=1e-12)
+    back = np.fft.rfft(grid)[:65] / grid.size
+    assert np.allclose(back, rho.coefficients, atol=1e-12)
     assert grid.mean() * 2.0 * math.pi == pytest.approx(1.0, abs=1e-12)
 
 
@@ -101,12 +92,18 @@ def test_coefficient_conjugate_symmetry():
     assert rho.coefficient(99) == 0.0
 
 
+def _mean_resultant(rho):
+    """<e^{i beta}> = 2 pi conj(rho_1): the circular mean and resultant length."""
+    r = 2.0 * math.pi * rho.coefficient(1).conjugate()
+    return math.atan2(r.imag, r.real), abs(r)
+
+
 def test_circular_mean_and_resultant():
     rho = CircleDensity.wrapped_gaussian(mean=1.1, sigma=0.4, modes=64)
-    assert rho.circular_mean() == pytest.approx(1.1, abs=1e-10)
-    assert rho.resultant_length() == pytest.approx(math.exp(-0.5 * 0.4**2), rel=1e-10)
-    with pytest.raises(DomainError):
-        CircleDensity.uniform(8).circular_mean()
+    mean, resultant = _mean_resultant(rho)
+    assert mean == pytest.approx(1.1, abs=1e-10)
+    assert resultant == pytest.approx(math.exp(-0.5 * 0.4**2), rel=1e-10)
+    assert _mean_resultant(CircleDensity.uniform(8))[1] == 0.0
 
 
 # -------------------------------------------------------------- evolution
@@ -119,7 +116,7 @@ def test_pure_drift_is_rigid_rotation():
     expected = CircleDensity.wrapped_gaussian(mean=0.4 + d * lam, sigma=0.3, modes=128)
     assert np.allclose(out.coefficients, expected.coefficients, atol=1e-14)
     # moments preserved under pure drift
-    assert out.resultant_length() == pytest.approx(rho.resultant_length(), rel=1e-14)
+    assert _mean_resultant(out)[1] == pytest.approx(_mean_resultant(rho)[1], rel=1e-14)
 
 
 def test_probability_is_conserved():
@@ -144,7 +141,7 @@ def test_mean_drifts_at_drift_rate():
     rho = CircleDensity.wrapped_gaussian(mean=0.15, sigma=0.2, modes=128)
     d, lam = 0.6, 1.7
     out = evolve_equator(rho, DiffusionParams(0.01, d), lam)
-    shift = (out.circular_mean() - rho.circular_mean()) % (2.0 * math.pi)
+    shift = (_mean_resultant(out)[0] - _mean_resultant(rho)[0]) % (2.0 * math.pi)
     assert shift == pytest.approx((d * lam) % (2.0 * math.pi), abs=1e-8)
 
 
@@ -156,7 +153,8 @@ def test_resultant_decay_matches_depolarization_exponent():
     lam = 4.0 * t / nu
     out = evolve_equator(rho, DiffusionParams(c_diff, 0.0), lam)
     mu = polarization_decay(t, nu, c_diff)
-    assert out.resultant_length() / rho.resultant_length() == pytest.approx(math.exp(-mu), rel=1e-12)
+    ratio = _mean_resultant(out)[1] / _mean_resultant(rho)[1]
+    assert ratio == pytest.approx(math.exp(-mu), rel=1e-12)
 
 
 def test_spectral_solution_matches_finite_difference_oracle():

@@ -8,7 +8,6 @@ from relqopt.constants import BOLTZMANN_K, C_LIGHT, EARTH, G0, HBAR
 from relqopt.errors import DomainError
 from relqopt.orbits import newtonian_potential
 from relqopt.qft_effects import (
-    DetectorPair,
     EventOperatorModel,
     acceleration_for_temperature,
     berry_phase_difference,
@@ -91,15 +90,15 @@ def test_berry_phase_squeezing_convention():
 
 def test_negativity_bound_values():
     t = 1e-3
-    assert negativity_bound(DetectorPair(C_LIGHT * t, t)) == pytest.approx(math.exp(-1.0), rel=1e-12)
-    assert negativity_bound(DetectorPair(1.0, t)) == pytest.approx(1.0, abs=1e-9)
-    assert negativity_bound(DetectorPair(2.0 * C_LIGHT * t, t)) == pytest.approx(math.exp(-8.0), rel=1e-12)
+    assert negativity_bound(C_LIGHT * t, t) == pytest.approx(math.exp(-1.0), rel=1e-12)
+    assert negativity_bound(1.0, t) == pytest.approx(1.0, abs=1e-9)
+    assert negativity_bound(2.0 * C_LIGHT * t, t) == pytest.approx(math.exp(-8.0), rel=1e-12)
 
 
 def test_negativity_monotone_in_separation():
     t = 1e-3
     seps = np.linspace(1.0, 3.0 * C_LIGHT * t, 60)
-    vals = [negativity_bound(DetectorPair(float(r), t)) for r in seps]
+    vals = [negativity_bound(float(r), t) for r in seps]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert all(0.0 < v <= 1.0 for v in vals)
 
@@ -145,7 +144,9 @@ def test_proper_time_differential():
 
 def test_model_validation():
     with pytest.raises(DomainError):
-        DetectorPair(0.0, 1.0)
+        negativity_bound(0.0, 1.0)
+    with pytest.raises(DomainError):
+        negativity_bound(1.0, 0.0)
     with pytest.raises(DomainError):
         EventOperatorModel(detector_resolution=0.0)
     with pytest.raises(DomainError):

@@ -31,6 +31,10 @@ def _write(tmp_path, text, name="scenario.ini"):
     return str(p)
 
 
+def _by_name(report):
+    return {e.effect: e for e in report.entries}
+
+
 # ----------------------------------------------------------------- loading
 
 
@@ -147,7 +151,7 @@ def test_overrides():
 def test_benchmark_pair_reproduced_from_file(tmp_path):
     path = _write(tmp_path, "[geometry]\nseparation = 1e6\ndelay = 2e-5\n")
     report = run_report(load_scenario(path), effects={"geometry"})
-    sep = report.by_name()["geometry.invariant_spacelike_separation"]
+    sep = _by_name(report)["geometry.invariant_spacelike_separation"]
     assert sep.value == pytest.approx(109e3, abs=1e3)
     assert sep.unit == "m"
     assert sep.paper_ref
@@ -155,14 +159,14 @@ def test_benchmark_pair_reproduced_from_file(tmp_path):
 
 def test_leo_defaults_timing_entry():
     report = run_report(Scenario(), effects={"geometry"})
-    shift = report.by_name()["geometry.timing_shift"]
+    shift = _by_name(report)["geometry.timing_shift"]
     # 15 km/s pass: 166 ps of offset per km of baseline
     assert shift.value * 1e3 == pytest.approx(166e-12, abs=1e-12)
 
 
 def test_geo_spacelike_window():
     report = run_report(Scenario(preset="geo"), effects={"qft"})
-    window = report.by_name()["qft.spacelike_window"]
+    window = _by_name(report)["qft.spacelike_window"]
     assert window.value == pytest.approx(0.12, rel=0.25)
 
 
@@ -194,10 +198,10 @@ def test_report_is_deterministic():
 
 def test_bell_entries_carry_seed():
     report = run_report(Scenario(seed=123), effects={"bell"})
-    by = report.by_name()
+    by = _by_name(report)
     assert by["bell.seed"].value == 123.0
     other = run_report(Scenario(seed=124), effects={"bell"})
-    assert other.by_name()["bell.simulated_s"].value != by["bell.simulated_s"].value
+    assert _by_name(other)["bell.simulated_s"].value != by["bell.simulated_s"].value
 
 
 def test_low_visibility_fails_identifying_the_effect():
@@ -208,7 +212,7 @@ def test_low_visibility_fails_identifying_the_effect():
 
 def test_report_values_equal_direct_library_calls():
     s = Scenario(seed=5, photon_budget=40_000)
-    by = run_report(s).by_name()
+    by = _by_name(run_report(s))
 
     assert by["geometry.timing_shift"].value == kinematics.timing_shift_per_distance(s.relative_speed)
     assert by["geometry.light_time"].value == kinematics.light_travel_time(s.separation_m())
@@ -259,9 +263,14 @@ def test_scenario_validation_errors_name_fields():
 
 
 def test_domain_error_names_section_and_key(tmp_path):
-    path = _write(tmp_path, "[link]\nwavelength = -800e-9\n")
-    with pytest.raises(ConfigurationError, match=r"^\[link\] wavelength must be > 0$"):
-        load_scenario(path)
+    for text, message in (
+        ("[link]\nwavelength = -800e-9\n", r"^\[link\] wavelength must be > 0$"),
+        ("[orbit]\nsemi_major_axis = 7e6\neccentricity = 1.5\n",
+         r"^\[orbit\] eccentricity must lie in \[0, 1\)$"),
+        ("[stations]\nstation1 = 95 0 0\n", r"^\[stations\] station1 \|latitude\| must be"),
+    ):
+        with pytest.raises(ConfigurationError, match=message):
+            load_scenario(_write(tmp_path, text))
 
 
 @pytest.mark.parametrize("section, key, raw", [
@@ -329,6 +338,7 @@ def test_overrides_are_checked_by_the_key_table():
     assert with_overrides(Scenario(), seed=2**64 - 1).seed == 2**64 - 1
 
 
+@pytest.mark.filterwarnings("error")
 def test_non_finite_report_value_fails_naming_the_group():
     with pytest.raises(EffectError) as err:
         run_report(Scenario(separation=1e300), effects={"geometry"})

@@ -10,18 +10,26 @@ from relqopt.wigner import (
     ETA,
     K_REF,
     FourMomentum,
-    HelicityState,
     LorentzMatrix,
     TwoPhotonState,
     apply_helicity_phase,
     concurrence,
     diffraction_transform,
     direction_angles,
+    _standard_matrix,
     first_order_boost_phase,
-    standard_rotation,
-    standard_transform,
     wigner_angle,
 )
+
+
+def _frame(khat, energy=1.0):
+    """The standard transform L(k) = Rz(phi) Ry(theta) Bz(ln energy), validated;
+    at energy 1 it is the standard rotation R(khat)."""
+    return LorentzMatrix(_standard_matrix(np.asarray(khat, dtype=float), energy))
+
+
+def _transform(p):
+    return _frame(p.khat, p.energy)
 
 
 def _random_direction(rng):
@@ -41,17 +49,17 @@ def _random_boost(rng, beta_max=0.9):
 
 
 def test_standard_rotation_of_z_axis_is_identity():
-    assert np.allclose(standard_rotation([0.0, 0.0, 1.0]).matrix, np.eye(4), atol=1e-15)
+    assert np.allclose(_frame([0.0, 0.0, 1.0]).matrix, np.eye(4), atol=1e-15)
 
 
 def test_standard_rotation_of_x_axis():
     expected = LorentzMatrix.rotation_y(0.5 * math.pi)
-    assert np.allclose(standard_rotation([1.0, 0.0, 0.0]).matrix, expected.matrix, atol=1e-15)
+    assert np.allclose(_frame([1.0, 0.0, 0.0]).matrix, expected.matrix, atol=1e-15)
 
 
 def test_standard_rotation_carries_z_onto_direction():
     k = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
-    r = standard_rotation(k)
+    r = _frame(k)
     assert np.allclose(r.matrix[1:, 3], k, atol=1e-14)
     # explicit Rz(phi) Ry(theta) product
     theta, phi = direction_angles(k)
@@ -60,12 +68,12 @@ def test_standard_rotation_carries_z_onto_direction():
 
 
 def test_standard_transform_examples():
-    assert np.allclose(standard_transform(FourMomentum.from_array(K_REF)).matrix,
+    assert np.allclose(_transform(FourMomentum.from_array(K_REF)).matrix,
                        np.eye(4), atol=1e-12)
-    doubled = standard_transform(FourMomentum(2.0, (0.0, 0.0, 2.0)))
+    doubled = _transform(FourMomentum(2.0, (0.0, 0.0, 2.0)))
     assert np.allclose(doubled.matrix, LorentzMatrix.boost_z(math.log(2.0)).matrix, atol=1e-12)
-    along_x = standard_transform(FourMomentum(1.0, (1.0, 0.0, 0.0)))
-    assert np.allclose(along_x.matrix, standard_rotation([1.0, 0.0, 0.0]).matrix, atol=1e-12)
+    along_x = _transform(FourMomentum(1.0, (1.0, 0.0, 0.0)))
+    assert np.allclose(along_x.matrix, _frame([1.0, 0.0, 0.0]).matrix, atol=1e-12)
 
 
 def test_standard_transform_maps_reference_momentum():
@@ -73,7 +81,7 @@ def test_standard_transform_maps_reference_momentum():
     for _ in range(50):
         k = _random_direction(rng) * rng.uniform(0.1, 10.0)
         p = FourMomentum(float(np.linalg.norm(k)), tuple(k))
-        assert np.allclose(standard_transform(p).apply(K_REF), p.as_array(), rtol=1e-12, atol=1e-12)
+        assert np.allclose(_transform(p).apply(K_REF), p.as_array(), rtol=1e-12, atol=1e-12)
 
 
 def test_metric_preservation_of_generated_matrices():
@@ -138,8 +146,8 @@ def test_pure_rotation_recomposition_oracle():
         chi = wigner_angle(lam, p)
         out_dir = lam.apply(p.as_array())[1:]
         out_dir /= np.linalg.norm(out_dir)
-        lhs = lam.matrix @ standard_rotation(khat).matrix
-        rhs = standard_rotation(out_dir).matrix @ LorentzMatrix.rotation_z(chi).matrix
+        lhs = lam.matrix @ _frame(khat).matrix
+        rhs = _frame(out_dir).matrix @ LorentzMatrix.rotation_z(chi).matrix
         assert np.allclose(lhs, rhs, atol=1e-9)
 
 
@@ -149,8 +157,8 @@ def test_little_group_element_fixes_reference_momentum():
         lam = _random_boost(rng) @ _random_rotation(rng)
         k = _random_direction(rng) * rng.uniform(0.2, 5.0)
         p = FourMomentum(float(np.linalg.norm(k)), tuple(k))
-        w = (standard_transform(FourMomentum.from_array(lam.apply(p.as_array()))).inverse()
-             @ lam @ standard_transform(p))
+        w = (_transform(FourMomentum.from_array(lam.apply(p.as_array()))).inverse()
+             @ lam @ _transform(p))
         assert np.max(np.abs(w.apply(K_REF) - K_REF)) < 1e-10
         wigner_angle(lam, p)  # decomposition must not be singular
 
@@ -233,11 +241,11 @@ def test_diffraction_transform():
 
 
 def test_helicity_phase_identity_and_global_phase():
-    s = HelicityState(1.0, 0.0)
-    assert apply_helicity_phase(s, 0.0) == s
-    flipped = apply_helicity_phase(s, math.pi)
-    assert flipped.plus == pytest.approx(cmath.exp(1j * math.pi), abs=1e-15)
-    assert flipped.minus == 0.0
+    s = TwoPhotonState((1.0, 0.0, 0.0, 0.0))
+    assert apply_helicity_phase(s, 0.0, photon=0) == s
+    flipped = apply_helicity_phase(s, math.pi, photon=1)
+    assert flipped.amplitudes[0] == pytest.approx(cmath.exp(1j * math.pi), abs=1e-15)
+    assert flipped.amplitudes[1:] == (0.0, 0.0, 0.0)
 
 
 def test_singlet_state_is_invariant_under_common_rotation():

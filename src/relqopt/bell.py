@@ -57,9 +57,6 @@ class CoincidenceCounts:
             raise DomainError("counts must be finite and nonnegative")
         self.counts = c
 
-    def total(self) -> float:
-        return float(self.counts.sum())
-
 
 class ChshResult(NamedTuple):
     s_value: float
@@ -100,14 +97,12 @@ def required_photons(v: float) -> int:
     return int(math.floor(x)) + 1
 
 
-def chsh_estimate(counts: CoincidenceCounts, settings=None) -> ChshResult:
+def chsh_estimate(counts: CoincidenceCounts) -> ChshResult:
     """S and its Poisson-propagated standard error from coincidence counts.
 
     E_i = (N_pp + N_mm - N_pm - N_mp) / N_i; S = |E1 - E2 + E3 + E4|;
     each raw count is treated as Poisson (variance = count).
     """
-    if settings is not None and _as_setting_pairs(settings) != counts.settings:
-        raise DomainError("settings do not match the counts")
     if len(counts.settings) != 4:
         raise DomainError("CHSH needs exactly 4 setting pairs")
     c = counts.counts

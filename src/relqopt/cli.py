@@ -25,6 +25,10 @@ from . import scenario as scen
 from .constants import C_LIGHT
 from .errors import ConfigurationError, DomainError, EffectError, NumericFailure
 
+# largest `orbit --samples` and `curves --points`: each subcommand builds its
+# whole row list before printing (an orbit row costs ~75 us)
+ROW_CAP = 100_000
+
 
 def _fmt_full(x) -> str:
     # an int (seed, count) prints exactly; a float prints its 17 digits
@@ -148,18 +152,18 @@ def _cmd_wigner(args, stream) -> int:
 
 
 def _cmd_orbit(args, stream) -> int:
-    _require(args.samples >= 2, "--samples", ">= 2")
+    _require(2 <= args.samples <= ROW_CAP, "--samples", f"in [2, {ROW_CAP}]")
     if args.duration is not None:
         _require(0.0 < args.duration < math.inf, "--duration", "finite and > 0")
     s = _load_scenario(args)
     spec = s.orbit_spec()
-    duration = args.duration if args.duration is not None else spec.period()
     header = ["t", "x", "y", "z", "vx", "vy", "vz"]
     track_station = bool(s.stations)
     if track_station:
         header += ["range", "range_rate"]
     rows = []
     with scen.effect_errors("orbit"):
+        duration = args.duration if args.duration is not None else spec.period()
         for t in np.linspace(0.0, duration, args.samples):
             state = orbits.propagate(spec, float(t))
             row = [state.time, *state.position, *state.velocity]
@@ -173,7 +177,7 @@ def _cmd_orbit(args, stream) -> int:
 
 
 def _cmd_curves(args, stream) -> int:
-    _require(args.points >= 2, "--points", ">= 2")
+    _require(2 <= args.points <= ROW_CAP, "--points", f"in [2, {ROW_CAP}]")
     s = _load_scenario(args)
     if args.which == "photons":
         _require(args.v_min > bell.V_MIN, "--v-min", "> 1/sqrt(2)")

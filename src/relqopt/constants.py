@@ -7,7 +7,7 @@ display units (deg, arcsec, arc-millisecond) happens at the edges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigurationError, DomainError
 
@@ -29,15 +29,12 @@ _ANGLE_FACTORS = {
     "arcsec": 180.0 * 3600.0 / math.pi,
     "arcmsec": 180.0 * 3600.0 * 1000.0 / math.pi,
 }
-# tolerated spelling for the milliarcsecond tag
-_ANGLE_ALIASES = {"arc msec": "arcmsec", "mas": "arcmsec"}
 
 
 def convert_angle(x: float, target: str) -> float:
     """Convert an angle in radians to rad / deg / arcsec / arcmsec."""
-    tag = _ANGLE_ALIASES.get(target, target)
     try:
-        return x * _ANGLE_FACTORS[tag]
+        return x * _ANGLE_FACTORS[target]
     except KeyError:
         raise ConfigurationError(f"unknown angle unit tag {target!r}") from None
 
@@ -50,18 +47,17 @@ class EarthParams:
     angular_momentum: float = 5.86e33      # kg m^2/s
     radius: float = 6378137.0              # equatorial radius, m
     rotation_rate: float = 7.2921159e-5    # rad/s, sidereal
-    mu: float = field(default=0.0)         # m^3/s^2, filled from G*mass if 0
 
     def __post_init__(self):
         if not (math.isfinite(self.mass) and self.mass > 0):
             raise DomainError("mass must be positive")
         if not (math.isfinite(self.angular_momentum) and self.angular_momentum > 0):
             raise DomainError("angular_momentum must be positive")
-        if self.mu == 0.0:
-            object.__setattr__(self, "mu", GRAVITATIONAL_G * self.mass)
-        rel = abs(self.mu - GRAVITATIONAL_G * self.mass) / self.mu
-        if rel > 1e-10:
-            raise DomainError("mu must equal G*mass")
+
+    @property
+    def mu(self) -> float:
+        """GM, m^3/s^2."""
+        return GRAVITATIONAL_G * self.mass
 
 
 EARTH = EarthParams()

@@ -46,7 +46,7 @@ class CircleDensity:
         if not (abs(c[0].imag) <= 1e-12 and abs(2.0 * math.pi * c[0].real - 1.0) <= 1e-9):
             raise DomainError("density must integrate to 1 (rho_0 = 1/2pi)")
         self.coefficients = c
-        grid = self.to_grid(max(8, 4 * (c.size - 1)), clamp=False)
+        grid = self.to_grid(max(8, 4 * (c.size - 1)))
         if not grid.min() >= _GRID_FLOOR:
             raise DomainError("density is negative beyond tolerance")
 
@@ -77,19 +77,13 @@ class CircleDensity:
         c = np.exp(-0.5 * (m * sigma) ** 2) * np.exp(-1j * m * mean) / (2.0 * math.pi)
         return cls(c)
 
-    def to_grid(self, n: int = 1024, clamp: bool = True) -> np.ndarray:
-        """Evaluate on n uniform points; small negative ringing is clamped."""
+    def to_grid(self, n: int) -> np.ndarray:
+        """Evaluate on n uniform points (small negative ringing is kept)."""
         if n < 2 * self.modes + 2:
             raise DomainError("grid too coarse for the spectral content")
         spec = np.zeros(n // 2 + 1, dtype=complex)
         spec[: self.modes + 1] = self.coefficients * n
-        v = np.fft.irfft(spec, n=n)
-        if clamp:
-            if not v.min() >= _GRID_FLOOR:
-                raise DomainError("density is negative beyond tolerance")
-            v = np.where(v < 0.0, 0.0, v)
-            v *= 1.0 / (2.0 * math.pi * v.mean())
-        return v
+        return np.fft.irfft(spec, n=n)
 
 
 @dataclass(frozen=True)
@@ -172,7 +166,7 @@ class BlochTensorModel:
     u_vector: Callable[[float], np.ndarray]
     density_of_states: Callable[[float], float]
 
-    def validate(self, thetas=None) -> None:
+    def validate(self) -> None:
         for name, fn in (
             ("k_tensor", self.k_tensor),
             ("u_vector", self.u_vector),
@@ -184,9 +178,7 @@ class BlochTensorModel:
             ]
             if len(params) != 1:
                 raise DomainError(f"{name} must take exactly one polar-angle argument")
-        if thetas is None:
-            thetas = np.linspace(0.05, math.pi - 0.05, 17)
-        for th in thetas:
+        for th in np.linspace(0.05, math.pi - 0.05, 17):
             k = np.asarray(self.k_tensor(float(th)), dtype=float)
             if (k.shape != (2, 2) or not np.isfinite(k).all()
                     or np.max(np.abs(k - k.T)) > 1e-12):
@@ -243,7 +235,7 @@ def equivariance_check(
         raise DomainError("grid_n must be an integer")
     grid_n = int(grid_n)
     model.validate()
-    v0 = rho0.to_grid(grid_n, clamp=False)
+    v0 = rho0.to_grid(grid_n)
     h = 2.0 * math.pi / grid_n
     if lambda_span == 0.0:
         return 0.0

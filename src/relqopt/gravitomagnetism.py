@@ -100,12 +100,6 @@ def _rotation_rate(omega, eg, khat, k) -> tuple:
     )
 
 
-def rotation_rate(field: GravField, khat, k) -> Vector:
-    """Omega = 2 omega - (omega . khat) khat - E_g x k (per unit affine length)."""
-    kh = _unit_vector(khat, "khat")
-    return np.array(_rotation_rate(field.omega, field.eg, kh, _finite_vector(k, "k")))
-
-
 def transport_ray(
     state: RayState,
     sampler: Callable[[Vector], GravField],
@@ -172,19 +166,17 @@ def kerr_principal_null_rotation(
     return math.asin(x)
 
 
-def axial_impact_rotation(body: SpinningBody, s: float, antiparallel: bool = False) -> float:
+def axial_impact_rotation(body: SpinningBody, s: float) -> float:
     """Rotation for a ray passing a spinning mass at impact parameter s.
 
-    chi = arcsin(4 G J / (s^2 c^3)) for propagation parallel to the spin;
-    sign flips for antiparallel propagation.
+    chi = arcsin(4 G J / (s^2 c^3)) for propagation parallel to the spin.
     """
     if s <= 0:
         raise DomainError("impact parameter must be positive")
     x = 4.0 * GRAVITATIONAL_G * body.angular_momentum / (s * s * C_LIGHT**3)
     if x >= 1.0:
         raise DomainError("impact parameter too small; arcsin argument >= 1")
-    chi = math.asin(x)
-    return -chi if antiparallel else chi
+    return math.asin(x)
 
 
 def closed_path_rotation(body: SpinningBody, s1: float, s2: float) -> float:

@@ -8,7 +8,7 @@ formulas below are the ideal ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .constants import C_LIGHT, G0, HBAR, NEUTRON_MASS, PLANCK_H
 from .errors import DomainError
@@ -16,38 +16,37 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class NeutronBeam:
-    """Matter-wave beam: de Broglie wavelength (m) and derived speed h/(m lambda)."""
+    """Neutron beam: de Broglie wavelength (m) and derived speed h/(m lambda)."""
 
     wavelength: float
-    mass: float = NEUTRON_MASS
-    speed: float = field(default=0.0)
 
     def __post_init__(self):
-        if self.wavelength <= 0 or self.mass <= 0:
-            raise DomainError("wavelength and mass must be positive")
-        object.__setattr__(self, "speed", PLANCK_H / (self.mass * self.wavelength))
+        if self.wavelength <= 0:
+            raise DomainError("wavelength must be positive")
+
+    @property
+    def speed(self) -> float:
+        return PLANCK_H / (NEUTRON_MASS * self.wavelength)
 
 
 @dataclass(frozen=True)
 class OpticalLink:
     """Ground fibre-delay interferometer fed from altitude h.
 
-    The storage delay is index * fibre_length / c.  index defaults to 1.0,
-    which matches the round-number storage arithmetic (6 km ~ 20 us); silica
-    fibre would physically be about 1.47.
+    fibre_length is the length of the storage fibre; a scenario derives it
+    from the storage delay and the fibre index as c * delay / index.
     """
 
     wavelength: float
     fibre_length: float
     altitude: float
     g: float = G0
-    index: float = 1.0
 
     def __post_init__(self):
         if self.wavelength <= 0 or self.g <= 0:
             raise DomainError("wavelength and g must be positive")
-        if self.fibre_length < 0 or self.altitude < 0 or self.index < 1.0:
-            raise DomainError("invalid fibre_length, altitude or index")
+        if self.fibre_length < 0 or self.altitude < 0:
+            raise DomainError("fibre_length and altitude must be nonnegative")
 
 
 def cow_neutron_phase(beam: NeutronBeam, area: float, tilt: float, g: float = G0) -> float:
@@ -58,7 +57,7 @@ def cow_neutron_phase(beam: NeutronBeam, area: float, tilt: float, g: float = G0
     """
     if area < 0:
         raise DomainError("area must be nonnegative")
-    lam, m = beam.wavelength, beam.mass
+    lam, m = beam.wavelength, NEUTRON_MASS
     s = math.sin(tilt)
     phase = -lam * m * m * g * area * s / (2.0 * math.pi * HBAR * HBAR)
     alt = -2.0 * math.pi * g * area * s / (lam * beam.speed**2)

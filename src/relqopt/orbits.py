@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import EARTH, LUNAR_DISTANCE, ASTRONOMICAL_UNIT, EarthParams
+from .constants import EARTH, LUNAR_DISTANCE, ASTRONOMICAL_UNIT
 from .errors import DomainError, NumericFailure
 
 _KEPLER_TOL = 1e-12
@@ -35,8 +35,8 @@ class OrbitSpec:
         if self.semi_major_axis * (1.0 - self.eccentricity) <= EARTH.radius:
             raise DomainError("semi_major_axis must put the perigee above the Earth's surface")
 
-    def period(self, earth: EarthParams = EARTH) -> float:
-        return 2.0 * math.pi * math.sqrt(self.semi_major_axis**3 / earth.mu)
+    def period(self) -> float:
+        return 2.0 * math.pi * math.sqrt(self.semi_major_axis**3 / EARTH.mu)
 
 
 @dataclass(frozen=True)
@@ -98,26 +98,27 @@ def _rot_x(angle: float) -> np.ndarray:
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
-def propagate(orbit: OrbitSpec, t: float, earth: EarthParams = EARTH) -> StateVector:
+def propagate(orbit: OrbitSpec, t: float) -> StateVector:
     """Two-body state at time t (inertial frame)."""
     a, e = orbit.semi_major_axis, orbit.eccentricity
-    n = math.sqrt(earth.mu / a**3)
+    mu = EARTH.mu
+    n = math.sqrt(mu / a**3)
     m_anom = orbit.mean_anomaly_epoch + n * (t - orbit.epoch)
     big_e = solve_kepler(m_anom, e)
     cos_e, sin_e = math.cos(big_e), math.sin(big_e)
     r = a * (1.0 - e * cos_e)
     # perifocal coordinates
     pos_pf = np.array([a * (cos_e - e), a * math.sqrt(1.0 - e * e) * sin_e, 0.0])
-    vel_pf = (math.sqrt(earth.mu * a) / r) * np.array(
+    vel_pf = (math.sqrt(mu * a) / r) * np.array(
         [-sin_e, math.sqrt(1.0 - e * e) * cos_e, 0.0]
     )
     rot = _rot_z(orbit.raan) @ _rot_x(orbit.inclination) @ _rot_z(orbit.arg_perigee)
     return StateVector(time=t, position=tuple(rot @ pos_pf), velocity=tuple(rot @ vel_pf))
 
 
-def station_state(gs: GroundStation, t: float, earth: EarthParams = EARTH) -> StateVector:
+def station_state(gs: GroundStation, t: float) -> StateVector:
     """Inertial state of an Earth-fixed station (spin about +z at rotation_rate)."""
-    r = earth.radius + gs.altitude
+    r = EARTH.radius + gs.altitude
     body_fixed = r * np.array(
         [
             math.cos(gs.latitude) * math.cos(gs.longitude),
@@ -125,8 +126,8 @@ def station_state(gs: GroundStation, t: float, earth: EarthParams = EARTH) -> St
             math.sin(gs.latitude),
         ]
     )
-    pos = _rot_z(earth.rotation_rate * t) @ body_fixed
-    omega = np.array([0.0, 0.0, earth.rotation_rate])
+    pos = _rot_z(EARTH.rotation_rate * t) @ body_fixed
+    omega = np.array([0.0, 0.0, EARTH.rotation_rate])
     return StateVector(time=t, position=tuple(pos), velocity=tuple(np.cross(omega, pos)))
 
 
@@ -141,18 +142,18 @@ def relative_geometry(a: StateVector, b: StateVector) -> tuple[float, float, flo
     return rng, rate, float(np.linalg.norm(dv))
 
 
-def newtonian_potential(r: float, earth: EarthParams = EARTH) -> float:
+def newtonian_potential(r: float) -> float:
     """Potential -mu/r (J/kg), negative and increasing with altitude."""
     if r <= 0:
         raise DomainError("r must be positive")
-    return -earth.mu / r
+    return -EARTH.mu / r
 
 
-def circular_speed(r: float, earth: EarthParams = EARTH) -> float:
+def circular_speed(r: float) -> float:
     """Circular-orbit speed sqrt(mu/r)."""
     if r <= 0:
         raise DomainError("r must be positive")
-    return math.sqrt(earth.mu / r)
+    return math.sqrt(EARTH.mu / r)
 
 
 def preset_orbit(name: str) -> OrbitSpec:

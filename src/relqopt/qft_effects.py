@@ -51,27 +51,19 @@ def required_acceleration(omega: float) -> float:
     return omega * C_LIGHT
 
 
-def berry_phase_difference(
-    omega_a: float, a: float, big_g: float, squeezing_convention: bool = False
-) -> float:
+def berry_phase_difference(omega_a: float, a: float, big_g: float) -> float:
     """Phase difference acquired between inertial and uniformly accelerated paths.
 
-    q_a = arctan(exp(-pi omega_a c / a)) as printed; squeezing_convention=True
-    switches to arctanh.  Returns arg(cosh^2 q - exp(2 pi i G) sinh^2 q) on the
-    principal branch.  G is reduced mod 1 first, making period-1 invariance
-    exact.  a = 0 returns the 0 limit.
+    q_a = arctan(exp(-pi omega_a c / a)) as printed.  Returns
+    arg(cosh^2 q - exp(2 pi i G) sinh^2 q) on the principal branch.  G is
+    reduced mod 1 first, making period-1 invariance exact.  a = 0 returns the
+    0 limit.
     """
     if a < 0 or omega_a < 0:
         raise DomainError("omega_a and a must be nonnegative")
     if a == 0.0:
         return 0.0
-    x = math.exp(-math.pi * omega_a * C_LIGHT / a)
-    if squeezing_convention:
-        if x >= 1.0:
-            raise DomainError("arctanh convention requires omega_a > 0")
-        q = math.atanh(x)
-    else:
-        q = math.atan(x)
+    q = math.atan(math.exp(-math.pi * omega_a * C_LIGHT / a))
     g_frac = big_g - math.floor(big_g)
     return cmath.phase(math.cosh(q) ** 2 - cmath.exp(2j * math.pi * g_frac) * math.sinh(q) ** 2)
 

@@ -109,7 +109,6 @@ def _interferometry(s: Scenario, sat) -> list:
         fibre_length=C_LIGHT * s.fibre_delay / s.fibre_index,
         altitude=altitude,
         g=G0,
-        index=s.fibre_index,
     )
     return [
         ReportEntry("interferometry.optical_cow_phase",
@@ -452,9 +451,11 @@ def evaluate(s: Scenario, groups) -> EffectReport:
     """Run (group, fn) pairs in order on one satellite state at epoch.
 
     A failure inside fn(s, sat), or a non-finite value among its entries,
-    is an EffectError naming the group.
+    is an EffectError naming the group; a satellite state that cannot be
+    computed is an EffectError naming "orbit", as in the `orbit` subcommand.
     """
-    sat = orbits.propagate(s.orbit_spec(), 0.0)
+    with effect_errors("orbit"):
+        sat = orbits.propagate(s.orbit_spec(), 0.0)
     entries = []
     for group, fn in groups:
         with effect_errors(group):

@@ -6,7 +6,9 @@ written in: the little-group decomposition as a product of validated
 `np.cross`, and the diffusion equivariance witness as two separate RK4 solves
 on the grid.  The library now computes the same quantities on raw arrays and
 floats, and advances both witness paths as one spectral state;
-`test_reference_equivalence.py` holds the two to agreement.
+`test_reference_equivalence.py` holds the two to agreement.  The Lorentz
+helpers below build each transform as a validated `LorentzMatrix` from a raw
+array, apart from the library's raw-array path.
 """
 
 import math
@@ -14,23 +16,43 @@ import math
 import numpy as np
 
 from relqopt.gravitomagnetism import RayState
-from relqopt.wigner import K_REF, FourMomentum, LorentzMatrix, direction_angles
+from relqopt.wigner import ETA, K_REF, FourMomentum, LorentzMatrix, direction_angles
 
 _TOL = 1e-10
 
 
+def rotation_y(angle: float) -> LorentzMatrix:
+    return LorentzMatrix.rotation((0.0, 1.0, 0.0), angle)
+
+
+def boost_z(rapidity: float) -> LorentzMatrix:
+    ch, sh = math.cosh(rapidity), math.sinh(rapidity)
+    return LorentzMatrix(np.array(
+        [[ch, 0.0, 0.0, sh], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [sh, 0.0, 0.0, ch]]))
+
+
+def inverse(lam: LorentzMatrix) -> LorentzMatrix:
+    # metric transpose: exact inverse for any Lorentz matrix
+    return LorentzMatrix(ETA @ lam.matrix.T @ ETA)
+
+
+def momentum(arr) -> FourMomentum:
+    """The null four-momentum whose (t, x, y, z) components are `arr`."""
+    return FourMomentum(float(arr[0]), tuple(float(x) for x in arr[1:4]))
+
+
 def _standard_transform(k: FourMomentum) -> LorentzMatrix:
     theta, phi = direction_angles(k.khat)
-    rotation = LorentzMatrix.rotation_z(phi) @ LorentzMatrix.rotation_y(theta)
-    return rotation @ LorentzMatrix.boost_z(math.log(k.energy))
+    rotation = LorentzMatrix.rotation_z(phi) @ rotation_y(theta)
+    return rotation @ boost_z(math.log(k.energy))
 
 
 def wigner_angle(lam: LorentzMatrix, p: FourMomentum) -> float:
     p_out = lam.apply(p.as_array())
     assert p_out[0] > 0.0
     l_in = _standard_transform(p)
-    l_out = _standard_transform(FourMomentum.from_array(p_out))
-    w = l_out.inverse().matrix @ lam.matrix @ l_in.matrix
+    l_out = _standard_transform(momentum(p_out))
+    w = inverse(l_out).matrix @ lam.matrix @ l_in.matrix
     assert np.max(np.abs(w @ K_REF - K_REF)) <= _TOL
     xi = math.atan2(w[2, 1], w[1, 1])
     if xi <= -math.pi:
@@ -78,7 +100,7 @@ def equivariance_check(model, rho0, rotation, lambda_span, grid_n=256,
                        coefficient_samplers=None):
     """Evolve-then-rotate against rotate-then-evolve, one grid RK4 solve each."""
     model.validate()
-    v0 = rho0.to_grid(grid_n, clamp=False)
+    v0 = rho0.to_grid(grid_n)
     h = 2.0 * math.pi / grid_n
     if lambda_span == 0.0:
         return 0.0

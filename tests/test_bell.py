@@ -85,8 +85,6 @@ def test_estimator_rejects_degenerate_input():
     with pytest.raises(DomainError):
         chsh_estimate(CoincidenceCounts(CHSH_SETTINGS, perfect))
     with pytest.raises(DomainError):
-        chsh_estimate(analytic_counts(0.9, 100.0), settings=CHSH_SETTINGS[:3] + ((0.0, 0.0),))
-    with pytest.raises(DomainError):
         analytic_counts(0.9, 100.0, settings=CHSH_SETTINGS[:3] + ((0.0, math.nan),))
 
 

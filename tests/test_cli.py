@@ -256,6 +256,14 @@ def test_non_finite_result_exits_3_naming_the_group(capsys, tmp_path):
     assert "'geometry'" in err and err.count("\n") == 1
 
 
+def test_satellite_state_overflow_exits_3_naming_the_orbit(capsys, tmp_path):
+    path = _write(tmp_path, "[orbit]\nsemi_major_axis = 1e300\n")
+    for command in ("report", "orbit"):
+        code, out, err = _run(capsys, command, "--scenario", path)
+        assert code == 3 and out == ""
+        assert err.startswith("error: effect 'orbit' failed")
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["curves", "--points", "-1"], "--points"),
     (["curves", "--which", "ralph", "--points", "1"], "--points"),
@@ -274,6 +282,9 @@ def test_non_finite_result_exits_3_naming_the_group(capsys, tmp_path):
     (["orbit", "--duration", "inf"], "--duration"),
     (["orbit", "--duration", "-60"], "--duration"),
     (["orbit", "--samples", "1"], "--samples"),
+    (["orbit", "--samples", "100001"], "--samples"),
+    (["curves", "--points", "100001"], "--points"),
+    (["curves", "--which", "ralph", "--points", "100001"], "--points"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_flag_outside_its_domain_exits_2_naming_the_flag(capsys, argv, flag):

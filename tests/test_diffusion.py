@@ -165,10 +165,10 @@ def test_oracle_itself_handles_pure_drift():
     # sanity on the oracle: pure drift rigidly translates the profile
     rho = CircleDensity.wrapped_gaussian(mean=1.0, sigma=0.5, modes=128)
     n = 2048
-    v0 = rho.to_grid(n, clamp=False)
+    v0 = rho.to_grid(n)
     d, lam = 0.5, 0.2
     fd = evolve_fd(v0, 0.0, d, lam)
-    expected = CircleDensity.wrapped_gaussian(mean=1.0 + d * lam, sigma=0.5, modes=128).to_grid(n, clamp=False)
+    expected = CircleDensity.wrapped_gaussian(mean=1.0 + d * lam, sigma=0.5, modes=128).to_grid(n)
     h = 2.0 * math.pi / n
     assert float(np.sum(np.abs(fd - expected)) * h) < 5e-3  # first-order upwind
 

@@ -12,7 +12,7 @@ from relqopt.gravitomagnetism import (
     axial_impact_rotation,
     closed_path_rotation,
     kerr_principal_null_rotation,
-    rotation_rate,
+    _rotation_rate,
     transport_ray,
 )
 
@@ -25,20 +25,21 @@ EARTH_BODY = SpinningBody(mass=ROUNDED_EARTH.mass,
 
 def test_rotation_rate_vanishes_without_field():
     field = GravField(omega=(0.0, 0.0, 0.0), eg=(0.0, 0.0, 0.0))
-    assert np.allclose(rotation_rate(field, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0)), 0.0)
+    out = _rotation_rate(field.omega, field.eg, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+    assert np.allclose(out, 0.0)
 
 
 def test_rotation_rate_along_khat():
     w = 0.37
     field = GravField(omega=(0.0, 0.0, w), eg=(0.0, 0.0, 0.0))
-    out = rotation_rate(field, (0.0, 0.0, 1.0), (0.0, 0.0, 2.0))
+    out = _rotation_rate(field.omega, field.eg, (0.0, 0.0, 1.0), (0.0, 0.0, 2.0))
     assert np.allclose(out, [0.0, 0.0, w])
 
 
 def test_rotation_rate_transverse_with_parallel_eg():
     w, e = 0.2, 0.5
     field = GravField(omega=(0.0, 0.0, w), eg=(e, 0.0, 0.0))
-    out = rotation_rate(field, (1.0, 0.0, 0.0), (3.0, 0.0, 0.0))
+    out = _rotation_rate(field.omega, field.eg, (1.0, 0.0, 0.0), (3.0, 0.0, 0.0))
     assert np.allclose(out, [0.0, 0.0, 2.0 * w])
 
 
@@ -169,7 +170,6 @@ def test_ground_emission_nearly_doubles_the_rotation():
 def test_axial_impact_rotation_value():
     chi = axial_impact_rotation(EARTH_BODY, 6371e3)
     assert convert_angle(chi, "arcmsec") == pytest.approx(3e-7, rel=0.1)
-    assert axial_impact_rotation(EARTH_BODY, 6371e3, antiparallel=True) == -chi
 
 
 def test_axial_impact_scales_inverse_square():

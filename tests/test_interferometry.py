@@ -104,5 +104,5 @@ def test_link_validation():
     with pytest.raises(DomainError):
         OpticalLink(-1.0, 6e3, 400e3)
     with pytest.raises(DomainError):
-        OpticalLink(800e-9, 6e3, 400e3, index=0.5)
-    OpticalLink(800e-9, 6e3, 400e3, index=1.47)
+        OpticalLink(800e-9, -6e3, 400e3)
+    OpticalLink(800e-9, 6e3, 400e3)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from relqopt.constants import BOLTZMANN_K, C_LIGHT, EARTH, G0, HBAR
+from relqopt.constants import C_LIGHT, EARTH, G0
 from relqopt.errors import DomainError
 from relqopt.orbits import newtonian_potential
 from relqopt.qft_effects import (
@@ -74,15 +74,6 @@ def test_berry_phase_periodic_in_g():
         base = berry_phase_difference(1e6, 3e14, g)
         for shift in (-2, 1, 3):
             assert berry_phase_difference(1e6, 3e14, g + shift) == base
-
-
-def test_berry_phase_squeezing_convention():
-    a = required_acceleration(1e6)
-    q = math.atanh(math.exp(-math.pi))
-    expected = cmath.phase(math.cosh(q) ** 2 - 1j * math.sinh(q) ** 2)
-    assert berry_phase_difference(1e6, a, 0.25, squeezing_convention=True) == pytest.approx(expected, rel=1e-12)
-    with pytest.raises(DomainError):
-        berry_phase_difference(0.0, 1.0, 0.25, squeezing_convention=True)
 
 
 # -------------------------------------------------------------- negativity

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from reference_kernels import boost_z, inverse, momentum, rotation_y
 from relqopt.constants import C_LIGHT
 from relqopt.errors import DomainError
 from relqopt.wigner import (
@@ -53,7 +54,7 @@ def test_standard_rotation_of_z_axis_is_identity():
 
 
 def test_standard_rotation_of_x_axis():
-    expected = LorentzMatrix.rotation_y(0.5 * math.pi)
+    expected = rotation_y(0.5 * math.pi)
     assert np.allclose(_frame([1.0, 0.0, 0.0]).matrix, expected.matrix, atol=1e-15)
 
 
@@ -63,15 +64,15 @@ def test_standard_rotation_carries_z_onto_direction():
     assert np.allclose(r.matrix[1:, 3], k, atol=1e-14)
     # explicit Rz(phi) Ry(theta) product
     theta, phi = direction_angles(k)
-    explicit = LorentzMatrix.rotation_z(phi) @ LorentzMatrix.rotation_y(theta)
+    explicit = LorentzMatrix.rotation_z(phi) @ rotation_y(theta)
     assert np.allclose(r.matrix, explicit.matrix, atol=1e-14)
 
 
 def test_standard_transform_examples():
-    assert np.allclose(_transform(FourMomentum.from_array(K_REF)).matrix,
+    assert np.allclose(_transform(momentum(K_REF)).matrix,
                        np.eye(4), atol=1e-12)
     doubled = _transform(FourMomentum(2.0, (0.0, 0.0, 2.0)))
-    assert np.allclose(doubled.matrix, LorentzMatrix.boost_z(math.log(2.0)).matrix, atol=1e-12)
+    assert np.allclose(doubled.matrix, boost_z(math.log(2.0)).matrix, atol=1e-12)
     along_x = _transform(FourMomentum(1.0, (1.0, 0.0, 0.0)))
     assert np.allclose(along_x.matrix, _frame([1.0, 0.0, 0.0]).matrix, atol=1e-12)
 
@@ -121,6 +122,15 @@ def test_perturbed_high_gamma_boost_is_rejected(entry):
         LorentzMatrix(m)
 
 
+def test_perturbed_transverse_entry_of_high_gamma_boost_is_rejected():
+    # a unit-size entry keeps an absolute bound next to the gamma^2-size ones:
+    # a 1e-5 relative error in M[2, 2] of an x-boost at gamma = 1000 is caught
+    m = _boost_with_gamma(1e3, (1.0, 0.0, 0.0)).matrix.copy()
+    m[2, 2] *= 1.0 + 1e-5
+    with pytest.raises(DomainError):
+        LorentzMatrix(m)
+
+
 @pytest.mark.parametrize("k", [(math.nan, 0.0, 0.0), (0.0, math.inf, 1.0), (1.0, 0.0)],
                          ids=["nan", "inf", "two_components"])
 def test_four_momentum_rejects_non_finite_or_malformed_k(k):
@@ -157,8 +167,7 @@ def test_little_group_element_fixes_reference_momentum():
         lam = _random_boost(rng) @ _random_rotation(rng)
         k = _random_direction(rng) * rng.uniform(0.2, 5.0)
         p = FourMomentum(float(np.linalg.norm(k)), tuple(k))
-        w = (_transform(FourMomentum.from_array(lam.apply(p.as_array()))).inverse()
-             @ lam @ _transform(p))
+        w = inverse(_transform(momentum(lam.apply(p.as_array())))) @ lam @ _transform(p)
         assert np.max(np.abs(w.apply(K_REF) - K_REF)) < 1e-10
         wigner_angle(lam, p)  # decomposition must not be singular
 
@@ -169,7 +178,7 @@ def test_rotation_composition_law():
         l1, l2 = _random_rotation(rng), _random_rotation(rng)
         k = _random_direction(rng)
         p = FourMomentum(1.0, tuple(k))
-        p1 = FourMomentum.from_array(l1.apply(p.as_array()))
+        p1 = momentum(l1.apply(p.as_array()))
         total = wigner_angle(l2 @ l1, p)
         parts = wigner_angle(l2, p1) + wigner_angle(l1, p)
         diff = (total - parts + math.pi) % (2.0 * math.pi) - math.pi
@@ -261,8 +270,12 @@ def test_singlet_state_is_invariant_under_common_rotation():
 
 
 def test_two_photon_phase_requires_photon_index():
-    with pytest.raises(DomainError):
-        apply_helicity_phase(TwoPhotonState((1.0, 0.0, 0.0, 0.0)), 0.1)
+    state = TwoPhotonState((1.0, 0.0, 0.0, 0.0))
+    with pytest.raises(TypeError):
+        apply_helicity_phase(state, 0.1)
+    for photon in (None, -1, 2):
+        with pytest.raises(DomainError):
+            apply_helicity_phase(state, 0.1, photon)
 
 
 def test_concurrence_values():

@@ -8,11 +8,12 @@ A 3-sigma violation is one-sided: (S - 2)/sigma >= 3.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 V_MIN = 1.0 / math.sqrt(2.0)
 PHOTON_CAP = 1.0e12
@@ -49,6 +50,7 @@ class CoincidenceCounts:
     """
 
     def __init__(self, settings, counts):
+        import numpy as np
         self.settings = _as_setting_pairs(settings)
         c = np.asarray(counts, dtype=float)
         if c.shape != (len(self.settings), 4):
@@ -73,16 +75,15 @@ def singlet_correlation(v: float, alpha: float, beta: float) -> float:
 
 def joint_probabilities(v: float, alpha: float, beta: float) -> np.ndarray:
     """P(++, +-, -+, --) with uniform marginals and singlet correlation."""
+    import numpy as np
     e = singlet_correlation(v, alpha, beta)
     return np.array([1.0 + e, 1.0 - e, 1.0 - e, 1.0 + e]) / 4.0
 
 
-def analytic_counts(v: float, pairs_per_setting: float,
-                    settings=CHSH_SETTINGS) -> CoincidenceCounts:
-    """Exact expected counts (generally non-integer), for estimator checks."""
-    settings = _as_setting_pairs(settings)
-    rows = [pairs_per_setting * joint_probabilities(v, alpha, beta) for alpha, beta in settings]
-    return CoincidenceCounts(settings, np.array(rows))
+def analytic_counts(v: float, pairs_per_setting: float) -> CoincidenceCounts:
+    """Exact expected counts (generally non-integer) at CHSH_SETTINGS, for estimator checks."""
+    rows = [pairs_per_setting * joint_probabilities(v, a, b) for a, b in CHSH_SETTINGS]
+    return CoincidenceCounts(CHSH_SETTINGS, rows)
 
 
 def required_photons(v: float) -> int:
@@ -103,6 +104,7 @@ def chsh_estimate(counts: CoincidenceCounts) -> ChshResult:
     E_i = (N_pp + N_mm - N_pm - N_mp) / N_i; S = |E1 - E2 + E3 + E4|;
     each raw count is treated as Poisson (variance = count).
     """
+    import numpy as np
     if len(counts.settings) != 4:
         raise DomainError("CHSH needs exactly 4 setting pairs")
     c = counts.counts
@@ -137,6 +139,7 @@ def simulate_coincidences(
     so counts are bitwise reproducible for a given (seed, workers) no matter
     how the workers are scheduled.
     """
+    import numpy as np
     settings = _as_setting_pairs(settings)
     if n_pairs <= 0:
         raise DomainError("n_pairs must be positive")

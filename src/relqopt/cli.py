@@ -8,6 +8,8 @@ Subcommands: `report` (full effect table for a scenario), `bell-sim`
 Output is an aligned table by default or RFC-4180-style CSV (LF line
 endings, '.' decimal separator, 17 significant digits) with --format csv.
 Angles are degrees on the command line, matching scenario files.
+
+Only `wigner`, `bell-sim` and a `report` with the wigner or bell group load numpy.
 """
 
 from __future__ import annotations
@@ -18,9 +20,7 @@ import math
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from . import bell, diffusion, orbits, qft_effects, wigner
+from . import bell, diffusion, orbits, qft_effects
 from . import scenario as scen
 from .constants import C_LIGHT
 from .errors import ConfigurationError, DomainError, EffectError, NumericFailure
@@ -33,6 +33,16 @@ ROW_CAP = 100_000
 def _fmt_full(x) -> str:
     # an int (seed, count) prints exactly; a float prints its 17 digits
     return str(x) if isinstance(x, int) else format(float(x), ".17g")
+
+
+def _linspace(start: float, stop: float, num: int) -> list:
+    """numpy.linspace(start, stop, num) as floats, equal bit for bit (num >= 2)."""
+    div, delta = num - 1, stop - start
+    step = delta / div
+    # numpy scales i / div by delta instead when the step underflows to 0
+    points = [i * step + start if step else i / div * delta + start for i in range(num)]
+    points[-1] = stop
+    return points
 
 
 def _write_rows(rows, header, fmt: str, stream) -> None:
@@ -112,12 +122,8 @@ def _cmd_diffusion(args, stream) -> int:
     return _write_entries(report.entries, args.format, stream)
 
 
-def _direction(theta: float, phi: float) -> np.ndarray:
-    return np.array([
-        math.sin(theta) * math.cos(phi),
-        math.sin(theta) * math.sin(phi),
-        math.cos(theta),
-    ])
+def _direction(theta: float, phi: float) -> tuple:
+    return (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
 
 
 def _cmd_wigner(args, stream) -> int:
@@ -126,14 +132,15 @@ def _cmd_wigner(args, stream) -> int:
         _require(math.isfinite(x), flag, "finite")
     if args.beta is not None:
         _require(0.0 <= args.beta < 1.0, "--beta", "in [0, 1)")
+    from . import wigner
     s = _load_scenario(args)
     theta, phi, theta_b, phi_b = map(math.radians, (args.theta, args.phi, args.theta_b, args.phi_b))
 
     def angles(s, sat) -> list:
         v = sat.speed if args.beta is None else args.beta * C_LIGHT
         beta = v / C_LIGHT if args.beta is None else args.beta
-        lam = wigner.LorentzMatrix.boost(tuple(beta * _direction(theta_b, phi_b)))
-        exact = wigner.wigner_angle(lam, wigner.FourMomentum(1.0, tuple(_direction(theta, phi))))
+        lam = wigner.LorentzMatrix.boost(tuple(beta * x for x in _direction(theta_b, phi_b)))
+        exact = wigner.wigner_angle(lam, wigner.FourMomentum(1.0, _direction(theta, phi)))
         return [
             scen.ReportEntry("wigner.beta", beta, "dimensionless", "§3.1.1"),
             scen.ReportEntry("wigner.exact_angle", exact, "rad", "§3.1.1"),
@@ -164,11 +171,11 @@ def _cmd_orbit(args, stream) -> int:
     rows = []
     with scen.effect_errors("orbit"):
         duration = args.duration if args.duration is not None else spec.period()
-        for t in np.linspace(0.0, duration, args.samples):
-            state = orbits.propagate(spec, float(t))
+        for t in _linspace(0.0, duration, args.samples):
+            state = orbits.propagate(spec, t)
             row = [state.time, *state.position, *state.velocity]
             if track_station:
-                gs = orbits.station_state(s.stations[0], float(t))
+                gs = orbits.station_state(s.stations[0], t)
                 rng, rate, _ = orbits.relative_geometry(state, gs)
                 row += [rng, rate]
             rows.append(tuple(row))
@@ -183,8 +190,8 @@ def _cmd_curves(args, stream) -> int:
         _require(args.v_min > bell.V_MIN, "--v-min", "> 1/sqrt(2)")
         _require(args.v_min <= args.v_max <= 1.0, "--v-max", "in [--v-min, 1]")
         with scen.effect_errors("bell"):
-            rows = [(float(v), bell.required_photons(float(v)))
-                    for v in np.linspace(args.v_min, args.v_max, args.points)]
+            rows = [(v, bell.required_photons(v))
+                    for v in _linspace(args.v_min, args.v_max, args.points)]
         _write_rows(rows, ("V", "N"), args.format, stream)
         return 0
     # Ralph correlation vs proper-time differential
@@ -193,8 +200,8 @@ def _cmd_curves(args, stream) -> int:
     model = qft_effects.EventOperatorModel(detector_resolution=s.detector_resolution)
     d_max = args.delta_max if args.delta_max is not None else 6.0 * s.detector_resolution
     with scen.effect_errors("qft"):
-        rows = [(float(delta), qft_effects.ralph_correlation(model, float(delta)))
-                for delta in np.linspace(0.0, d_max, args.points)]
+        rows = [(delta, qft_effects.ralph_correlation(model, delta))
+                for delta in _linspace(0.0, d_max, args.points)]
     _write_rows(rows, ("delta", "C"), args.format, stream)
     return 0
 

@@ -19,16 +19,16 @@ products c*lambda and d*lambda are ever used.
 
 from __future__ import annotations
 
-import inspect
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .constants import PLANCK_H
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_MODES = 256
 _GRID_FLOOR = -1e-9
@@ -38,6 +38,7 @@ class CircleDensity:
     """Probability density on the circle, stored spectrally (m = 0..modes)."""
 
     def __init__(self, coefficients):
+        import numpy as np
         c = np.asarray(coefficients, dtype=complex).copy()
         if c.ndim != 1 or c.size < 1:
             raise DomainError("coefficients must be a 1-d array")
@@ -58,10 +59,11 @@ class CircleDensity:
         """rho_m; negative m via conjugate symmetry, |m| > modes gives 0."""
         if abs(m) > self.modes:
             return 0.0 + 0.0j
-        return complex(self.coefficients[m]) if m >= 0 else complex(np.conj(self.coefficients[-m]))
+        return complex(self.coefficients[m]) if m >= 0 else complex(self.coefficients[-m]).conjugate()
 
     @classmethod
     def uniform(cls, modes: int = DEFAULT_MODES) -> "CircleDensity":
+        import numpy as np
         c = np.zeros(modes + 1, dtype=complex)
         c[0] = 1.0 / (2.0 * math.pi)
         return cls(c)
@@ -73,6 +75,7 @@ class CircleDensity:
             raise DomainError("mean must be finite")
         if not 0.0 < sigma < math.inf:
             raise DomainError("sigma must be positive and finite")
+        import numpy as np
         m = np.arange(modes + 1)
         c = np.exp(-0.5 * (m * sigma) ** 2) * np.exp(-1j * m * mean) / (2.0 * math.pi)
         return cls(c)
@@ -81,6 +84,7 @@ class CircleDensity:
         """Evaluate on n uniform points (small negative ringing is kept)."""
         if n < 2 * self.modes + 2:
             raise DomainError("grid too coarse for the spectral content")
+        import numpy as np
         spec = np.zeros(n // 2 + 1, dtype=complex)
         spec[: self.modes + 1] = self.coefficients * n
         return np.fft.irfft(spec, n=n)
@@ -109,6 +113,7 @@ def evolve_equator(rho0: CircleDensity, params: DiffusionParams,
                    lambda_span: float) -> CircleDensity:
     """Spectral evolution rho_m -> rho_m exp(-c m^2 L - i m d L)."""
     _check_span(lambda_span)
+    import numpy as np
     m = np.arange(rho0.modes + 1)
     factor = np.exp(
         -params.c_diff * m.astype(float) ** 2 * lambda_span
@@ -167,6 +172,8 @@ class BlochTensorModel:
     density_of_states: Callable[[float], float]
 
     def validate(self) -> None:
+        import inspect
+        import numpy as np
         for name, fn in (
             ("k_tensor", self.k_tensor),
             ("u_vector", self.u_vector),
@@ -194,13 +201,13 @@ class BlochTensorModel:
     def equator_params(self) -> DiffusionParams:
         """Constant equator coefficients: c = K^{bb}(pi/2), d = u^b(pi/2)."""
         th = 0.5 * math.pi
-        k = np.asarray(self.k_tensor(th), dtype=float)
-        u = np.asarray(self.u_vector(th), dtype=float)
-        return DiffusionParams(c_diff=float(k[1, 1]), d_drift=float(u[1]))
+        return DiffusionParams(c_diff=float(self.k_tensor(th)[1][1]),
+                               d_drift=float(self.u_vector(th)[1]))
 
 
 def _rotate_grid(values: np.ndarray, angle: float) -> np.ndarray:
     """rho(beta) -> rho(beta - angle) via spectral shift."""
+    import numpy as np
     n = values.size
     spec = np.fft.rfft(values)
     m = np.arange(spec.size)
@@ -228,6 +235,7 @@ def equivariance_check(
     [ik V, V] to the grid, forms c d_beta v - d v there, and returns ik times
     its rfft.
     """
+    import numpy as np
     _check_span(lambda_span)
     if not math.isfinite(rotation):
         raise DomainError("rotation must be finite")

@@ -17,14 +17,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .constants import C_LIGHT, GRAVITATIONAL_G
 from .errors import DomainError
 
-Vector = np.ndarray
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _finite_vector(value, name: str) -> tuple:
@@ -102,7 +101,7 @@ def _rotation_rate(omega, eg, khat, k) -> tuple:
 
 def transport_ray(
     state: RayState,
-    sampler: Callable[[Vector], GravField],
+    sampler: Callable[[np.ndarray], GravField],
     lam_end: float,
     steps: int,
 ) -> RayState:
@@ -112,6 +111,7 @@ def transport_ray(
     spatial point; khat and fhat are renormalized after every step.  The
     state is y = (position, khat, fhat) as nine floats.
     """
+    import numpy as np
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
         raise DomainError("steps must be an integer")
     if steps < 1:

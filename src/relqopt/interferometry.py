@@ -40,24 +40,23 @@ class OpticalLink:
     wavelength: float
     fibre_length: float
     altitude: float
-    g: float = G0
 
     def __post_init__(self):
-        if self.wavelength <= 0 or self.g <= 0:
-            raise DomainError("wavelength and g must be positive")
+        if self.wavelength <= 0:
+            raise DomainError("wavelength must be positive")
         if self.fibre_length < 0 or self.altitude < 0:
             raise DomainError("fibre_length and altitude must be nonnegative")
 
 
-def cow_neutron_phase(beam: NeutronBeam, area: float, tilt: float, g: float = G0) -> float:
-    """Neutron interferometer phase, -lambda m^2 g A sin(alpha) / (2 pi hbar^2).
+def cow_neutron_phase(beam: NeutronBeam, area: float, tilt: float) -> float:
+    """Neutron interferometer phase, -lambda m^2 g A sin(alpha) / (2 pi hbar^2), g = G0.
 
     Algebraically equal to -2 pi g A sin(alpha) / (lambda v^2) with
-    v = h/(m lambda); both forms are evaluated and cross-checked.  Odd in g.
+    v = h/(m lambda); both forms are evaluated and cross-checked.
     """
     if area < 0:
         raise DomainError("area must be nonnegative")
-    lam, m = beam.wavelength, NEUTRON_MASS
+    lam, m, g = beam.wavelength, NEUTRON_MASS, G0
     s = math.sin(tilt)
     phase = -lam * m * m * g * area * s / (2.0 * math.pi * HBAR * HBAR)
     alt = -2.0 * math.pi * g * area * s / (lam * beam.speed**2)
@@ -66,18 +65,18 @@ def cow_neutron_phase(beam: NeutronBeam, area: float, tilt: float, g: float = G0
     return phase
 
 
-def grav_redshift_weak_field(height: float, g: float = G0) -> float:
-    """Fractional frequency shift g h / c^2 between levels separated by height."""
+def grav_redshift_weak_field(height: float) -> float:
+    """Fractional frequency shift G0 h / c^2 between levels separated by height."""
     if height < 0:
         raise DomainError("height must be nonnegative")
-    return g * height / (C_LIGHT * C_LIGHT)
+    return G0 * height / (C_LIGHT * C_LIGHT)
 
 
 def optical_cow_phase(link: OpticalLink) -> float:
     """Fibre-delay phase (2 pi l / lambda) (g h / c^2) for a source at altitude h."""
     return (
         2.0 * math.pi * link.fibre_length / link.wavelength
-        * grav_redshift_weak_field(link.altitude, link.g)
+        * grav_redshift_weak_field(link.altitude)
     )
 
 

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .constants import C_LIGHT
 from .errors import DomainError
 
@@ -31,10 +29,6 @@ class Event:
         for name in ("t", "x", "y", "z"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"event coordinate {name} must be finite")
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
 
 
 class IntervalResult(NamedTuple):
@@ -118,16 +112,15 @@ def causally_connected(e1: Event, e2: Event, kappa: float = 1.0) -> bool:
 
 def boost_event(e: Event, beta_vec) -> Event:
     """Apply a pure boost with velocity beta_vec (fractions of c) to an event."""
-    b = np.asarray(beta_vec, dtype=float)
-    b2 = float(b @ b)
-    if b2 >= 1.0:
+    b1, b2, b3 = (float(c) for c in beta_vec)
+    beta2 = b1 * b1 + b2 * b2 + b3 * b3
+    if beta2 >= 1.0:
         raise DomainError("|beta| must be < 1")
-    if b2 == 0.0:
+    if beta2 == 0.0:
         return e
-    gamma = 1.0 / math.sqrt(1.0 - b2)
-    x = e.position
-    bx = float(b @ x)
+    gamma = 1.0 / math.sqrt(1.0 - beta2)
+    bx = b1 * e.x + b2 * e.y + b3 * e.z
     ct = C_LIGHT * e.t
     ct_new = gamma * (ct - bx)
-    x_new = x + ((gamma - 1.0) * bx / b2 - gamma * ct) * b
-    return Event(ct_new / C_LIGHT, *x_new)
+    k = (gamma - 1.0) * bx / beta2 - gamma * ct
+    return Event(ct_new / C_LIGHT, e.x + k * b1, e.y + k * b2, e.z + k * b3)

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import EARTH, LUNAR_DISTANCE, ASTRONOMICAL_UNIT
 from .errors import DomainError, NumericFailure
 
@@ -45,21 +43,13 @@ class StateVector:
     position: tuple
     velocity: tuple
 
-    def __post_init__(self):
-        p = np.asarray(self.position, dtype=float)
-        v = np.asarray(self.velocity, dtype=float)
-        if p.shape != (3,) or v.shape != (3,):
-            raise DomainError("position and velocity must be 3-vectors")
-        object.__setattr__(self, "position", tuple(float(x) for x in p))
-        object.__setattr__(self, "velocity", tuple(float(x) for x in v))
-
     @property
     def radius(self) -> float:
-        return float(np.linalg.norm(self.position))
+        return math.hypot(*self.position)
 
     @property
     def speed(self) -> float:
-        return float(np.linalg.norm(self.velocity))
+        return math.hypot(*self.velocity)
 
 
 @dataclass(frozen=True)
@@ -88,16 +78,6 @@ def solve_kepler(mean_anomaly: float, eccentricity: float) -> float:
     raise NumericFailure("Kepler iteration did not converge in 50 steps")
 
 
-def _rot_z(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _rot_x(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
 def propagate(orbit: OrbitSpec, t: float) -> StateVector:
     """Two-body state at time t (inertial frame)."""
     a, e = orbit.semi_major_axis, orbit.eccentricity
@@ -107,39 +87,45 @@ def propagate(orbit: OrbitSpec, t: float) -> StateVector:
     big_e = solve_kepler(m_anom, e)
     cos_e, sin_e = math.cos(big_e), math.sin(big_e)
     r = a * (1.0 - e * cos_e)
-    # perifocal coordinates
-    pos_pf = np.array([a * (cos_e - e), a * math.sqrt(1.0 - e * e) * sin_e, 0.0])
-    vel_pf = (math.sqrt(mu * a) / r) * np.array(
-        [-sin_e, math.sqrt(1.0 - e * e) * cos_e, 0.0]
-    )
-    rot = _rot_z(orbit.raan) @ _rot_x(orbit.inclination) @ _rot_z(orbit.arg_perigee)
-    return StateVector(time=t, position=tuple(rot @ pos_pf), velocity=tuple(rot @ vel_pf))
+    root = math.sqrt(1.0 - e * e)
+    # perifocal coordinates (the third component is zero)
+    px, py = a * (cos_e - e), a * root * sin_e
+    speed = math.sqrt(mu * a) / r
+    vx, vy = -speed * sin_e, speed * (root * cos_e)
+    # the perifocal x and y axes: columns of Rz(raan) Rx(inclination) Rz(arg_perigee)
+    co, so = math.cos(orbit.raan), math.sin(orbit.raan)
+    ci, si = math.cos(orbit.inclination), math.sin(orbit.inclination)
+    cw, sw = math.cos(orbit.arg_perigee), math.sin(orbit.arg_perigee)
+    p_axis = (co * cw - so * ci * sw, so * cw + co * ci * sw, si * sw)
+    q_axis = (-co * sw - so * ci * cw, -so * sw + co * ci * cw, si * cw)
+    # "+ 0.0" turns a -0.0 sum (say z on an equatorial orbit) into 0.0
+    pos = tuple(px * p + py * q + 0.0 for p, q in zip(p_axis, q_axis))
+    vel = tuple(vx * p + vy * q + 0.0 for p, q in zip(p_axis, q_axis))
+    return StateVector(t, pos, vel)
 
 
 def station_state(gs: GroundStation, t: float) -> StateVector:
     """Inertial state of an Earth-fixed station (spin about +z at rotation_rate)."""
     r = EARTH.radius + gs.altitude
-    body_fixed = r * np.array(
-        [
-            math.cos(gs.latitude) * math.cos(gs.longitude),
-            math.cos(gs.latitude) * math.sin(gs.longitude),
-            math.sin(gs.latitude),
-        ]
-    )
-    pos = _rot_z(EARTH.rotation_rate * t) @ body_fixed
-    omega = np.array([0.0, 0.0, EARTH.rotation_rate])
-    return StateVector(time=t, position=tuple(pos), velocity=tuple(np.cross(omega, pos)))
+    bx = r * (math.cos(gs.latitude) * math.cos(gs.longitude))
+    by = r * (math.cos(gs.latitude) * math.sin(gs.longitude))
+    w = EARTH.rotation_rate
+    c, s = math.cos(w * t), math.sin(w * t)
+    x, y = c * bx - s * by, s * bx + c * by
+    # velocity omega x position with omega = (0, 0, w)
+    return StateVector(time=t, position=(x, y, r * math.sin(gs.latitude)),
+                       velocity=(-w * y, w * x, 0.0))
 
 
 def relative_geometry(a: StateVector, b: StateVector) -> tuple[float, float, float]:
     """(range, range rate, relative speed) between two simultaneous states."""
     if a.time != b.time:
         raise DomainError("states must share the same time")
-    dr = np.asarray(b.position) - np.asarray(a.position)
-    dv = np.asarray(b.velocity) - np.asarray(a.velocity)
-    rng = float(np.linalg.norm(dr))
-    rate = float(dr @ dv) / rng if rng > 0.0 else 0.0
-    return rng, rate, float(np.linalg.norm(dv))
+    dr = [q - p for p, q in zip(a.position, b.position)]
+    dv = [q - p for p, q in zip(a.velocity, b.velocity)]
+    rng = math.hypot(*dr)
+    rate = (dr[0] * dv[0] + dr[1] * dv[1] + dr[2] * dv[2]) / rng if rng > 0.0 else 0.0
+    return rng, rate, math.hypot(*dv)
 
 
 def newtonian_potential(r: float) -> float:

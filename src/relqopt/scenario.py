@@ -20,7 +20,8 @@ import re
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
-from . import bell, diffusion, gravitomagnetism, interferometry, kinematics, orbits, qft_effects, wigner
+# `wigner` is built around numpy arrays, so its group imports it when it runs
+from . import bell, diffusion, gravitomagnetism, interferometry, kinematics, orbits, qft_effects
 from .constants import C_LIGHT, EARTH, G0, ROUNDED_EARTH
 from .errors import ConfigurationError, DomainError, EffectError
 from .orbits import GroundStation, OrbitSpec, preset_orbit
@@ -73,6 +74,7 @@ def _geometry(s: Scenario, sat) -> list:
 
 
 def _wigner(s: Scenario, sat) -> list:
+    from . import wigner
     return [
         ReportEntry("wigner.first_order_phase",
                     wigner.first_order_boost_phase(
@@ -108,7 +110,6 @@ def _interferometry(s: Scenario, sat) -> list:
         wavelength=s.wavelength,
         fibre_length=C_LIGHT * s.fibre_delay / s.fibre_index,
         altitude=altitude,
-        g=G0,
     )
     return [
         ReportEntry("interferometry.optical_cow_phase",
@@ -443,6 +444,9 @@ def effect_errors(group: str):
     """Raise an ArithmeticError or ValueError inside the block as EffectError(group)."""
     try:
         yield
+    except OverflowError as exc:
+        # math and float ** raise OverflowError(errno, text), whose str() is the tuple
+        raise EffectError(group, f"numeric overflow: {exc.args[-1] if exc.args else exc}") from exc
     except (ArithmeticError, ValueError) as exc:
         raise EffectError(group, str(exc)) from exc
 

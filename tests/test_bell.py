@@ -85,7 +85,7 @@ def test_estimator_rejects_degenerate_input():
     with pytest.raises(DomainError):
         chsh_estimate(CoincidenceCounts(CHSH_SETTINGS, perfect))
     with pytest.raises(DomainError):
-        analytic_counts(0.9, 100.0, settings=CHSH_SETTINGS[:3] + ((0.0, math.nan),))
+        CoincidenceCounts(CHSH_SETTINGS[:3] + ((0.0, math.nan),), np.full((4, 4), 25.0))
 
 
 # -------------------------------------------------------- required photons

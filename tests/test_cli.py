@@ -1,10 +1,12 @@
 import csv
 import io
 import math
+import random
 
+import numpy as np
 import pytest
 
-from relqopt.cli import main
+from relqopt.cli import _linspace, main
 
 
 def _run(capsys, *argv):
@@ -261,7 +263,17 @@ def test_satellite_state_overflow_exits_3_naming_the_orbit(capsys, tmp_path):
     for command in ("report", "orbit"):
         code, out, err = _run(capsys, command, "--scenario", path)
         assert code == 3 and out == ""
-        assert err.startswith("error: effect 'orbit' failed")
+        assert err.startswith("error: effect 'orbit' failed: numeric overflow")
+        assert "(34," not in err
+
+
+def test_group_overflow_exits_3_with_a_readable_message(capsys, tmp_path):
+    # (R / (c T))**3 overflows in the negativity bound
+    path = _write(tmp_path, "[qft]\ninteraction_time = 1e-300\n")
+    code, out, err = _run(capsys, "report", "--scenario", path)
+    assert code == 3 and out == ""
+    assert err.startswith("error: effect 'qft' failed: numeric overflow")
+    assert "(34," not in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -317,3 +329,23 @@ def test_integer_rows_print_exactly_in_csv(capsys):
     assert code == 0
     row = next(line.split() for line in out.splitlines() if line.startswith("bell.seed"))
     assert row[1] == format(float(seed), ".9g")
+
+
+# ------------------------------------------------------------------ sampling
+
+
+def test_linspace_matches_numpy_bit_for_bit():
+    # perfbench and users compare `orbit` and `curves` rows against
+    # numpy.linspace points, so one ulp off would be a wrong row
+    rng = random.Random(20)
+
+    def draw():
+        return rng.choice((0.0, rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-15.0, 15.0)))
+
+    # a step that underflows to 0 although stop != start takes numpy's other branch
+    cases = [(0.0, 1.5e-323, 8), (0.5, 0.5, 4), (0.72, 1.0, 57), (1.0, -1.0, 2)]
+    cases += [(draw(), draw(), rng.randint(2, 200)) for _ in range(5000)]
+    for start, stop, num in cases:
+        got = np.array(_linspace(start, stop, num))
+        want = np.linspace(start, stop, num)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (start, stop, num)

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -21,6 +23,27 @@ def test_submodules_load_on_first_use():
         "    pass\n"
         "else:\n"
         "    raise AssertionError('unknown attribute resolved')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit"],
+    ["diffusion"],
+    ["curves", "--which", "photons"],
+    ["curves", "--which", "ralph"],
+    ["report", "--effects", "geometry,gravitomagnetic,interferometry,qft,diffusion"],
+], ids=" ".join)
+def test_scalar_subcommands_do_not_load_numpy(argv):
+    code = (
+        "import contextlib, io, sys\n"
+        "from relqopt.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was loaded'\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", code], env=env,

@@ -8,6 +8,14 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def _run_fresh(code):
+    """Run `code` in a new interpreter that imports relqopt from src/."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_submodules_load_on_first_use():
     code = (
         "import sys\n"
@@ -24,10 +32,7 @@ def test_submodules_load_on_first_use():
         "else:\n"
         "    raise AssertionError('unknown attribute resolved')\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60, check=False)
-    assert proc.returncode == 0, proc.stderr
+    _run_fresh(code)
 
 
 @pytest.mark.parametrize("argv", [
@@ -45,7 +50,4 @@ def test_scalar_subcommands_do_not_load_numpy(argv):
         f"    assert main({argv!r}) == 0\n"
         "assert 'numpy' not in sys.modules, 'numpy was loaded'\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60, check=False)
-    assert proc.returncode == 0, proc.stderr
+    _run_fresh(code)

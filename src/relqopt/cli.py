@@ -15,10 +15,8 @@ Only `wigner`, `bell-sim` and a `report` with the wigner or bell group load nump
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
-from dataclasses import replace
 
 from . import bell, diffusion, orbits, qft_effects
 from . import scenario as scen
@@ -47,6 +45,7 @@ def _linspace(start: float, stop: float, num: int) -> list:
 
 def _write_rows(rows, header, fmt: str, stream) -> None:
     if fmt == "csv":
+        import csv
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -71,9 +70,9 @@ def _require(ok: bool, flag: str, rule: str) -> None:
         raise ConfigurationError(f"{flag} must be {rule}")
 
 
-def _load_scenario(args) -> scen.Scenario:
+def _load_scenario(args, **flags) -> scen.Scenario:
     s = scen.load_scenario(args.scenario) if args.scenario else scen.Scenario()
-    return scen.with_overrides(s, seed=args.seed, workers=args.workers)
+    return scen.with_overrides(s, seed=args.seed, workers=args.workers, **flags)
 
 
 def _parse_effects(raw: str | None):
@@ -92,9 +91,7 @@ def _cmd_report(args, stream) -> int:
 
 
 def _cmd_bell_sim(args, stream) -> int:
-    s = _load_scenario(args)
-    if args.photons is not None:
-        s = replace(s, photon_budget=args.photons)
+    s = _load_scenario(args, photon_budget=args.photons)
     rows = [scen.ReportEntry("bell.visibility", s.visibility, "dimensionless", "§8.1"),
             scen.ReportEntry("bell.photon_budget", s.photon_budget, "count", "§8.1")]
     for e in scen.run_report(s, effects={"bell"}).entries:

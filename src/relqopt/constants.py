@@ -7,9 +7,8 @@ display units (deg, arcsec, arc-millisecond) happens at the edges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, Record
 
 # CODATA 2018. The first three are exact by SI definition.
 C_LIGHT = 299792458.0            # m / s
@@ -39,20 +38,21 @@ def convert_angle(x: float, target: str) -> float:
         raise ConfigurationError(f"unknown angle unit tag {target!r}") from None
 
 
-@dataclass(frozen=True)
-class EarthParams:
-    """Earth model: mass, spin angular momentum, GM, radius, spin rate."""
+class EarthParams(Record):
+    """Earth: mass (kg), spin J (kg m^2/s), equatorial radius (m), sidereal rate (rad/s)."""
 
-    mass: float = 5.972e24                 # kg
-    angular_momentum: float = 5.86e33      # kg m^2/s
-    radius: float = 6378137.0              # equatorial radius, m
-    rotation_rate: float = 7.2921159e-5    # rad/s, sidereal
+    __slots__ = ("mass", "angular_momentum", "radius", "rotation_rate")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.mass) and self.mass > 0):
+    def __init__(self, mass=5.972e24, angular_momentum=5.86e33, radius=6378137.0,
+                 rotation_rate=7.2921159e-5):
+        if not (math.isfinite(mass) and mass > 0):
             raise DomainError("mass must be positive")
-        if not (math.isfinite(self.angular_momentum) and self.angular_momentum > 0):
+        if not (math.isfinite(angular_momentum) and angular_momentum > 0):
             raise DomainError("angular_momentum must be positive")
+        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "angular_momentum", angular_momentum)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "rotation_rate", rotation_rate)
 
     @property
     def mu(self) -> float:

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .constants import PLANCK_H
-from .errors import DomainError
+from .errors import DomainError, Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -90,18 +89,18 @@ class CircleDensity:
         return np.fft.irfft(spec, n=n)
 
 
-@dataclass(frozen=True)
-class DiffusionParams:
+class DiffusionParams(Record):
     """Diffusion and drift constants of the invariant equator equation (s^-2)."""
 
-    c_diff: float
-    d_drift: float
+    __slots__ = ("c_diff", "d_drift")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.c_diff) and math.isfinite(self.d_drift)):
+    def __init__(self, c_diff, d_drift):
+        if not (math.isfinite(c_diff) and math.isfinite(d_drift)):
             raise DomainError("c_diff and d_drift must be finite")
-        if self.c_diff < 0:
+        if c_diff < 0:
             raise DomainError("c_diff must be nonnegative (anti-diffusion)")
+        object.__setattr__(self, "c_diff", c_diff)
+        object.__setattr__(self, "d_drift", d_drift)
 
 
 def _check_span(lambda_span: float) -> None:
@@ -157,28 +156,26 @@ def diffusion_bound_from_decay(mu: float, t: float, nu: float) -> float:
     return mu * nu / (4.0 * t)
 
 
-@dataclass(frozen=True)
-class BlochTensorModel:
-    """Polar-angle samplers for the general sphere model: K^{AB}(theta),
-    u^A(theta), density of states n(theta).
+class BlochTensorModel(Record):
+    """Polar-angle samplers for the general sphere model: k_tensor(theta) is
+    the 2x2 K^{AB}, u_vector(theta) the 2-vector u^A, density_of_states(theta) n.
 
     Validity demands symmetric PSD K, positive n, and polar-only dependence
     (samplers of a single argument) — azimuth dependence would break the
     rotational invariance the equivariance witness checks.
     """
 
-    k_tensor: Callable[[float], np.ndarray]
-    u_vector: Callable[[float], np.ndarray]
-    density_of_states: Callable[[float], float]
+    __slots__ = ("k_tensor", "u_vector", "density_of_states")
+
+    def __init__(self, k_tensor, u_vector, density_of_states):
+        object.__setattr__(self, "k_tensor", k_tensor)
+        object.__setattr__(self, "u_vector", u_vector)
+        object.__setattr__(self, "density_of_states", density_of_states)
 
     def validate(self) -> None:
         import inspect
         import numpy as np
-        for name, fn in (
-            ("k_tensor", self.k_tensor),
-            ("u_vector", self.u_vector),
-            ("density_of_states", self.density_of_states),
-        ):
+        for name, fn in zip(self.__slots__, self._values()):
             params = [
                 p for p in inspect.signature(fn).parameters.values()
                 if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)

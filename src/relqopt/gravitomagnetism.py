@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .constants import C_LIGHT, GRAVITATIONAL_G
-from .errors import DomainError
+from .errors import DomainError, Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -44,45 +43,40 @@ def _unit_vector(value, name: str) -> tuple:
     return v
 
 
-@dataclass(frozen=True)
-class GravField:
+class GravField(Record):
     """Field sample at a point: rotation vector omega (1/m) and E_g (1/m^2 scale)."""
 
-    omega: tuple
-    eg: tuple
+    __slots__ = ("omega", "eg")
 
-    def __post_init__(self):
-        object.__setattr__(self, "omega", _finite_vector(self.omega, "omega"))
-        object.__setattr__(self, "eg", _finite_vector(self.eg, "eg"))
+    def __init__(self, omega, eg):
+        object.__setattr__(self, "omega", _finite_vector(omega, "omega"))
+        object.__setattr__(self, "eg", _finite_vector(eg, "eg"))
 
 
-@dataclass(frozen=True)
-class RayState:
+class RayState(Record):
     """Ray snapshot: position (m), unit khat, unit fhat, affine parameter (m)."""
 
-    position: tuple
-    khat: tuple
-    fhat: tuple
-    lam: float = 0.0
+    __slots__ = ("position", "khat", "fhat", "lam")
 
-    def __post_init__(self):
-        object.__setattr__(self, "position", _finite_vector(self.position, "position"))
-        object.__setattr__(self, "khat", _unit_vector(self.khat, "khat"))
-        object.__setattr__(self, "fhat", _unit_vector(self.fhat, "fhat"))
-        if not math.isfinite(self.lam):
+    def __init__(self, position, khat, fhat, lam=0.0):
+        object.__setattr__(self, "position", _finite_vector(position, "position"))
+        object.__setattr__(self, "khat", _unit_vector(khat, "khat"))
+        object.__setattr__(self, "fhat", _unit_vector(fhat, "fhat"))
+        if not math.isfinite(lam):
             raise DomainError("lam must be finite")
+        object.__setattr__(self, "lam", lam)
 
 
-@dataclass(frozen=True)
-class SpinningBody:
+class SpinningBody(Record):
     """Point spinning mass: M (kg), angular momentum J (kg m^2/s)."""
 
-    mass: float
-    angular_momentum: float
+    __slots__ = ("mass", "angular_momentum")
 
-    def __post_init__(self):
-        if self.mass <= 0 or self.angular_momentum <= 0:
+    def __init__(self, mass, angular_momentum):
+        if mass <= 0 or angular_momentum <= 0:
             raise DomainError("mass and angular momentum must be positive")
+        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "angular_momentum", angular_momentum)
 
 
 def _rotation_rate(omega, eg, khat, k) -> tuple:

@@ -8,44 +8,43 @@ formulas below are the ideal ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .constants import C_LIGHT, G0, HBAR, NEUTRON_MASS, PLANCK_H
-from .errors import DomainError
+from .errors import DomainError, Record
 
 
-@dataclass(frozen=True)
-class NeutronBeam:
+class NeutronBeam(Record):
     """Neutron beam: de Broglie wavelength (m) and derived speed h/(m lambda)."""
 
-    wavelength: float
+    __slots__ = ("wavelength",)
 
-    def __post_init__(self):
-        if self.wavelength <= 0:
+    def __init__(self, wavelength):
+        if wavelength <= 0:
             raise DomainError("wavelength must be positive")
+        object.__setattr__(self, "wavelength", wavelength)
 
     @property
     def speed(self) -> float:
         return PLANCK_H / (NEUTRON_MASS * self.wavelength)
 
 
-@dataclass(frozen=True)
-class OpticalLink:
+class OpticalLink(Record):
     """Ground fibre-delay interferometer fed from altitude h.
 
     fibre_length is the length of the storage fibre; a scenario derives it
     from the storage delay and the fibre index as c * delay / index.
     """
 
-    wavelength: float
-    fibre_length: float
-    altitude: float
+    __slots__ = ("wavelength", "fibre_length", "altitude")
 
-    def __post_init__(self):
-        if self.wavelength <= 0:
+    def __init__(self, wavelength, fibre_length, altitude):
+        if wavelength <= 0:
             raise DomainError("wavelength must be positive")
-        if self.fibre_length < 0 or self.altitude < 0:
+        if fibre_length < 0 or altitude < 0:
             raise DomainError("fibre_length and altitude must be nonnegative")
+        object.__setattr__(self, "wavelength", wavelength)
+        object.__setattr__(self, "fibre_length", fibre_length)
+        object.__setattr__(self, "altitude", altitude)
 
 
 def cow_neutron_phase(beam: NeutronBeam, area: float, tilt: float) -> float:

@@ -9,26 +9,22 @@ form vanishes within a relative epsilon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .constants import C_LIGHT
-from .errors import DomainError
+from .errors import DomainError, Record
 
 INTERVAL_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class Event:
-    t: float
-    x: float
-    y: float
-    z: float = 0.0
+class Event(Record):
+    __slots__ = ("t", "x", "y", "z")
 
-    def __post_init__(self):
-        for name in ("t", "x", "y", "z"):
-            if not math.isfinite(getattr(self, name)):
+    def __init__(self, t, x, y, z=0.0):
+        for name, value in zip(self.__slots__, (t, x, y, z)):
+            if not math.isfinite(value):
                 raise DomainError(f"event coordinate {name} must be finite")
+            object.__setattr__(self, name, value)
 
 
 class IntervalResult(NamedTuple):

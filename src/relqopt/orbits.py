@@ -8,40 +8,43 @@ well inside every downstream tolerance).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .constants import EARTH, LUNAR_DISTANCE, ASTRONOMICAL_UNIT
-from .errors import DomainError, NumericFailure
+from .errors import DomainError, NumericFailure, Record
 
 _KEPLER_TOL = 1e-12
 _KEPLER_MAX_ITER = 50
 
 
-@dataclass(frozen=True)
-class OrbitSpec:
-    semi_major_axis: float
-    eccentricity: float = 0.0
-    inclination: float = 0.0
-    raan: float = 0.0
-    arg_perigee: float = 0.0
-    mean_anomaly_epoch: float = 0.0
-    epoch: float = 0.0
+class OrbitSpec(Record):
+    __slots__ = ("semi_major_axis", "eccentricity", "inclination", "raan", "arg_perigee",
+                 "mean_anomaly_epoch", "epoch")
 
-    def __post_init__(self):
-        if not 0.0 <= self.eccentricity < 1.0:
+    def __init__(self, semi_major_axis, eccentricity=0.0, inclination=0.0, raan=0.0,
+                 arg_perigee=0.0, mean_anomaly_epoch=0.0, epoch=0.0):
+        if not 0.0 <= eccentricity < 1.0:
             raise DomainError("eccentricity must lie in [0, 1)")
-        if self.semi_major_axis * (1.0 - self.eccentricity) <= EARTH.radius:
+        if semi_major_axis * (1.0 - eccentricity) <= EARTH.radius:
             raise DomainError("semi_major_axis must put the perigee above the Earth's surface")
+        object.__setattr__(self, "semi_major_axis", semi_major_axis)
+        object.__setattr__(self, "eccentricity", eccentricity)
+        object.__setattr__(self, "inclination", inclination)
+        object.__setattr__(self, "raan", raan)
+        object.__setattr__(self, "arg_perigee", arg_perigee)
+        object.__setattr__(self, "mean_anomaly_epoch", mean_anomaly_epoch)
+        object.__setattr__(self, "epoch", epoch)
 
     def period(self) -> float:
         return 2.0 * math.pi * math.sqrt(self.semi_major_axis**3 / EARTH.mu)
 
 
-@dataclass(frozen=True)
-class StateVector:
-    time: float
-    position: tuple
-    velocity: tuple
+class StateVector(Record):
+    __slots__ = ("time", "position", "velocity")
+
+    def __init__(self, time, position, velocity):
+        object.__setattr__(self, "time", time)
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "velocity", velocity)
 
     @property
     def radius(self) -> float:
@@ -52,17 +55,17 @@ class StateVector:
         return math.hypot(*self.velocity)
 
 
-@dataclass(frozen=True)
-class GroundStation:
-    latitude: float
-    longitude: float
-    altitude: float = 0.0
+class GroundStation(Record):
+    __slots__ = ("latitude", "longitude", "altitude")
 
-    def __post_init__(self):
-        if abs(self.latitude) > 0.5 * math.pi:
+    def __init__(self, latitude, longitude, altitude=0.0):
+        if abs(latitude) > 0.5 * math.pi:
             raise DomainError("|latitude| must be <= pi/2")
-        if self.altitude < 0:
+        if altitude < 0:
             raise DomainError("altitude must be nonnegative")
+        object.__setattr__(self, "latitude", latitude)
+        object.__setattr__(self, "longitude", longitude)
+        object.__setattr__(self, "altitude", altitude)
 
 
 def solve_kepler(mean_anomaly: float, eccentricity: float) -> float:

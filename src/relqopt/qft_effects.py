@@ -10,24 +10,23 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .constants import BOLTZMANN_K, C_LIGHT, HBAR
-from .errors import DomainError
+from .errors import DomainError, Record
 
 
-@dataclass(frozen=True)
-class EventOperatorModel:
+class EventOperatorModel(Record):
     """Detector timing resolution d_t and maximum correlation C_max."""
 
-    detector_resolution: float
-    max_correlation: float = 1.0
+    __slots__ = ("detector_resolution", "max_correlation")
 
-    def __post_init__(self):
-        if self.detector_resolution <= 0:
+    def __init__(self, detector_resolution, max_correlation=1.0):
+        if detector_resolution <= 0:
             raise DomainError("detector_resolution must be positive")
-        if not 0.0 < self.max_correlation <= 1.0:
+        if not 0.0 < max_correlation <= 1.0:
             raise DomainError("max_correlation must lie in (0, 1]")
+        object.__setattr__(self, "detector_resolution", detector_resolution)
+        object.__setattr__(self, "max_correlation", max_correlation)
 
 
 def unruh_temperature(a: float) -> float:

@@ -2,28 +2,27 @@
 
 File format: `key = value` lines under bracketed section headers.  SI base
 units throughout; angles are degrees in files and radians internally.
-Each scalar key is one `Scenario` field made by `_key` (section, default,
-parser, domain rule), from which the known-key check, parsing, validation
-and `[section] key` error text all derive; `[orbit]`, `[stations]` and
-`[effects]` are special cases.  Each effect group is one function in
-`GROUPS`; every report value is the result of a library call.
+Each scalar key is one `Key` record in `KEYS` (section, name, default, parser,
+domain rule) and one `Scenario` field; the known-key check, parsing,
+validation, `[section] key` error text and `Scenario.replace` all read it.
+`[orbit]`, `[stations]` and `[effects]` are special cases.  Each effect group
+is one function in `GROUPS`; every report value is the result of a library call.
 """
 
 from __future__ import annotations
 
-import configparser
 import contextlib
 import math
 import numbers
 import operator
 import re
-from dataclasses import dataclass, field, fields, replace
+from collections import namedtuple
 from typing import NamedTuple
 
 # `wigner` is built around numpy arrays, so its group imports it when it runs
 from . import bell, diffusion, gravitomagnetism, interferometry, kinematics, orbits, qft_effects
 from .constants import C_LIGHT, EARTH, G0, ROUNDED_EARTH
-from .errors import ConfigurationError, DomainError, EffectError
+from .errors import ConfigurationError, DomainError, EffectError, Record
 from .orbits import GroundStation, OrbitSpec, preset_orbit
 
 
@@ -253,10 +252,13 @@ def _text(where: str, raw: str) -> str:
     return raw
 
 
-def _key(section: str, default, *rule, parse=_float):
-    """A scalar key: a `Scenario` field with its `[section]`, file parser and
-    domain rule, given as (op, bound) pairs that must all hold."""
-    return field(default=default, metadata={"section": section, "parse": parse, "rule": rule})
+Key = namedtuple("Key", "section name default parse rule tests")
+
+
+def _key(section: str, name: str, default, *rule, parse=_float) -> Key:
+    """The `Key` of one `Scenario` field: `rule` is (op, bound) pairs that must all
+    hold (the default obeys it), `tests` the same rule as (test, bound) pairs."""
+    return Key(section, name, default, parse, rule, tuple((_OPS[op], b) for op, b in rule))
 
 
 def _rule_text(rule) -> str:
@@ -266,58 +268,64 @@ def _rule_text(rule) -> str:
         for op, bound in rule)
 
 
-def _reject(f, reason: str):
-    raise ConfigurationError(f"[{f.metadata['section']}] {f.name} {reason}")
+KEYS = (_key("mission", "preset", "leo1000", ("in", orbits.PRESETS), parse=_text),
+        _key("mission", "source", "ground", ("in", ("ground", "satellite")), parse=_text),
+        _key("link", "wavelength", 800e-9, (">", 0)),
+        _key("link", "fibre_delay", 20e-6, (">=", 0)),
+        _key("link", "fibre_index", 1.0, (">=", 1)),
+        _key("link", "detector_resolution", 500e-15, (">", 0)),
+        _key("link", "analyzer_switch_time", 10e-9, (">=", 0)),
+        _key("bell", "visibility", 0.95, (">", 0), ("<=", 1)),
+        _key("bell", "photon_budget", 1_000_000, (">=", 1), ("<=", bell.PHOTON_CAP), parse=_int),
+        _key("bell", "seed", 1, (">=", 0), ("<", 2**64), parse=_int),
+        _key("bell", "workers", 1, (">=", 1), ("<=", bell.WORKER_CAP), parse=_int),
+        _key("geometry", "separation", None, (">", 0)),
+        _key("geometry", "delay", None, (">=", 0)),
+        _key("geometry", "relative_speed", 15e3, (">", 0), ("<", C_LIGHT)),
+        _key("geometry", "kappa", 1.0, (">=", 1)),
+        _key("diffusion", "drift_d", 4e-8),
+        _key("diffusion", "diffusion_c", 2e-9, (">=", 0)),
+        _key("diffusion", "cmb_time", 4.35e17, (">", 0)),
+        _key("diffusion", "cmb_frequency", 1.6e11, (">", 0)),
+        _key("diffusion", "cmb_chi", 0.1),
+        _key("diffusion", "cmb_mu", 0.025),
+        _key("qft", "berry_gap", 1e6, (">=", 0)),
+        _key("qft", "berry_acceleration", None, (">", 0)),
+        _key("qft", "berry_g", 0.25),
+        _key("qft", "overlap_time", None, (">=", 0)),
+        _key("qft", "retroreflector", False, parse=_bool),
+        _key("qft", "interaction_time", None, (">", 0)))
 
 
-@dataclass(frozen=True)
-class Scenario:
-    preset: str = _key("mission", "leo1000", ("in", orbits.PRESETS), parse=_text)
-    orbit: OrbitSpec | None = None
-    stations: tuple = ()
-    source: str = _key("mission", "ground", ("in", ("ground", "satellite")), parse=_text)
-    wavelength: float = _key("link", 800e-9, (">", 0))
-    fibre_delay: float = _key("link", 20e-6, (">=", 0))
-    fibre_index: float = _key("link", 1.0, (">=", 1))
-    detector_resolution: float = _key("link", 500e-15, (">", 0))
-    analyzer_switch_time: float = _key("link", 10e-9, (">=", 0))
-    visibility: float = _key("bell", 0.95, (">", 0), ("<=", 1))
-    photon_budget: int = _key("bell", 1_000_000, (">=", 1), ("<=", bell.PHOTON_CAP), parse=_int)
-    seed: int = _key("bell", 1, (">=", 0), ("<", 2**64), parse=_int)
-    workers: int = _key("bell", 1, (">=", 1), ("<=", bell.WORKER_CAP), parse=_int)
-    separation: float | None = _key("geometry", None, (">", 0))
-    delay: float | None = _key("geometry", None, (">=", 0))
-    relative_speed: float = _key("geometry", 15e3, (">", 0), ("<", C_LIGHT))
-    kappa: float = _key("geometry", 1.0, (">=", 1))
-    drift_d: float = _key("diffusion", 4e-8)
-    diffusion_c: float = _key("diffusion", 2e-9, (">=", 0))
-    cmb_time: float = _key("diffusion", 4.35e17, (">", 0))
-    cmb_frequency: float = _key("diffusion", 1.6e11, (">", 0))
-    cmb_chi: float = _key("diffusion", 0.1)
-    cmb_mu: float = _key("diffusion", 0.025)
-    berry_gap: float = _key("qft", 1e6, (">=", 0))
-    berry_acceleration: float | None = _key("qft", None, (">", 0))
-    berry_g: float = _key("qft", 0.25)
-    overlap_time: float | None = _key("qft", None, (">=", 0))
-    retroreflector: bool = _key("qft", False, parse=_bool)
-    interaction_time: float | None = _key("qft", None, (">", 0))
-    effects: frozenset = frozenset(EFFECT_GROUPS)
+class Scenario(Record):
+    """A field per `KEYS` entry, and `orbit` (None: the preset), `stations`, `effects`."""
 
-    def __post_init__(self):
-        for f, parse, tests in _CHECKS:
-            x = getattr(self, f.name)
-            if x is None and f.default is None:
-                continue
-            if parse is _int and (isinstance(x, bool) or not isinstance(x, numbers.Integral)):
-                _reject(f, "must be an integer")
-            if parse is _float and not math.isfinite(x):
-                _reject(f, "must be finite")
-            for test, bound in tests:
-                if not test(x, bound):
-                    _reject(f, f"must be {_rule_text(f.metadata['rule'])}")
-        if len(self.stations) > 2:
+    __slots__ = (*(key.name for key in KEYS), "orbit", "stations", "effects")
+
+    def __init__(self, orbit=None, stations=(), effects=frozenset(EFFECT_GROUPS), **values):
+        for section, name, default, parse, rule, tests in KEYS:
+            x = values.pop(name, default)
+            if x is not default:  # a default obeys its rule; tests hold it to that
+                if parse is _int and (isinstance(x, bool) or not isinstance(x, numbers.Integral)):
+                    raise ConfigurationError(f"[{section}] {name} must be an integer")
+                if parse is _float and not math.isfinite(x):
+                    raise ConfigurationError(f"[{section}] {name} must be finite")
+                for test, bound in tests:
+                    if not test(x, bound):
+                        raise ConfigurationError(f"[{section}] {name} must be {_rule_text(rule)}")
+            object.__setattr__(self, name, x)
+        if values:
+            raise TypeError(f"Scenario has no field(s) {sorted(values)}")
+        if len(stations) > 2:
             raise ConfigurationError("[stations] at most 2 stations are supported")
-        _known_groups(self.effects)
+        _known_groups(effects)
+        object.__setattr__(self, "orbit", orbit)
+        object.__setattr__(self, "stations", stations)
+        object.__setattr__(self, "effects", effects)
+
+    def replace(self, **changes) -> Scenario:
+        """A new Scenario with `changes` applied, validated like any other."""
+        return Scenario(**(dict(zip(self.__slots__, self._values())) | changes))
 
     # -- derived geometry ---------------------------------------------------
 
@@ -357,21 +365,17 @@ def _known_groups(groups) -> frozenset:
     return frozenset(groups)
 
 
-_KEYS = tuple(f for f in fields(Scenario) if f.metadata)
-# per key: its field, its parser and its rule as (test, bound) pairs
-_CHECKS = tuple((f, f.metadata["parse"], tuple((_OPS[op], b) for op, b in f.metadata["rule"]))
-                for f in _KEYS)
 # [orbit] keys in OrbitSpec field order; the four angles between the
 # eccentricity and the epoch are degrees in files
 _ORBIT_KEYS = ("semi_major_axis", "eccentricity", "inclination", "raan",
                "arg_perigee", "mean_anomaly", "epoch")
-# section -> key -> its Scenario field, or None for the special-case sections
+# section -> name -> its Key, or None for the special-case sections
 SECTIONS = {"orbit": dict.fromkeys(_ORBIT_KEYS),
             "stations": dict.fromkeys(("station1", "station2")),
             "effects": dict.fromkeys(EFFECT_GROUPS)}
-for _f in _KEYS:
-    SECTIONS.setdefault(_f.metadata["section"], {})[_f.name] = _f
-del _f
+for _k in KEYS:
+    SECTIONS.setdefault(_k.section, {})[_k.name] = _k
+del _k
 
 
 def _orbit(section) -> OrbitSpec:
@@ -401,6 +405,7 @@ def _station(key: str, raw: str) -> GroundStation:
 
 def load_scenario(path: str) -> Scenario:
     """Parse and validate a scenario file (strict: unknown keys are errors)."""
+    import configparser
     parser = configparser.ConfigParser(
         strict=True, interpolation=None, inline_comment_prefixes=("#", ";")
     )
@@ -421,9 +426,8 @@ def load_scenario(path: str) -> Scenario:
         for key, raw in section.items():
             if key not in known:
                 raise ConfigurationError(f"[{name}] {key} is not a known key")
-            f = known[key]
-            if f is not None:
-                kwargs[key] = f.metadata["parse"](f"[{name}] {key}", raw)
+            if known[key] is not None:
+                kwargs[key] = known[key].parse(f"[{name}] {key}", raw)
         if name == "orbit":
             kwargs["orbit"] = _orbit(section)
         elif name == "stations":
@@ -477,7 +481,7 @@ def run_report(s: Scenario, effects=None) -> EffectReport:
     return evaluate(s, [(g, fn) for g, fn in GROUPS.items() if g in enabled])
 
 
-def with_overrides(s: Scenario, seed=None, workers=None) -> Scenario:
-    """CLI flag overrides for the Monte Carlo stream controls."""
-    changes = {k: v for k, v in (("seed", seed), ("workers", workers)) if v is not None}
-    return replace(s, **changes) if changes else s
+def with_overrides(s: Scenario, **flags) -> Scenario:
+    """CLI flag overrides: `s` with each field whose flag was given (not None) replaced."""
+    changes = {k: v for k, v in flags.items() if v is not None}
+    return s.replace(**changes) if changes else s

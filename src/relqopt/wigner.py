@@ -20,24 +20,17 @@ with +v nhat) use boost(-v nhat / c).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import C_LIGHT
-from .errors import DomainError
+from .errors import DomainError, Record
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 K_REF = np.array([1.0, 0.0, 0.0, 1.0])
 _LORENTZ_TOL = 1e-10
 # eta_i eta_j: (eta M^T eta)[i, j] = eta_i eta_j M[j, i]
 _METRIC_SIGNS = np.outer(np.diag(ETA), np.diag(ETA))
-
-
-def _embed(r3: np.ndarray) -> np.ndarray:
-    m = np.eye(4)
-    m[1:, 1:] = r3
-    return m
 
 
 class LorentzMatrix:
@@ -72,8 +65,9 @@ class LorentzMatrix:
             raise DomainError("rotation axis must be nonzero")
         n = n / norm
         k = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
-        r3 = np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
-        return cls(_embed(r3))
+        m = np.eye(4)
+        m[1:, 1:] = np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+        return cls(m)
 
     @classmethod
     def rotation_z(cls, angle: float) -> "LorentzMatrix":
@@ -102,25 +96,24 @@ class LorentzMatrix:
         return self.matrix @ np.asarray(fourvec, dtype=float)
 
 
-@dataclass(frozen=True)
-class FourMomentum:
+class FourMomentum(Record):
     """Null four-momentum (energy, 3-vector k) in reference-energy units."""
 
-    energy: float
-    k: tuple
+    __slots__ = ("energy", "k")
 
-    def __post_init__(self):
+    def __init__(self, energy, k):
         try:
-            x, y, z = (float(v) for v in self.k)
+            x, y, z = (float(v) for v in k)
         except (TypeError, ValueError):
             raise DomainError("k must be a 3-vector") from None
-        object.__setattr__(self, "k", (x, y, z))
-        if not (math.isfinite(self.energy) and self.energy > 0.0):
+        if not (math.isfinite(energy) and energy > 0.0):
             raise DomainError("energy must be positive and finite")
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise DomainError("k must be finite")
-        if not abs(self.energy - math.hypot(x, y, z)) <= 1e-12 * self.energy:
+        if not abs(energy - math.hypot(x, y, z)) <= 1e-12 * energy:
             raise DomainError("momentum is not null")
+        object.__setattr__(self, "energy", energy)
+        object.__setattr__(self, "k", (x, y, z))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.energy, *self.k])
@@ -245,25 +238,18 @@ def diffraction_transform(theta: float, v: float) -> float:
     return theta * math.sqrt((1.0 + beta) / (1.0 - beta))
 
 
-_NORM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class TwoPhotonState:
+class TwoPhotonState(Record):
     """Amplitudes over the helicity product basis (++, +-, -+, --), unit norm."""
 
-    amplitudes: tuple
+    __slots__ = ("amplitudes",)
 
-    def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=complex)
+    def __init__(self, amplitudes):
+        a = np.asarray(amplitudes, dtype=complex)
         if a.shape != (4,):
             raise DomainError("need 4 amplitudes (++, +-, -+, --)")
-        object.__setattr__(self, "amplitudes", tuple(complex(v) for v in a))
-        if abs(float(np.sum(np.abs(a) ** 2)) - 1.0) > _NORM_TOL:
+        if abs(float(np.sum(np.abs(a) ** 2)) - 1.0) > 1e-12:
             raise DomainError("two-photon state must be normalized")
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.amplitudes, dtype=complex)
+        object.__setattr__(self, "amplitudes", tuple(complex(v) for v in a))
 
 
 def apply_helicity_phase(state, chi: float, photon: int):

@@ -35,6 +35,32 @@ def test_submodules_load_on_first_use():
     _run_fresh(code)
 
 
+# imports that start-up must not pay for: `dataclasses` (which pulls in
+# `inspect`, `ast` and `copy`), and `configparser` when no scenario file is read
+_START_UP_FREE = ("dataclasses", "inspect", "configparser")
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["orbit"],
+    ["diffusion"],
+    ["curves", "--which", "photons"],
+    ["curves", "--which", "ralph"],
+    ["report", "--effects", "geometry"],
+], ids=lambda argv: " ".join(argv) or "import")
+def test_start_up_loads_no_generated_code_machinery(argv):
+    code = (
+        "import contextlib, io, sys\n"
+        "from relqopt.cli import main\n"
+        f"if {argv!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        assert main({argv!r}) == 0\n"
+        f"loaded = [m for m in {_START_UP_FREE!r} if m in sys.modules]\n"
+        "assert not loaded, f'loaded {loaded}'\n"
+    )
+    _run_fresh(code)
+
+
 @pytest.mark.parametrize("argv", [
     ["orbit"],
     ["diffusion"],

@@ -359,7 +359,7 @@ def test_readme_scenario_block_matches_the_key_table():
     table = {(sec, key) for sec, keys in SECTIONS.items() for key in keys}
     assert set(shown) == table
     for sec, keys in SECTIONS.items():
-        for key, f in keys.items():
-            if f is not None and f.default is not None:
-                where = f"[{sec}] {key}"
-                assert f.metadata["parse"](where, shown[(sec, key)]) == f.default, where
+        for name, key in keys.items():
+            if key is not None and key.default is not None:
+                where = f"[{sec}] {name}"
+                assert key.parse(where, shown[(sec, name)]) == key.default, where

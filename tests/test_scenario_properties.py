@@ -82,16 +82,15 @@ def _key_text(section, key, wild):
         return _station_text(wild)
     if section == "effects":
         return _bool_text(wild)
-    f = scenario.SECTIONS[section][key]
-    parse = f.metadata["parse"]
-    if parse is scenario._int:
+    spec = scenario.SECTIONS[section][key]
+    if spec.parse is scenario._int:
         return _int_text(wild)
-    if parse is scenario._bool:
+    if spec.parse is scenario._bool:
         return _bool_text(wild)
-    if parse is scenario._text:
-        choices = sorted(next(bound for op, bound in f.metadata["rule"] if op == "in"))
+    if spec.parse is scenario._text:
+        choices = sorted(next(bound for op, bound in spec.rule if op == "in"))
         return st.sampled_from((*choices, "nowhere", "") if wild else choices)
-    return _float_text(f.default, wild)
+    return _float_text(spec.default, wild)
 
 
 @st.composite

@@ -302,7 +302,7 @@ class Scenario(Record):
 
     __slots__ = (*(key.name for key in KEYS), "orbit", "stations", "effects")
 
-    def __init__(self, orbit=None, stations=(), effects=frozenset(EFFECT_GROUPS), **values):
+    def __init__(self, *, orbit=None, stations=(), effects=frozenset(EFFECT_GROUPS), **values):
         for section, name, default, parse, rule, tests in KEYS:
             x = values.pop(name, default)
             if x is not default:  # a default obeys its rule; tests hold it to that

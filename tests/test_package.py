@@ -48,7 +48,7 @@ _START_UP_FREE = ("dataclasses", "inspect", "configparser")
     ["curves", "--which", "ralph"],
     ["report", "--effects", "geometry"],
 ], ids=lambda argv: " ".join(argv) or "import")
-def test_start_up_loads_no_generated_code_machinery(argv):
+def test_start_up_skips_dataclasses_inspect_and_configparser(argv):
     code = (
         "import contextlib, io, sys\n"
         "from relqopt.cli import main\n"

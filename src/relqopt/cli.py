@@ -9,7 +9,7 @@ Output is an aligned table by default or RFC-4180-style CSV (LF line
 endings, '.' decimal separator, 17 significant digits) with --format csv.
 Angles are degrees on the command line, matching scenario files.
 
-Only `wigner`, `bell-sim` and a `report` with the wigner or bell group load numpy.
+Only `bell-sim` and a `report` with the bell group load numpy.
 """
 
 from __future__ import annotations

@@ -48,3 +48,13 @@ class Record:
 
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(map(repr, self._values()))})"
+
+    def __reduce__(self):  # the default restores slots with setattr, which a record refuses
+        return _rebuild, (type(self), self._values())
+
+
+def _rebuild(cls, values):
+    record = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(record, name, value)
+    return record

@@ -19,7 +19,7 @@ import re
 from collections import namedtuple
 from typing import NamedTuple
 
-# `wigner` is built around numpy arrays, so its group imports it when it runs
+# only the wigner group needs `wigner`, so it imports it when it runs
 from . import bell, diffusion, gravitomagnetism, interferometry, kinematics, orbits, qft_effects
 from .constants import C_LIGHT, EARTH, G0, ROUNDED_EARTH
 from .errors import ConfigurationError, DomainError, EffectError, Record

@@ -20,80 +20,90 @@ with +v nhat) use boost(-v nhat / c).
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from operator import le, neg, sub
 
 from .constants import C_LIGHT
 from .errors import DomainError, Record
 
-ETA = np.diag([1.0, -1.0, -1.0, -1.0])
-K_REF = np.array([1.0, 0.0, 0.0, 1.0])
 _LORENTZ_TOL = 1e-10
-# eta_i eta_j: (eta M^T eta)[i, j] = eta_i eta_j M[j, i]
-_METRIC_SIGNS = np.outer(np.diag(ETA), np.diag(ETA))
+# the metric diag(1, -1, -1, -1), entries row by row
+_ETA = (1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, -1.0)
+
+
+def _product(a, b) -> tuple:
+    """a @ b for 4x4 matrices held as row tuples."""
+    (b00, b01, b02, b03), (b10, b11, b12, b13), (b20, b21, b22, b23), (b30, b31, b32, b33) = b
+    return tuple((p * b00 + q * b10 + r * b20 + s * b30, p * b01 + q * b11 + r * b21 + s * b31,
+                  p * b02 + q * b12 + r * b22 + s * b32, p * b03 + q * b13 + r * b23 + s * b33)
+                 for p, q, r, s in a)
+
+
+def _within(got, want, bounds=(_LORENTZ_TOL,) * 16) -> bool:
+    """|got_i - want_i| <= bounds_i for every entry; a NaN fails."""
+    return all(map(le, map(abs, map(sub, got, want)), bounds))
 
 
 class LorentzMatrix:
-    """A proper orthochronous Lorentz transformation as a validated 4x4 array."""
+    """A proper orthochronous Lorentz transformation; `matrix` is four row tuples of floats."""
 
     def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=float)
-        if m.shape != (4, 4):
+        try:
+            rows = tuple([tuple(map(float, row)) for row in matrix])
+        except TypeError:
+            raise DomainError("Lorentz matrix must be 4x4") from None
+        if list(map(len, rows)) != [4, 4, 4, 4]:
             raise DomainError("Lorentz matrix must be 4x4")
-        if not np.all(np.isfinite(m)):
+        entries = sum(rows, ())
+        if not all(map(math.isfinite, entries)):
             raise DomainError("Lorentz matrix must be finite")
-        # rounding in (M^T eta M)_ij grows as |M[:, i]| |M[:, j]| eps, so each entry
-        # has its own bound: a boost's unit transverse entries keep an absolute one
-        norms = np.sqrt(np.einsum("ij,ij->j", m, m))
-        bound = _LORENTZ_TOL * np.maximum(1.0, np.outer(norms, norms))
-        if not (np.abs(m.T @ ETA @ m - ETA) <= bound).all():
+        # bounds tol * max(1, |M[:, i]| |M[:, j]|) follow the rounding of (M^T eta M)_ij
+        cols = tuple(zip(*rows))
+        gram = sum(_product(cols, (rows[0], *(tuple(map(neg, row)) for row in rows[1:]))), ())
+        if not (_within(gram, _ETA) or _within(gram, _ETA, [
+                _LORENTZ_TOL * max(1.0, math.hypot(*ci) * math.hypot(*cj))
+                for ci in cols for cj in cols])):
             raise DomainError("matrix does not preserve the metric")
-        # rounding in det M grows as max|M_ij|^2 eps (gamma^2 eps for a boost)
-        tol = _LORENTZ_TOL * max(1.0, float(np.abs(m).max()) ** 2)
-        if abs(np.linalg.det(m) - 1.0) > tol:
+        # det M = M00 det(Schur complement of M00), M00 the pivot once the metric holds;
+        # its rounding grows as max|M_ij|^2 eps (gamma^2 eps for a boost)
+        a0, a1, a2, a3 = rows[0]
+        (p, q, r), (s, t, u), (v, w, x) = [(r1 - r0 * a1 / a0, r2 - r0 * a2 / a0, r3 - r0 * a3 / a0)
+                                           for r0, r1, r2, r3 in rows[1:]]
+        det = a0 * (p * (t * x - u * w) - q * (s * x - u * v) + r * (s * w - t * v))
+        if not abs(det - 1.0) <= _LORENTZ_TOL * max(1.0, max(map(abs, entries)) ** 2):
             raise DomainError("matrix must have determinant +1")
-        if m[0, 0] < 1.0 - _LORENTZ_TOL:
+        if a0 < 1.0 - _LORENTZ_TOL:
             raise DomainError("matrix must be orthochronous")
-        self.matrix = m
+        self.matrix = rows
 
     @classmethod
     def rotation(cls, axis, angle: float) -> "LorentzMatrix":
-        """Active rotation by `angle` about the unit 3-vector `axis`."""
-        n = np.asarray(axis, dtype=float)
-        norm = np.linalg.norm(n)
+        """Active rotation by `angle` about the unit 3-vector `axis` (Rodrigues)."""
+        x, y, z = map(float, axis)
+        norm = math.hypot(x, y, z)
         if norm == 0.0:
             raise DomainError("rotation axis must be nonzero")
-        n = n / norm
-        k = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
-        m = np.eye(4)
-        m[1:, 1:] = np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
-        return cls(m)
-
-    @classmethod
-    def rotation_z(cls, angle: float) -> "LorentzMatrix":
-        return cls.rotation([0.0, 0.0, 1.0], angle)
+        x, y, z = x / norm, y / norm, z / norm
+        c, s, t = math.cos(angle), math.sin(angle), 1.0 - math.cos(angle)
+        return cls(((1.0, 0.0, 0.0, 0.0),
+                    (0.0, c + t * x * x, t * x * y - s * z, t * x * z + s * y),
+                    (0.0, t * x * y + s * z, c + t * y * y, t * y * z - s * x),
+                    (0.0, t * x * z - s * y, t * y * z + s * x, c + t * z * z)))
 
     @classmethod
     def boost(cls, beta_vec) -> "LorentzMatrix":
         """Active pure boost with velocity beta_vec (fractions of c)."""
-        b = np.asarray(beta_vec, dtype=float)
-        b2 = float(b @ b)
+        x, y, z = map(float, beta_vec)
+        b2 = x * x + y * y + z * z
         if b2 >= 1.0:
             raise DomainError("|beta| must be < 1")
-        if b2 == 0.0:
-            return cls(np.eye(4))
         gamma = 1.0 / math.sqrt(1.0 - b2)
-        m = np.eye(4)
-        m[0, 0] = gamma
-        m[0, 1:] = m[1:, 0] = gamma * b
-        m[1:, 1:] += (gamma - 1.0) * np.outer(b, b) / b2
-        return cls(m)
+        k = gamma * gamma / (1.0 + gamma)  # (gamma - 1) / beta^2, also at beta = 0
+        gx, gy, gz, kxy, kxz, kyz = gamma * x, gamma * y, gamma * z, k * x * y, k * x * z, k * y * z
+        return cls(((gamma, gx, gy, gz), (gx, 1.0 + k * x * x, kxy, kxz),
+                    (gy, kxy, 1.0 + k * y * y, kyz), (gz, kxz, kyz, 1.0 + k * z * z)))
 
     def __matmul__(self, other: "LorentzMatrix") -> "LorentzMatrix":
-        return LorentzMatrix(self.matrix @ other.matrix)
-
-    def apply(self, fourvec) -> np.ndarray:
-        return self.matrix @ np.asarray(fourvec, dtype=float)
+        return LorentzMatrix(_product(self.matrix, other.matrix))
 
 
 class FourMomentum(Record):
@@ -115,53 +125,34 @@ class FourMomentum(Record):
         object.__setattr__(self, "energy", energy)
         object.__setattr__(self, "k", (x, y, z))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.energy, *self.k])
-
     @property
-    def khat(self) -> np.ndarray:
-        kv = np.asarray(self.k)
-        return kv / np.linalg.norm(kv)
+    def khat(self) -> tuple:
+        norm = math.hypot(*self.k)
+        return tuple(x / norm for x in self.k)
 
 
 def direction_angles(khat) -> tuple[float, float]:
     """Polar/azimuth (theta, phi) of a unit direction; phi = 0 on the z-axis."""
-    n = np.asarray(khat, dtype=float)
-    theta = math.atan2(math.hypot(n[0], n[1]), n[2])
-    phi = math.atan2(n[1], n[0]) if theta > 0.0 else 0.0
-    return theta, phi
+    x, y, z = khat
+    theta = math.atan2(math.hypot(x, y), z)
+    return theta, (math.atan2(y, x) if theta > 0.0 else 0.0)
 
 
-def _standard_matrix(khat, energy: float) -> np.ndarray:
+def _standard_matrix(khat, energy: float) -> tuple:
     """Raw L(k) = Rz(phi) Ry(theta) Bz(ln energy) for a unit direction khat."""
     theta, phi = direction_angles(khat)
-    ct, st = math.cos(theta), math.sin(theta)
-    cp, sp = math.cos(phi), math.sin(phi)
-    u = math.log(energy)
-    ch, sh = math.cosh(u), math.sinh(u)
-    return np.array(
-        [
-            [ch, 0.0, 0.0, sh],
-            [cp * st * sh, cp * ct, -sp, cp * st * ch],
-            [sp * st * sh, sp * ct, cp, sp * st * ch],
-            [ct * sh, -st, 0.0, ct * ch],
-        ]
-    )
+    ct, st, cp, sp = math.cos(theta), math.sin(theta), math.cos(phi), math.sin(phi)
+    ch, sh = math.cosh(math.log(energy)), math.sinh(math.log(energy))
+    return ((ch, 0.0, 0.0, sh), (cp * st * sh, cp * ct, -sp, cp * st * ch),
+            (sp * st * sh, sp * ct, cp, sp * st * ch), (ct * sh, -st, 0.0, ct * ch))
 
 
-def _little_group_element(a: float, b: float, xi: float) -> np.ndarray:
+def _little_group_element(a: float, b: float, xi: float) -> tuple:
     """S(a, b) Rz(xi), where S = exp(a A + b B) for the null generators A, B."""
     c, s = math.cos(xi), math.sin(xi)
     z = 0.5 * (a * a + b * b)
     u, v = a * c + b * s, b * c - a * s
-    return np.array(
-        [
-            [1.0 + z, u, v, -z],
-            [a, c, -s, -a],
-            [b, s, c, -b],
-            [z, u, v, 1.0 - z],
-        ]
-    )
+    return ((1.0 + z, u, v, -z), (a, c, -s, -a), (b, s, c, -b), (z, u, v, 1.0 - z))
 
 
 def wigner_angle(lam: LorentzMatrix, p: FourMomentum) -> float:
@@ -169,29 +160,28 @@ def wigner_angle(lam: LorentzMatrix, p: FourMomentum) -> float:
 
     W is factored as S(a, b) Rz(xi); the null-translation part S is computed
     for the consistency check but not returned.  Helicity amplitudes
-    transform as alpha_{+/-} -> exp(+/- i xi) alpha_{+/-}.
-
-    Both arguments were validated when they were built, so the products
-    here run on raw arrays; L^-1 is the metric transpose eta L^T eta.
+    transform as alpha_{+/-} -> exp(+/- i xi) alpha_{+/-}.  Both arguments
+    were validated when they were built, so the products run on raw floats.
     """
-    m = lam.matrix
-    p_out = m @ p.as_array()
-    energy = float(p_out[0])
+    x, y, z = p.k
+    energy, *k_out = [r0 * p.energy + r1 * x + r2 * y + r3 * z for r0, r1, r2, r3 in lam.matrix]
     if not energy > 0.0:
         raise DomainError("transformed momentum must have positive energy")
-    k_out = p_out[1:]
     norm = math.hypot(*k_out)
     if not (math.isfinite(energy) and abs(energy - norm) <= 1e-12 * energy):
         raise DomainError("transformed momentum is not null")
-    l_out = _standard_matrix(k_out / norm, energy)
-    w = (_METRIC_SIGNS * l_out.T) @ m @ _standard_matrix(p.khat, p.energy)
-    if not np.abs(w @ K_REF - K_REF).max() <= _LORENTZ_TOL:
+    # L^-1 = eta L^T eta: the transpose with row 0 and column 0 negated off the diagonal
+    (a, b, c, d), (e, f, g, h), (i, j, k, l), (m, n, o, q) = _standard_matrix(
+        [x / norm for x in k_out], energy)
+    l_inv = ((a, -e, -i, -m), (-b, f, j, n), (-c, g, k, o), (-d, h, l, q))
+    w = _product(_product(l_inv, lam.matrix), _standard_matrix(p.khat, p.energy))
+    # W k_R, for k_R = (1, 0, 0, 1), is the sum of W's first and last columns
+    if not _within([r[0] + r[3] for r in w], (1.0, 0.0, 0.0, 1.0)):
         raise DomainError("decomposition is singular: W does not fix k_R")
-    xi = math.atan2(w[2, 1], w[1, 1])
+    xi = math.atan2(w[2][1], w[1][1])
     if xi <= -math.pi:
         xi = math.pi
-    residual = np.abs(w - _little_group_element(w[1, 0], w[2, 0], xi)).max()
-    if not residual <= _LORENTZ_TOL:
+    if not _within(sum(w, ()), sum(_little_group_element(w[1][0], w[2][0], xi), ())):
         raise DomainError("decomposition is singular: residual too large")
     return xi
 
@@ -218,10 +208,7 @@ def first_order_boost_phase(
         raise DomainError("theta must lie in [0, pi/2]")
     if not 0.0 <= v < C_LIGHT:
         raise DomainError("v must satisfy 0 <= v < c")
-    return (
-        -math.tan(0.5 * theta) * math.sin(theta_b)
-        * math.sin(phi - phi_b) * (v / C_LIGHT)
-    )
+    return -math.tan(0.5 * theta) * math.sin(theta_b) * math.sin(phi - phi_b) * (v / C_LIGHT)
 
 
 def diffraction_transform(theta: float, v: float) -> float:
@@ -244,12 +231,15 @@ class TwoPhotonState(Record):
     __slots__ = ("amplitudes",)
 
     def __init__(self, amplitudes):
-        a = np.asarray(amplitudes, dtype=complex)
-        if a.shape != (4,):
+        try:
+            a = tuple(map(complex, amplitudes))
+        except TypeError:
+            raise DomainError("need 4 amplitudes (++, +-, -+, --)") from None
+        if len(a) != 4:
             raise DomainError("need 4 amplitudes (++, +-, -+, --)")
-        if abs(float(np.sum(np.abs(a) ** 2)) - 1.0) > 1e-12:
+        if not abs(sum(abs(x) ** 2 for x in a) - 1.0) <= 1e-12:
             raise DomainError("two-photon state must be normalized")
-        object.__setattr__(self, "amplitudes", tuple(complex(v) for v in a))
+        object.__setattr__(self, "amplitudes", a)
 
 
 def apply_helicity_phase(state, chi: float, photon: int):

@@ -7,8 +7,10 @@ written in: the little-group decomposition as a product of validated
 on the grid.  The library now computes the same quantities on raw arrays and
 floats, and advances both witness paths as one spectral state;
 `test_reference_equivalence.py` holds the two to agreement.  The Lorentz
-helpers below build each transform as a validated `LorentzMatrix` from a raw
-array, apart from the library's raw-array path.
+helpers below build each transform as a validated `LorentzMatrix` and form
+every product and matrix-vector product in numpy, apart from the library's
+float path.  The metric `ETA`, the reference null vector `K_REF` and
+`as_array` are the numpy forms the tests use.
 """
 
 import math
@@ -16,13 +18,32 @@ import math
 import numpy as np
 
 from relqopt.gravitomagnetism import RayState
-from relqopt.wigner import ETA, K_REF, FourMomentum, LorentzMatrix, direction_angles
+from relqopt.wigner import FourMomentum, LorentzMatrix, direction_angles
 
+ETA = np.diag([1.0, -1.0, -1.0, -1.0])
+K_REF = np.array([1.0, 0.0, 0.0, 1.0])
 _TOL = 1e-10
+
+
+def array(lam: LorentzMatrix) -> np.ndarray:
+    return np.array(lam.matrix)
+
+
+def as_array(p: FourMomentum) -> np.ndarray:
+    """The (t, x, y, z) components of a four-momentum."""
+    return np.array([p.energy, *p.k])
 
 
 def rotation_y(angle: float) -> LorentzMatrix:
     return LorentzMatrix.rotation((0.0, 1.0, 0.0), angle)
+
+
+def rotation_z(angle: float) -> LorentzMatrix:
+    return LorentzMatrix.rotation((0.0, 0.0, 1.0), angle)
+
+
+def product(a: LorentzMatrix, b: LorentzMatrix) -> LorentzMatrix:
+    return LorentzMatrix(array(a) @ array(b))
 
 
 def boost_z(rapidity: float) -> LorentzMatrix:
@@ -33,7 +54,7 @@ def boost_z(rapidity: float) -> LorentzMatrix:
 
 def inverse(lam: LorentzMatrix) -> LorentzMatrix:
     # metric transpose: exact inverse for any Lorentz matrix
-    return LorentzMatrix(ETA @ lam.matrix.T @ ETA)
+    return LorentzMatrix(ETA @ array(lam).T @ ETA)
 
 
 def momentum(arr) -> FourMomentum:
@@ -43,16 +64,15 @@ def momentum(arr) -> FourMomentum:
 
 def _standard_transform(k: FourMomentum) -> LorentzMatrix:
     theta, phi = direction_angles(k.khat)
-    rotation = LorentzMatrix.rotation_z(phi) @ rotation_y(theta)
-    return rotation @ boost_z(math.log(k.energy))
+    return product(product(rotation_z(phi), rotation_y(theta)), boost_z(math.log(k.energy)))
 
 
 def wigner_angle(lam: LorentzMatrix, p: FourMomentum) -> float:
-    p_out = lam.apply(p.as_array())
+    p_out = array(lam) @ as_array(p)
     assert p_out[0] > 0.0
     l_in = _standard_transform(p)
     l_out = _standard_transform(momentum(p_out))
-    w = inverse(l_out).matrix @ lam.matrix @ l_in.matrix
+    w = array(inverse(l_out)) @ array(lam) @ array(l_in)
     assert np.max(np.abs(w @ K_REF - K_REF)) <= _TOL
     xi = math.atan2(w[2, 1], w[1, 1])
     if xi <= -math.pi:
@@ -61,7 +81,7 @@ def wigner_angle(lam: LorentzMatrix, p: FourMomentum) -> float:
     z = 0.5 * (a * a + b * b)
     null_translation = np.array(
         [[1.0 + z, a, b, -z], [a, 1.0, 0.0, -a], [b, 0.0, 1.0, -b], [z, a, b, 1.0 - z]])
-    rz = LorentzMatrix.rotation_z(xi).matrix
+    rz = array(rotation_z(xi))
     assert np.max(np.abs(w - null_translation @ rz)) <= _TOL
     return xi
 

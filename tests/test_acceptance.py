@@ -91,7 +91,7 @@ def test_criterion_04_little_group_first_order():
             # wigner_angle uses the frames Rz(phi) Ry(theta); the closed form
             # uses Rz(phi) Ry(theta) Rz(-phi), regular at the pole.  The angles
             # differ exactly by the change in azimuth, wrapped to (-pi, pi].
-            _, phi_out = wigner.direction_angles(lam.apply(p.as_array())[1:])
+            _, phi_out = wigner.direction_angles((np.array(lam.matrix) @ (p.energy, *p.k))[1:])
             _, phi_in = wigner.direction_angles(p.khat)
             exact = math.pi - (math.pi - (xi + phi_out - phi_in)) % (2.0 * math.pi)
             closed = wigner.first_order_boost_phase(theta, phi, theta_b, phi_b,
@@ -215,8 +215,9 @@ def test_criterion_11_property_suites():
             if b @ b >= 0.98:
                 b = b * 0.5
             lam = (wigner.LorentzMatrix.boost(tuple(b))
-                   @ wigner.LorentzMatrix.rotation_z(rng.uniform(0.0, 2.0 * math.pi)))
-            m = lam.matrix
+                   @ wigner.LorentzMatrix.rotation((0.0, 0.0, 1.0),
+                                                   rng.uniform(0.0, 2.0 * math.pi)))
+            m = np.array(lam.matrix)
             assert np.max(np.abs(m.T @ eta @ m - eta)) < 1e-9
 
         # interval magnitude survives a change of frame

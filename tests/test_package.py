@@ -67,6 +67,10 @@ def test_start_up_skips_dataclasses_inspect_and_configparser(argv):
     ["curves", "--which", "photons"],
     ["curves", "--which", "ralph"],
     ["report", "--effects", "geometry,gravitomagnetic,interferometry,qft,diffusion"],
+    ["wigner"],
+    ["wigner", "--beta", "1e-3", "--theta", "45", "--phi", "30", "--theta-b", "90",
+     "--phi-b", "120"],
+    ["report", "--effects", "geometry,wigner,gravitomagnetic,interferometry,qft,diffusion"],
 ], ids=" ".join)
 def test_scalar_subcommands_do_not_load_numpy(argv):
     code = (
@@ -77,3 +81,8 @@ def test_scalar_subcommands_do_not_load_numpy(argv):
         "assert 'numpy' not in sys.modules, 'numpy was loaded'\n"
     )
     _run_fresh(code)
+
+
+def test_wigner_module_does_not_load_numpy():
+    _run_fresh("import sys\nimport relqopt.wigner\n"
+               "assert 'numpy' not in sys.modules, 'numpy was loaded'\n")

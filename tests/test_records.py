@@ -1,6 +1,9 @@
-"""The value records (`errors.Record` subclasses) are immutable and compare by value."""
+"""The value records (`errors.Record` subclasses) are immutable, compare by value and
+pickle and copy to equal records."""
 
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -102,3 +105,11 @@ def test_each_key_default_obeys_its_rule(key):
     if key.parse is scenario._float:
         assert isinstance(x, float) and math.isfinite(x)
     assert all(test(x, bound) for test, bound in key.tests)
+
+
+def test_records_pickle_copy_and_deepcopy_to_equal_records(make):
+    record = make()
+    for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(clone) is type(record) and clone == record
+        with pytest.raises(AttributeError):
+            setattr(clone, type(record).__slots__[0], None)

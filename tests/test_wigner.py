@@ -4,12 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from reference_kernels import boost_z, inverse, momentum, rotation_y
+from reference_kernels import (ETA, K_REF, array, as_array, boost_z, inverse, momentum,
+                               rotation_y, rotation_z)
 from relqopt.constants import C_LIGHT
 from relqopt.errors import DomainError
 from relqopt.wigner import (
-    ETA,
-    K_REF,
     FourMomentum,
     LorentzMatrix,
     TwoPhotonState,
@@ -61,10 +60,10 @@ def test_standard_rotation_of_x_axis():
 def test_standard_rotation_carries_z_onto_direction():
     k = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
     r = _frame(k)
-    assert np.allclose(r.matrix[1:, 3], k, atol=1e-14)
+    assert np.allclose(array(r)[1:, 3], k, atol=1e-14)
     # explicit Rz(phi) Ry(theta) product
     theta, phi = direction_angles(k)
-    explicit = LorentzMatrix.rotation_z(phi) @ rotation_y(theta)
+    explicit = rotation_z(phi) @ rotation_y(theta)
     assert np.allclose(r.matrix, explicit.matrix, atol=1e-14)
 
 
@@ -82,14 +81,14 @@ def test_standard_transform_maps_reference_momentum():
     for _ in range(50):
         k = _random_direction(rng) * rng.uniform(0.1, 10.0)
         p = FourMomentum(float(np.linalg.norm(k)), tuple(k))
-        assert np.allclose(_transform(p).apply(K_REF), p.as_array(), rtol=1e-12, atol=1e-12)
+        assert np.allclose(array(_transform(p)) @ K_REF, as_array(p), rtol=1e-12, atol=1e-12)
 
 
 def test_metric_preservation_of_generated_matrices():
     rng = np.random.default_rng(4)
     for _ in range(60):
         lam = (_random_rotation(rng) @ _random_boost(rng) @ _random_rotation(rng))
-        m = lam.matrix
+        m = array(lam)
         assert np.allclose(m.T @ ETA @ m, ETA, atol=1e-9)
         assert abs(np.linalg.det(m) - 1.0) < 1e-9
         assert m[0, 0] >= 1.0 - 1e-12
@@ -98,6 +97,19 @@ def test_metric_preservation_of_generated_matrices():
 def test_non_lorentz_matrix_rejected():
     with pytest.raises(DomainError):
         LorentzMatrix(np.diag([1.0, 2.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("matrix, message", [
+    (np.diag([1.0, -1.0, 1.0, 1.0]), "determinant"),
+    (np.diag([-1.0, -1.0, -1.0, -1.0]), "orthochronous"),
+    ([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, math.nan, 0.0], [0.0, 0.0, 1.0, 0.0],
+      [0.0, 0.0, 0.0, 1.0]], "finite"),
+    (np.eye(3), "4x4"),
+], ids=["parity", "time_reversal", "nan", "3x3"])
+def test_each_validator_check_rejects_its_case(matrix, message):
+    # parity and -1 both preserve the metric, so only the later checks catch them
+    with pytest.raises(DomainError, match=message):
+        LorentzMatrix(matrix)
 
 
 def _boost_with_gamma(gamma, direction=(1.0, 2.0, -0.5)):
@@ -111,12 +123,12 @@ def test_high_gamma_boosts_are_accepted(gamma):
     # beta^2 itself carries a relative gamma^2 eps, hence the loose check on gamma
     for direction in ((1.0, 0.0, 0.0), (1.0, 2.0, -0.5)):
         m = _boost_with_gamma(gamma, direction).matrix
-        assert m[0, 0] == pytest.approx(gamma, rel=1e-6)
+        assert m[0][0] == pytest.approx(gamma, rel=1e-6)
 
 
 @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1)])
 def test_perturbed_high_gamma_boost_is_rejected(entry):
-    m = _boost_with_gamma(1e3).matrix.copy()
+    m = array(_boost_with_gamma(1e3))
     m[entry] *= 1.0 + 1e-6
     with pytest.raises(DomainError):
         LorentzMatrix(m)
@@ -125,7 +137,7 @@ def test_perturbed_high_gamma_boost_is_rejected(entry):
 def test_perturbed_transverse_entry_of_high_gamma_boost_is_rejected():
     # a unit-size entry keeps an absolute bound next to the gamma^2-size ones:
     # a 1e-5 relative error in M[2, 2] of an x-boost at gamma = 1000 is caught
-    m = _boost_with_gamma(1e3, (1.0, 0.0, 0.0)).matrix.copy()
+    m = array(_boost_with_gamma(1e3, (1.0, 0.0, 0.0)))
     m[2, 2] *= 1.0 + 1e-5
     with pytest.raises(DomainError):
         LorentzMatrix(m)
@@ -143,7 +155,7 @@ def test_four_momentum_rejects_non_finite_or_malformed_k(k):
 
 def test_rotation_about_momentum_axis_is_the_little_group_angle():
     p = FourMomentum(1.0, (0.0, 0.0, 1.0))
-    assert wigner_angle(LorentzMatrix.rotation_z(0.3), p) == pytest.approx(0.3, abs=1e-12)
+    assert wigner_angle(rotation_z(0.3), p) == pytest.approx(0.3, abs=1e-12)
 
 
 def test_pure_rotation_recomposition_oracle():
@@ -154,10 +166,10 @@ def test_pure_rotation_recomposition_oracle():
         khat = _random_direction(rng)
         p = FourMomentum(1.0, tuple(khat))
         chi = wigner_angle(lam, p)
-        out_dir = lam.apply(p.as_array())[1:]
+        out_dir = (array(lam) @ as_array(p))[1:]
         out_dir /= np.linalg.norm(out_dir)
-        lhs = lam.matrix @ _frame(khat).matrix
-        rhs = _frame(out_dir).matrix @ LorentzMatrix.rotation_z(chi).matrix
+        lhs = array(lam) @ array(_frame(khat))
+        rhs = array(_frame(out_dir)) @ array(rotation_z(chi))
         assert np.allclose(lhs, rhs, atol=1e-9)
 
 
@@ -167,8 +179,8 @@ def test_little_group_element_fixes_reference_momentum():
         lam = _random_boost(rng) @ _random_rotation(rng)
         k = _random_direction(rng) * rng.uniform(0.2, 5.0)
         p = FourMomentum(float(np.linalg.norm(k)), tuple(k))
-        w = inverse(_transform(momentum(lam.apply(p.as_array())))) @ lam @ _transform(p)
-        assert np.max(np.abs(w.apply(K_REF) - K_REF)) < 1e-10
+        w = inverse(_transform(momentum(array(lam) @ as_array(p)))) @ lam @ _transform(p)
+        assert np.max(np.abs(array(w) @ K_REF - K_REF)) < 1e-10
         wigner_angle(lam, p)  # decomposition must not be singular
 
 
@@ -178,7 +190,7 @@ def test_rotation_composition_law():
         l1, l2 = _random_rotation(rng), _random_rotation(rng)
         k = _random_direction(rng)
         p = FourMomentum(1.0, tuple(k))
-        p1 = momentum(l1.apply(p.as_array()))
+        p1 = momentum(array(l1) @ as_array(p))
         total = wigner_angle(l2 @ l1, p)
         parts = wigner_angle(l2, p1) + wigner_angle(l1, p)
         diff = (total - parts + math.pi) % (2.0 * math.pi) - math.pi
@@ -276,6 +288,22 @@ def test_two_photon_phase_requires_photon_index():
     for photon in (None, -1, 2):
         with pytest.raises(DomainError):
             apply_helicity_phase(state, 0.1, photon)
+
+
+@pytest.mark.parametrize("amplitudes", [
+    (1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0), 1.0, (0.6, 0.6, 0.0, 0.0), (math.nan, 0.0, 0.0, 0.0),
+], ids=["three", "five", "scalar", "unnormalized", "nan"])
+def test_two_photon_state_rejects_malformed_or_unnormalized_amplitudes(amplitudes):
+    with pytest.raises(DomainError):
+        TwoPhotonState(amplitudes)
+
+
+def test_float_products_match_numpy():
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        a, b = _random_boost(rng) @ _random_rotation(rng), _random_boost(rng)
+        assert np.allclose(array(a @ b), array(a) @ array(b), rtol=0.0, atol=1e-14)
+        assert all(type(x) is float for row in (a @ b).matrix for x in row)
 
 
 def test_concurrence_values():

@@ -71,18 +71,12 @@ def test_start_up_skips_dataclasses_inspect_and_configparser(argv):
     ["wigner", "--beta", "1e-3", "--theta", "45", "--phi", "30", "--theta-b", "90",
      "--phi-b", "120"],
     ["report", "--effects", "geometry,wigner,gravitomagnetic,interferometry,qft,diffusion"],
-], ids=" ".join)
+    None,
+], ids=lambda argv: " ".join(argv) if argv else "import relqopt.wigner")
 def test_scalar_subcommands_do_not_load_numpy(argv):
-    code = (
-        "import contextlib, io, sys\n"
-        "from relqopt.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main({argv!r}) == 0\n"
-        "assert 'numpy' not in sys.modules, 'numpy was loaded'\n"
-    )
-    _run_fresh(code)
-
-
-def test_wigner_module_does_not_load_numpy():
-    _run_fresh("import sys\nimport relqopt.wigner\n"
-               "assert 'numpy' not in sys.modules, 'numpy was loaded'\n")
+    run = ("import relqopt.wigner\n" if argv is None else
+           "import contextlib, io\n"
+           "from relqopt.cli import main\n"
+           "with contextlib.redirect_stdout(io.StringIO()):\n"
+           f"    assert main({argv!r}) == 0\n")
+    _run_fresh("import sys\n" + run + "assert 'numpy' not in sys.modules, 'numpy was loaded'\n")

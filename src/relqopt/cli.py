@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: `report` (full effect table for a scenario), `bell-sim`
-(CHSH Monte Carlo), `diffusion` and `wigner` (single-group evaluations),
-`orbit` (ephemeris samples), `curves` (plot-ready data).  Exit codes:
-0 success, 2 configuration problem, 3 numeric failure.
+(CHSH Monte Carlo), `diffusion` and `wigner` (one group each, rows as
+`scenario` defines them), `orbit` (ephemeris samples), `curves` (plot-ready
+data).  Exit codes: 0 success, 2 configuration problem, 3 numeric failure.
 
 Output is an aligned table by default or RFC-4180-style CSV (LF line
 endings, '.' decimal separator, 17 significant digits) with --format csv.
@@ -15,12 +15,12 @@ Only `bell-sim` and a `report` with the bell group load numpy.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
-from . import bell, diffusion, orbits, qft_effects
+from . import bell, orbits, qft_effects
 from . import scenario as scen
-from .constants import C_LIGHT
 from .errors import ConfigurationError, DomainError, EffectError, NumericFailure
 
 # largest `orbit --samples` and `curves --points`: each subcommand builds its
@@ -92,35 +92,15 @@ def _cmd_report(args, stream) -> int:
 
 def _cmd_bell_sim(args, stream) -> int:
     s = _load_scenario(args, photon_budget=args.photons)
-    rows = [scen.ReportEntry("bell.visibility", s.visibility, "dimensionless", "§8.1"),
-            scen.ReportEntry("bell.photon_budget", s.photon_budget, "count", "§8.1")]
-    for e in scen.run_report(s, effects={"bell"}).entries:
-        rows.append(e)
-        if e.effect == "bell.seed":
-            rows.append(scen.ReportEntry("bell.workers", s.workers, "dimensionless", "§8.1"))
-    _write_entries(rows, args.format, stream)
-    if args.counts_out:
+    with scen.effect_errors("bell"):
         counts = scen.bell_counts(s)
+    report = scen.evaluate(s, [("bell", functools.partial(scen.GROUPS["bell"], counts=counts))])
+    _write_entries(report.entries, args.format, stream)
+    if args.counts_out:
         with open(args.counts_out, "w", encoding="utf-8", newline="") as fh:
             _write_rows([(*pair, *row) for pair, row in zip(counts.settings, counts.counts)],
                         ("alpha", "beta", "n_pp", "n_pm", "n_mp", "n_mm"), "csv", fh)
     return 0
-
-
-def _affine_parameter(s: scen.Scenario, sat) -> list:
-    lam = diffusion.affine_parameter(s.light_time_s(), s.frequency_hz())
-    return [scen.ReportEntry("diffusion.affine_parameter", lam, "s/J", "§5.2")]
-
-
-def _cmd_diffusion(args, stream) -> int:
-    s = _load_scenario(args)
-    report = scen.evaluate(s, [("diffusion", _affine_parameter),
-                               ("diffusion", scen.GROUPS["diffusion"])])
-    return _write_entries(report.entries, args.format, stream)
-
-
-def _direction(theta: float, phi: float) -> tuple:
-    return (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
 
 
 def _cmd_wigner(args, stream) -> int:
@@ -129,30 +109,12 @@ def _cmd_wigner(args, stream) -> int:
         _require(math.isfinite(x), flag, "finite")
     if args.beta is not None:
         _require(0.0 <= args.beta < 1.0, "--beta", "in [0, 1)")
-    from . import wigner
     s = _load_scenario(args)
     theta, phi, theta_b, phi_b = map(math.radians, (args.theta, args.phi, args.theta_b, args.phi_b))
-
-    def angles(s, sat) -> list:
-        v = sat.speed if args.beta is None else args.beta * C_LIGHT
-        beta = v / C_LIGHT if args.beta is None else args.beta
-        lam = wigner.LorentzMatrix.boost(tuple(beta * x for x in _direction(theta_b, phi_b)))
-        exact = wigner.wigner_angle(lam, wigner.FourMomentum(1.0, _direction(theta, phi)))
-        return [
-            scen.ReportEntry("wigner.beta", beta, "dimensionless", "§3.1.1"),
-            scen.ReportEntry("wigner.exact_angle", exact, "rad", "§3.1.1"),
-            scen.ReportEntry("wigner.first_order_phase",
-                             wigner.first_order_boost_phase(theta, phi, theta_b, phi_b, v),
-                             "rad", "§3.1.1 Eq. (13)"),
-        ]
-
-    report = scen.evaluate(s, [("wigner", angles), ("wigner", scen.GROUPS["wigner"])])
-    # a row given here replaces the report group's row of the same name, which
-    # is taken at the report's fixed geometry
-    rows = {}
-    for e in report.entries:
-        rows.setdefault(e.effect, e)
-    return _write_entries(rows.values(), args.format, stream)
+    geometry = dict(theta=theta, phi=phi, theta_b=theta_b, phi_b=phi_b, beta=args.beta)
+    report = scen.evaluate(s, [("wigner", functools.partial(fn, **geometry))
+                               for fn in (scen.wigner_exact, scen.GROUPS["wigner"])])
+    return _write_entries(report.entries, args.format, stream)
 
 
 def _cmd_orbit(args, stream) -> int:
@@ -235,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diffusion", parents=[common],
                        help="polarization-diffusion forecasts")
-    p.set_defaults(func=_cmd_diffusion)
+    p.set_defaults(func=_cmd_report, effects="diffusion")
 
     p = sub.add_parser("wigner", parents=[common],
                        help="exact and first-order little-group angles")

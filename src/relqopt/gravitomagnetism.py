@@ -16,13 +16,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .constants import C_LIGHT, GRAVITATIONAL_G
 from .errors import DomainError, Record
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def _finite_vector(value, name: str) -> tuple:
@@ -95,17 +92,16 @@ def _rotation_rate(omega, eg, khat, k) -> tuple:
 
 def transport_ray(
     state: RayState,
-    sampler: Callable[[np.ndarray], GravField],
+    sampler: Callable[[tuple], GravField],
     lam_end: float,
     steps: int,
 ) -> RayState:
     """RK4-transport khat and fhat along the ray from state.lam to lam_end.
 
     The position advances with dx/dlambda = khat so the sampler sees the
-    spatial point; khat and fhat are renormalized after every step.  The
-    state is y = (position, khat, fhat) as nine floats.
+    spatial point, a tuple of three floats; khat and fhat are renormalized
+    after every step.  The state is y = (position, khat, fhat) as nine floats.
     """
-    import numpy as np
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
         raise DomainError("steps must be an integer")
     if steps < 1:
@@ -116,7 +112,7 @@ def transport_ray(
 
     def deriv(y):
         px, py, pz, kx, ky, kz, fx, fy, fz = y
-        field = sampler(np.array((px, py, pz)))
+        field = sampler((px, py, pz))
         n = math.sqrt(kx * kx + ky * ky + kz * kz)
         ox, oy, oz = _rotation_rate(field.omega, field.eg, (kx / n, ky / n, kz / n), (kx, ky, kz))
         return (

@@ -5,8 +5,10 @@ units throughout; angles are degrees in files and radians internally.
 Each scalar key is one `Key` record in `KEYS` (section, name, default, parser,
 domain rule) and one `Scenario` field; the known-key check, parsing,
 validation, `[section] key` error text and `Scenario.replace` all read it.
+`Scenario(...)` also holds each value to the type its key's parser gives.
 `[orbit]`, `[stations]` and `[effects]` are special cases.  Each effect group
-is one function in `GROUPS`; every report value is the result of a library call.
+is one function in `GROUPS`, the one source of every row the report, `bell-sim`,
+`diffusion` and `wigner` print; every value is the result of a library call.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ import math
 import numbers
 import operator
 import re
+import sys
 from collections import namedtuple
 from typing import NamedTuple
 
-# only the wigner group needs `wigner`, so it imports it when it runs
+# only the wigner rows need `wigner`, so they import it when they run
 from . import bell, diffusion, gravitomagnetism, interferometry, kinematics, orbits, qft_effects
 from .constants import C_LIGHT, EARTH, G0, ROUNDED_EARTH
 from .errors import ConfigurationError, DomainError, EffectError, Record
@@ -72,16 +75,39 @@ def _geometry(s: Scenario, sat) -> list:
     return out
 
 
-def _wigner(s: Scenario, sat) -> list:
+def _direction(theta: float, phi: float) -> tuple:
+    return (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
+
+
+def _wigner(s: Scenario, sat, *, theta=0.5 * math.pi, phi=0.5 * math.pi, theta_b=0.5 * math.pi,
+            phi_b=0.0, beta=None) -> list:
+    """Photon direction (theta, phi) and boost direction (theta_b, phi_b) in radians; the
+    boost speed is `beta` c, or the satellite's speed at epoch when `beta` is None.  The
+    defaults, the report's fixed geometry, equal the `wigner` flag defaults bit for bit."""
     from . import wigner
+    v = sat.speed if beta is None else beta * C_LIGHT
     return [
         ReportEntry("wigner.first_order_phase",
-                    wigner.first_order_boost_phase(
-                        0.5 * math.pi, 0.5 * math.pi, 0.5 * math.pi, 0.0, sat.speed),
+                    wigner.first_order_boost_phase(theta, phi, theta_b, phi_b, v),
                     "rad", "§3.1.1 Eq. (13)"),
         ReportEntry("wigner.diffraction_ratio",
                     wigner.diffraction_transform(1.0, s.relative_speed),
                     "dimensionless", "§3.1.1"),
+    ]
+
+
+def wigner_exact(s: Scenario, sat, *, theta, phi, theta_b, phi_b, beta=None) -> list:
+    """The boost speed and the exact little-group angle for `_wigner`'s geometry; at the
+    report's fixed geometry that angle is zero up to rounding, so only the `wigner`
+    subcommand prints these rows."""
+    from . import wigner
+    beta = sat.speed / C_LIGHT if beta is None else beta
+    lam = wigner.LorentzMatrix.boost(tuple(beta * x for x in _direction(theta_b, phi_b)))
+    return [
+        ReportEntry("wigner.beta", beta, "dimensionless", "§3.1.1"),
+        ReportEntry("wigner.exact_angle",
+                    wigner.wigner_angle(lam, wigner.FourMomentum(1.0, _direction(theta, phi))),
+                    "rad", "§3.1.1"),
     ]
 
 
@@ -153,6 +179,8 @@ def _qft(s: Scenario, sat) -> list:
 def _diffusion(s: Scenario, sat) -> list:
     t, nu = s.light_time_s(), s.frequency_hz()
     return [
+        ReportEntry("diffusion.affine_parameter", diffusion.affine_parameter(t, nu),
+                    "s/J", "§5.2"),
         ReportEntry("diffusion.angle_shift", diffusion.angle_shift(t, nu, s.drift_d),
                     "dimensionless", "§5.2"),
         ReportEntry("diffusion.polarization_decay",
@@ -173,12 +201,16 @@ def bell_counts(s: Scenario) -> bell.CoincidenceCounts:
         s.visibility, s.photon_budget, bell.CHSH_SETTINGS, seed=s.seed, workers=s.workers)
 
 
-def _bell(s: Scenario, sat) -> list:
+def _bell(s: Scenario, sat, counts=None) -> list:
+    """`counts` are the scenario's simulated counts, simulated here when None."""
     n_req = bell.required_photons(s.visibility)
-    result = bell.chsh_estimate(bell_counts(s))
+    result = bell.chsh_estimate(bell_counts(s) if counts is None else counts)
     return [
+        ReportEntry("bell.visibility", s.visibility, "dimensionless", "§8.1"),
+        ReportEntry("bell.photon_budget", s.photon_budget, "count", "§8.1"),
         ReportEntry("bell.required_photons", n_req, "count", "§8.1 Eq. (29)"),
         ReportEntry("bell.seed", s.seed, "dimensionless", "§8.1"),
+        ReportEntry("bell.workers", s.workers, "dimensionless", "§8.1"),
         ReportEntry("bell.simulated_s", result.s_value, "dimensionless", "§8.1"),
         ReportEntry("bell.sigma", result.sigma, "dimensionless", "§8.1"),
         ReportEntry("bell.n_sigma_violation", result.n_sigma_violation,
@@ -207,6 +239,7 @@ _BOOL = {"on": True, "true": True, "yes": True, "1": True,
 _INT_TEXT = re.compile(r"([+-]?)(\d+)(?:\.(\d*))?(?:[eE]([+-]?\d{1,9}))?")
 # Python's own limit on the digits of an int read from text
 _INT_DIGITS = 4300
+_FLOAT_MAX = sys.float_info.max
 _OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le,
         "in": lambda x, choices: x in choices}
 
@@ -252,6 +285,10 @@ def _text(where: str, raw: str) -> str:
     return raw
 
 
+# the type of the values each parser gives, which a value passed to Scenario() must have;
+# the built-in types come first because an isinstance check on an ABC is ~10x slower
+_KINDS = {_float: ((float, int, numbers.Real), "a number"), _bool: (bool, "on/off"),
+          _int: ((int, numbers.Integral), "an integer"), _text: (str, "text")}
 Key = namedtuple("Key", "section name default parse rule tests")
 
 
@@ -306,9 +343,10 @@ class Scenario(Record):
         for section, name, default, parse, rule, tests in KEYS:
             x = values.pop(name, default)
             if x is not default:  # a default obeys its rule; tests hold it to that
-                if parse is _int and (isinstance(x, bool) or not isinstance(x, numbers.Integral)):
-                    raise ConfigurationError(f"[{section}] {name} must be an integer")
-                if parse is _float and not math.isfinite(x):
+                kind, what = _KINDS[parse]
+                if not isinstance(x, kind) or (isinstance(x, bool) and kind is not bool):
+                    raise ConfigurationError(f"[{section}] {name} must be {what}")
+                if parse is _float and not abs(x) <= _FLOAT_MAX:  # NaN, inf or an int past it
                     raise ConfigurationError(f"[{section}] {name} must be finite")
                 for test, bound in tests:
                     if not test(x, bound):

@@ -43,8 +43,10 @@ def _within(got, want, bounds=(_LORENTZ_TOL,) * 16) -> bool:
     return all(map(le, map(abs, map(sub, got, want)), bounds))
 
 
-class LorentzMatrix:
+class LorentzMatrix(Record):
     """A proper orthochronous Lorentz transformation; `matrix` is four row tuples of floats."""
+
+    __slots__ = ("matrix",)
 
     def __init__(self, matrix):
         try:
@@ -73,7 +75,7 @@ class LorentzMatrix:
             raise DomainError("matrix must have determinant +1")
         if a0 < 1.0 - _LORENTZ_TOL:
             raise DomainError("matrix must be orthochronous")
-        self.matrix = rows
+        object.__setattr__(self, "matrix", rows)
 
     @classmethod
     def rotation(cls, axis, angle: float) -> "LorentzMatrix":
@@ -101,9 +103,6 @@ class LorentzMatrix:
         gx, gy, gz, kxy, kxz, kyz = gamma * x, gamma * y, gamma * z, k * x * y, k * x * z, k * y * z
         return cls(((gamma, gx, gy, gz), (gx, 1.0 + k * x * x, kxy, kxz),
                     (gy, kxy, 1.0 + k * y * y, kyz), (gz, kxz, kyz, 1.0 + k * z * z)))
-
-    def __matmul__(self, other: "LorentzMatrix") -> "LorentzMatrix":
-        return LorentzMatrix(_product(self.matrix, other.matrix))
 
 
 class FourMomentum(Record):

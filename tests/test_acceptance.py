@@ -214,10 +214,11 @@ def test_criterion_11_property_suites():
             b = rng.uniform(-0.9, 0.9, size=3)
             if b @ b >= 0.98:
                 b = b * 0.5
-            lam = (wigner.LorentzMatrix.boost(tuple(b))
-                   @ wigner.LorentzMatrix.rotation((0.0, 0.0, 1.0),
-                                                   rng.uniform(0.0, 2.0 * math.pi)))
-            m = np.array(lam.matrix)
+            boost = wigner.LorentzMatrix.boost(tuple(b))
+            rotation = wigner.LorentzMatrix.rotation((0.0, 0.0, 1.0),
+                                                     rng.uniform(0.0, 2.0 * math.pi))
+            m = np.array(wigner.LorentzMatrix(np.array(boost.matrix)
+                                              @ np.array(rotation.matrix)).matrix)
             assert np.max(np.abs(m.T @ eta @ m - eta)) < 1e-9
 
         # interval magnitude survives a change of frame

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from relqopt import bell
 from relqopt.cli import _linspace, main
 
 
@@ -145,6 +146,16 @@ def test_bell_sim(capsys, tmp_path):
     assert total == 20000.0
 
 
+def test_bell_sim_counts_out_runs_one_monte_carlo(capsys, tmp_path, monkeypatch):
+    calls = []
+    simulate = bell.simulate_coincidences
+    monkeypatch.setattr(bell, "simulate_coincidences",
+                        lambda *a, **k: calls.append(a) or simulate(*a, **k))
+    code, _, _ = _run(capsys, "bell-sim", "--counts-out", str(tmp_path / "counts.csv"))
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_bell_sim_low_visibility_exits_3(capsys, tmp_path):
     path = _write(tmp_path, "[bell]\nvisibility = 0.5\n")
     code, _, err = _run(capsys, "bell-sim", "--scenario", path)
@@ -158,6 +169,23 @@ def test_diffusion_subcommand(capsys):
     names = [r[0] for r in _csv_rows(out)[1:]]
     assert "diffusion.affine_parameter" in names
     assert "diffusion.cmb_drift_bound" in names
+
+
+@pytest.mark.parametrize("argv, group", [
+    (["diffusion"], ["report", "--effects", "diffusion"]),
+    (["bell-sim", "--seed", "7", "--workers", "3"],
+     ["report", "--effects", "bell", "--seed", "7", "--workers", "3"]),
+    (["wigner"], ["report", "--effects", "wigner"]),
+], ids=lambda argv: " ".join(argv))
+def test_subcommand_prints_the_rows_of_its_report_group(capsys, argv, group):
+    """A single-group subcommand prints its group's rows, byte for byte; `wigner`
+    adds only the rows of the exact angle, which the report leaves out."""
+    _, out, _ = _run(capsys, *argv, "--format", "csv")
+    _, want, _ = _run(capsys, *group, "--format", "csv")
+    extra = ("wigner.beta,", "wigner.exact_angle,")
+    assert [line for line in out.splitlines() if not line.startswith(extra)] \
+        == want.splitlines()
+    assert len(out.splitlines()) - len(want.splitlines()) == (2 if argv == ["wigner"] else 0)
 
 
 def test_wigner_subcommand_default_geometry(capsys):

@@ -61,6 +61,17 @@ def test_start_up_skips_dataclasses_inspect_and_configparser(argv):
     _run_fresh(code)
 
 
+# library code that runs without numpy, by test id
+_SCALAR_CODE = {
+    "import relqopt.wigner": "import relqopt.wigner\n",
+    "transport_ray": (
+        "from relqopt.gravitomagnetism import GravField, RayState, transport_ray\n"
+        "ray = RayState((7e6, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))\n"
+        "field = lambda pos: GravField((0.0, 0.0, 1e-9 * pos[0] / 7e6), (0.0, 0.0, 0.0))\n"
+        "assert transport_ray(ray, field, 1e3, 4).lam == 1e3\n"),
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["orbit"],
     ["diffusion"],
@@ -71,10 +82,10 @@ def test_start_up_skips_dataclasses_inspect_and_configparser(argv):
     ["wigner", "--beta", "1e-3", "--theta", "45", "--phi", "30", "--theta-b", "90",
      "--phi-b", "120"],
     ["report", "--effects", "geometry,wigner,gravitomagnetic,interferometry,qft,diffusion"],
-    None,
-], ids=lambda argv: " ".join(argv) if argv else "import relqopt.wigner")
+    *_SCALAR_CODE,
+], ids=lambda argv: argv if isinstance(argv, str) else " ".join(argv))
 def test_scalar_subcommands_do_not_load_numpy(argv):
-    run = ("import relqopt.wigner\n" if argv is None else
+    run = (_SCALAR_CODE[argv] if isinstance(argv, str) else
            "import contextlib, io\n"
            "from relqopt.cli import main\n"
            "with contextlib.redirect_stdout(io.StringIO()):\n"

@@ -34,6 +34,7 @@ RECORDS = {
     "Scenario": lambda: scenario.Scenario(seed=7, stations=(orbits.GroundStation(0.8, 0.2),)),
     "FourMomentum": lambda: wigner.FourMomentum(2.0, (0.0, 0.0, 2.0)),
     "TwoPhotonState": lambda: wigner.TwoPhotonState((0.0, math.sqrt(0.5), -math.sqrt(0.5), 0.0)),
+    "LorentzMatrix": lambda: wigner.LorentzMatrix.boost((0.1, -0.2, 0.3)),
 }
 
 

@@ -41,7 +41,8 @@ def _fast_boost_geometries(n=500):
         boost = LorentzMatrix.boost(_unit(rng.normal(size=3)) * rng.uniform(0.0, 0.99))
         rotation = LorentzMatrix.rotation(rng.normal(size=3), rng.uniform(-math.pi, math.pi))
         energy = rng.uniform(0.5, 2.0)
-        yield boost @ rotation, FourMomentum(energy, tuple(energy * _unit(rng.normal(size=3))))
+        yield ref.product(boost, rotation), FourMomentum(
+            energy, tuple(energy * _unit(rng.normal(size=3))))
 
 
 @pytest.mark.parametrize("geometries", [_criterion_4_geometries, _fast_boost_geometries],

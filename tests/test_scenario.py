@@ -254,8 +254,14 @@ def test_scenario_validation_errors_name_fields():
         (dict(detector_resolution=0.0), "detector_resolution"),
         (dict(kappa=0.5), "kappa"),
         (dict(source="lab"), "source"),
+        # a value of another type than its key's parser gives
+        (dict(retroreflector="off"), "retroreflector"),
+        (dict(visibility=True), "visibility"),
+        (dict(wavelength="1e-6"), "wavelength"),
+        (dict(preset=5), "preset"),
+        (dict(wavelength=10**400), "wavelength"),  # finite, but no float holds it
     ):
-        with pytest.raises(ConfigurationError, match=field):
+        with pytest.raises(ConfigurationError, match=rf"^\[[a-z]+\] {field} must be "):
             Scenario(**kwargs)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from reference_kernels import (ETA, K_REF, array, as_array, boost_z, inverse, momentum,
-                               rotation_y, rotation_z)
+                               product, rotation_y, rotation_z)
 from relqopt.constants import C_LIGHT
 from relqopt.errors import DomainError
 from relqopt.wigner import (
@@ -16,6 +16,7 @@ from relqopt.wigner import (
     concurrence,
     diffraction_transform,
     direction_angles,
+    _product,
     _standard_matrix,
     first_order_boost_phase,
     wigner_angle,
@@ -63,7 +64,7 @@ def test_standard_rotation_carries_z_onto_direction():
     assert np.allclose(array(r)[1:, 3], k, atol=1e-14)
     # explicit Rz(phi) Ry(theta) product
     theta, phi = direction_angles(k)
-    explicit = rotation_z(phi) @ rotation_y(theta)
+    explicit = product(rotation_z(phi), rotation_y(theta))
     assert np.allclose(r.matrix, explicit.matrix, atol=1e-14)
 
 
@@ -87,7 +88,7 @@ def test_standard_transform_maps_reference_momentum():
 def test_metric_preservation_of_generated_matrices():
     rng = np.random.default_rng(4)
     for _ in range(60):
-        lam = (_random_rotation(rng) @ _random_boost(rng) @ _random_rotation(rng))
+        lam = product(product(_random_rotation(rng), _random_boost(rng)), _random_rotation(rng))
         m = array(lam)
         assert np.allclose(m.T @ ETA @ m, ETA, atol=1e-9)
         assert abs(np.linalg.det(m) - 1.0) < 1e-9
@@ -176,10 +177,11 @@ def test_pure_rotation_recomposition_oracle():
 def test_little_group_element_fixes_reference_momentum():
     rng = np.random.default_rng(9)
     for _ in range(50):
-        lam = _random_boost(rng) @ _random_rotation(rng)
+        lam = product(_random_boost(rng), _random_rotation(rng))
         k = _random_direction(rng) * rng.uniform(0.2, 5.0)
         p = FourMomentum(float(np.linalg.norm(k)), tuple(k))
-        w = inverse(_transform(momentum(array(lam) @ as_array(p)))) @ lam @ _transform(p)
+        w = product(product(inverse(_transform(momentum(array(lam) @ as_array(p)))), lam),
+                    _transform(p))
         assert np.max(np.abs(array(w) @ K_REF - K_REF)) < 1e-10
         wigner_angle(lam, p)  # decomposition must not be singular
 
@@ -191,7 +193,7 @@ def test_rotation_composition_law():
         k = _random_direction(rng)
         p = FourMomentum(1.0, tuple(k))
         p1 = momentum(array(l1) @ as_array(p))
-        total = wigner_angle(l2 @ l1, p)
+        total = wigner_angle(product(l2, l1), p)
         parts = wigner_angle(l2, p1) + wigner_angle(l1, p)
         diff = (total - parts + math.pi) % (2.0 * math.pi) - math.pi
         assert abs(diff) < 1e-9
@@ -301,9 +303,10 @@ def test_two_photon_state_rejects_malformed_or_unnormalized_amplitudes(amplitude
 def test_float_products_match_numpy():
     rng = np.random.default_rng(16)
     for _ in range(20):
-        a, b = _random_boost(rng) @ _random_rotation(rng), _random_boost(rng)
-        assert np.allclose(array(a @ b), array(a) @ array(b), rtol=0.0, atol=1e-14)
-        assert all(type(x) is float for row in (a @ b).matrix for x in row)
+        a, b = product(_random_boost(rng), _random_rotation(rng)), _random_boost(rng)
+        ab = _product(a.matrix, b.matrix)
+        assert np.allclose(ab, array(a) @ array(b), rtol=0.0, atol=1e-14)
+        assert all(type(x) is float for row in ab for x in row)
 
 
 def test_concurrence_values():

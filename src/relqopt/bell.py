@@ -8,17 +8,17 @@ A 3-sigma violation is one-sided: (S - 2)/sigma >= 3.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+import sys
+from typing import NamedTuple
 
+from . import _philox
 from .errors import DomainError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 V_MIN = 1.0 / math.sqrt(2.0)
 PHOTON_CAP = 1.0e12
-# Monte Carlo streams: each one costs a SeedSequence child and a Philox
-# generator built in a Python loop, so the count is bounded
+# Monte Carlo streams: each one is a SeedSequence child and a Philox generator
+# built in a Python loop, ~40 us with numpy and ~100 us without, so the count
+# is bounded
 WORKER_CAP = 1024
 
 # standard CHSH arrangement (alpha, beta) per correlation slot; S uses
@@ -45,19 +45,18 @@ def _as_setting_pairs(settings) -> tuple[tuple[float, float], ...]:
 class CoincidenceCounts:
     """Counts per (setting pair, outcome pair), outcome order ++, +-, -+, --.
 
-    Counts are stored as floats so exact analytic expectations can be fed to
+    Counts are rows of 4 floats so exact analytic expectations can be fed to
     the estimator; the simulator always produces nonnegative integers.
     """
 
     def __init__(self, settings, counts):
-        import numpy as np
         self.settings = _as_setting_pairs(settings)
-        c = np.asarray(counts, dtype=float)
-        if c.shape != (len(self.settings), 4):
+        rows = tuple(tuple(map(float, row)) for row in counts)
+        if len(rows) != len(self.settings) or any(len(r) != 4 for r in rows):
             raise DomainError("counts must have shape (n_settings, 4)")
-        if np.any(c < 0) or not np.all(np.isfinite(c)):
+        if not all(0.0 <= x < math.inf for r in rows for x in r):
             raise DomainError("counts must be finite and nonnegative")
-        self.counts = c
+        self.counts = rows
 
 
 class ChshResult(NamedTuple):
@@ -73,16 +72,16 @@ def singlet_correlation(v: float, alpha: float, beta: float) -> float:
     return -v * math.cos(2.0 * (alpha - beta))
 
 
-def joint_probabilities(v: float, alpha: float, beta: float) -> np.ndarray:
+def joint_probabilities(v: float, alpha: float, beta: float) -> tuple:
     """P(++, +-, -+, --) with uniform marginals and singlet correlation."""
-    import numpy as np
     e = singlet_correlation(v, alpha, beta)
-    return np.array([1.0 + e, 1.0 - e, 1.0 - e, 1.0 + e]) / 4.0
+    return ((1.0 + e) / 4.0, (1.0 - e) / 4.0, (1.0 - e) / 4.0, (1.0 + e) / 4.0)
 
 
 def analytic_counts(v: float, pairs_per_setting: float) -> CoincidenceCounts:
     """Exact expected counts (generally non-integer) at CHSH_SETTINGS, for estimator checks."""
-    rows = [pairs_per_setting * joint_probabilities(v, a, b) for a, b in CHSH_SETTINGS]
+    rows = [[pairs_per_setting * p for p in joint_probabilities(v, a, b)]
+            for a, b in CHSH_SETTINGS]
     return CoincidenceCounts(CHSH_SETTINGS, rows)
 
 
@@ -104,24 +103,23 @@ def chsh_estimate(counts: CoincidenceCounts) -> ChshResult:
     E_i = (N_pp + N_mm - N_pm - N_mp) / N_i; S = |E1 - E2 + E3 + E4|;
     each raw count is treated as Poisson (variance = count).
     """
-    import numpy as np
     if len(counts.settings) != 4:
         raise DomainError("CHSH needs exactly 4 setting pairs")
-    c = counts.counts
-    totals = c.sum(axis=1)
-    if np.any(totals <= 0):
-        raise DomainError("every setting needs a positive total count")
-    same = c[:, 0] + c[:, 3]
-    diff = c[:, 1] + c[:, 2]
-    e = (same - diff) / totals
-    s = abs(e[0] - e[1] + e[2] + e[3])
-    # var(E) = 4 A B / T^3 from Poisson propagation through (A - B)/(A + B)
-    variance = float(np.sum(4.0 * same * diff / totals**3))
+    e, variance = [], 0.0
+    # every sum runs left to right (Python >= 3.12's sum() compensates)
+    for n_pp, n_pm, n_mp, n_mm in counts.counts:
+        same, diff = n_pp + n_mm, n_pm + n_mp
+        total = n_pp + n_pm + n_mp + n_mm
+        if not total > 0.0:
+            raise DomainError("every setting needs a positive total count")
+        e.append((same - diff) / total)
+        # var(E) = 4 A B / T^3 from Poisson propagation through (A - B)/(A + B)
+        variance += 4.0 * same * diff / total**3
     if variance <= 0.0:
         raise DomainError("degenerate counts: Poisson error estimate vanished")
+    s = abs(e[0] - e[1] + e[2] + e[3])
     sigma = math.sqrt(variance)
-    return ChshResult(s_value=float(s), sigma=sigma,
-                      n_sigma_violation=(float(s) - 2.0) / sigma)
+    return ChshResult(s_value=s, sigma=sigma, n_sigma_violation=(s - 2.0) / sigma)
 
 
 def simulate_coincidences(
@@ -137,26 +135,43 @@ def simulate_coincidences(
     worker streams (SeedSequence spawn of `seed`); each worker's outcome
     draws are multinomial in its own stream, and worker results are summed,
     so counts are bitwise reproducible for a given (seed, workers) no matter
-    how the workers are scheduled.
+    how the workers are scheduled.  The draws are numpy's
+    Generator(Philox(child)).multinomial; they run in numpy when a caller has
+    already imported it, and otherwise in `_philox`, which gives the same
+    counts without numpy's import.
     """
-    import numpy as np
     settings = _as_setting_pairs(settings)
     if n_pairs <= 0:
         raise DomainError("n_pairs must be positive")
     if not 1 <= workers <= WORKER_CAP:
         raise DomainError(f"workers must lie in [1, {WORKER_CAP}]")
+    simulate = _simulate_numpy if "numpy" in sys.modules else _simulate_python
+    return CoincidenceCounts(settings, simulate(v, n_pairs, settings, seed, workers))
+
+
+def _draw(multinomials, v, n_pairs, settings, workers) -> list:
+    """Integer counts per setting; worker w draws its shares with the w-th multinomial."""
     n_set = len(settings)
     per_setting = [n_pairs // n_set + (1 if i < n_pairs % n_set else 0) for i in range(n_set)]
-    streams = np.random.SeedSequence(seed).spawn(workers)
-    counts = np.zeros((n_set, 4))
-    for w, stream in enumerate(streams):
-        rng = np.random.Generator(np.random.Philox(stream))
-        for i, (alpha, beta) in enumerate(settings):
-            n_i = per_setting[i]
+    probs = [joint_probabilities(v, alpha, beta) for alpha, beta in settings]
+    rows = [[0, 0, 0, 0] for _ in settings]
+    for w, multinomial in enumerate(multinomials):
+        for row, p, n_i in zip(rows, probs, per_setting):
             share = n_i // workers + (1 if w < n_i % workers else 0)
-            if share == 0:
-                continue
-            probs = joint_probabilities(v, alpha, beta)
-            counts[i] += rng.multinomial(share, probs)
-    return CoincidenceCounts(settings, counts)
+            if share:
+                for k, x in enumerate(multinomial(share, p)):
+                    row[k] += int(x)
+    return rows
 
+
+def _simulate_numpy(v, n_pairs, settings, seed, workers) -> list:
+    """Counts per setting from numpy's spawned Philox generators."""
+    import numpy as np
+    streams = np.random.SeedSequence(seed).spawn(workers)
+    return _draw((np.random.Generator(np.random.Philox(s)).multinomial for s in streams),
+                 v, n_pairs, settings, workers)
+
+
+def _simulate_python(v, n_pairs, settings, seed, workers) -> list:
+    """`_simulate_numpy`'s counts, bit for bit, from `_philox` without numpy."""
+    return _draw(_philox.spawned_multinomials(seed, workers), v, n_pairs, settings, workers)

@@ -9,7 +9,7 @@ Output is an aligned table by default or RFC-4180-style CSV (LF line
 endings, '.' decimal separator, 17 significant digits) with --format csv.
 Angles are degrees on the command line, matching scenario files.
 
-Only `bell-sim` and a `report` with the bell group load numpy.
+No subcommand loads numpy.
 """
 
 from __future__ import annotations

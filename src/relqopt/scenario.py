@@ -354,6 +354,10 @@ class Scenario(Record):
             object.__setattr__(self, name, x)
         if values:
             raise TypeError(f"Scenario has no field(s) {sorted(values)}")
+        if orbit is not None and not isinstance(orbit, OrbitSpec):
+            raise ConfigurationError("[orbit] orbit must be an OrbitSpec or None")
+        if not (isinstance(stations, tuple) and all(isinstance(g, GroundStation) for g in stations)):
+            raise ConfigurationError("[stations] stations must be a tuple of GroundStations")
         if len(stations) > 2:
             raise ConfigurationError("[stations] at most 2 stations are supported")
         _known_groups(effects)

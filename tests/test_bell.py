@@ -1,10 +1,14 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
+from relqopt import bell
 from relqopt.bell import (
     CHSH_SETTINGS,
+    PHOTON_CAP,
+    V_MIN,
     WORKER_CAP,
     CoincidenceCounts,
     analytic_counts,
@@ -34,9 +38,9 @@ def test_joint_probabilities_normalized_and_uniform_at_v0():
     for _ in range(40):
         a, b = rng.uniform(0.0, math.pi, 2)
         p = joint_probabilities(rng.uniform(0.0, 1.0), a, b)
-        assert p.shape == (4,)
-        assert np.all(p >= 0.0)
-        assert p.sum() == pytest.approx(1.0, abs=1e-15)
+        assert len(p) == 4
+        assert all(x >= 0.0 for x in p)
+        assert sum(p) == pytest.approx(1.0, abs=1e-15)
     assert np.allclose(joint_probabilities(0.0, 0.3, 1.1), 0.25)
 
 
@@ -125,7 +129,7 @@ def test_simulation_is_deterministic_across_scheduling():
     d = simulate_coincidences(0.9, 10_000, seed=42, workers=7)
     assert np.array_equal(c.counts, d.counts)
     assert not np.array_equal(a.counts, c.counts)  # different stream split
-    assert a.counts.sum() == c.counts.sum() == 10_000
+    assert np.sum(a.counts) == np.sum(c.counts) == 10_000
 
 
 def test_simulation_seed_changes_counts():
@@ -148,9 +152,43 @@ def test_ideal_source_reaches_tsirelson_within_errors():
 
 def test_simulated_correlations_are_bounded():
     counts = simulate_coincidences(0.95, 100_000, seed=5)
-    c = counts.counts
+    c = np.array(counts.counts)
     e = (c[:, 0] + c[:, 3] - c[:, 1] - c[:, 2]) / c.sum(axis=1)
     assert np.all(np.abs(e) <= 1.0)
+
+
+def _path_cases():
+    """(v, n_pairs, settings, seed, workers): seeds past 2**53 (which a float would
+    round), the budget and worker caps, budgets small enough that every binomial
+    takes the inversion branch (n p <= 30) next to ones that take BTPE, and aligned
+    analyzers, whose probabilities 0 and 1/2 reach p = 0 and the p > 1/2 reflection."""
+    aligned = ((0.0, 0.0), (0.0, 0.5 * math.pi))
+    cases = [
+        (0.95, int(PHOTON_CAP), CHSH_SETTINGS, 9007199254740993, 1),
+        (0.95, int(PHOTON_CAP), CHSH_SETTINGS, 2**64 - 1, WORKER_CAP),
+        (1.0, 1_000_000, CHSH_SETTINGS, 2**53, WORKER_CAP),
+        (0.0, 100, CHSH_SETTINGS, 2**64 - 1, 3),
+        (1.0, 105, CHSH_SETTINGS, 5_000_000, 1),
+        (1.0, 1_000_000, aligned, 7, 2),
+        (1.0, 50, aligned, 2**64 - 1, 1),
+    ]
+    rng = random.Random(12)
+    for _ in range(300):
+        v = rng.choice((0.0, 1.0, V_MIN, rng.random(), rng.random()))
+        n = rng.choice((rng.randint(1, 120), rng.randint(1, 480), int(10 ** rng.uniform(0.0, 12.0))))
+        seed = rng.choice((rng.randrange(2**16), rng.randrange(2**53, 2**64)))
+        workers = rng.choice((1, 1, 2, 3, rng.randint(1, 64)))
+        cases.append((v, n, CHSH_SETTINGS, seed, workers))
+    return cases
+
+
+def test_python_stream_matches_numpy_generator():
+    # the Python stream stands in for numpy's wherever numpy is not loaded
+    mismatched = [case for case in _path_cases()
+                  if bell._simulate_numpy(*case) != bell._simulate_python(*case)]
+    assert not mismatched, (
+        "relqopt._philox no longer gives numpy's Generator(Philox(child)).multinomial "
+        f"counts (a numpy release may have changed its streams, NEP 19): {mismatched[:5]}")
 
 
 def test_invalid_simulation_inputs():

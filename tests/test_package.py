@@ -82,6 +82,10 @@ _SCALAR_CODE = {
     ["wigner", "--beta", "1e-3", "--theta", "45", "--phi", "30", "--theta-b", "90",
      "--phi-b", "120"],
     ["report", "--effects", "geometry,wigner,gravitomagnetic,interferometry,qft,diffusion"],
+    ["bell-sim"],
+    ["bell-sim", "--workers", "8"],
+    ["report"],
+    ["report", "--effects", "bell"],
     *_SCALAR_CODE,
 ], ids=lambda argv: argv if isinstance(argv, str) else " ".join(argv))
 def test_scalar_subcommands_do_not_load_numpy(argv):
@@ -91,3 +95,16 @@ def test_scalar_subcommands_do_not_load_numpy(argv):
            "with contextlib.redirect_stdout(io.StringIO()):\n"
            f"    assert main({argv!r}) == 0\n")
     _run_fresh("import sys\n" + run + "assert 'numpy' not in sys.modules, 'numpy was loaded'\n")
+
+
+def test_bell_sim_counts_without_numpy_match_golden(tmp_path):
+    # in-process goldens run numpy's generator, since pytest has loaded numpy;
+    # this pins the Python stream that every CLI run uses to the same file
+    path = tmp_path / "counts.csv"
+    _run_fresh(
+        "import contextlib, io, sys\n"
+        "from relqopt.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['bell-sim', '--workers', '3', '--counts-out', {str(path)!r}]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was loaded'\n")
+    assert path.read_bytes() == (SRC.parent / "tests" / "golden" / "bell_counts.csv").read_bytes()

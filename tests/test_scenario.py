@@ -260,6 +260,8 @@ def test_scenario_validation_errors_name_fields():
         (dict(wavelength="1e-6"), "wavelength"),
         (dict(preset=5), "preset"),
         (dict(wavelength=10**400), "wavelength"),  # finite, but no float holds it
+        (dict(orbit="leo"), "orbit"),
+        (dict(stations=("x",)), "stations"),
     ):
         with pytest.raises(ConfigurationError, match=rf"^\[[a-z]+\] {field} must be "):
             Scenario(**kwargs)

@@ -175,7 +175,8 @@ def _path_cases():
     rng = random.Random(12)
     for _ in range(300):
         v = rng.choice((0.0, 1.0, V_MIN, rng.random(), rng.random()))
-        n = rng.choice((rng.randint(1, 120), rng.randint(1, 480), int(10 ** rng.uniform(0.0, 12.0))))
+        n = rng.choice((rng.randint(1, 120), rng.randint(1, 480),
+                        int(10 ** rng.uniform(0.0, 12.0))))
         seed = rng.choice((rng.randrange(2**16), rng.randrange(2**53, 2**64)))
         workers = rng.choice((1, 1, 2, 3, rng.randint(1, 64)))
         cases.append((v, n, CHSH_SETTINGS, seed, workers))

@@ -107,4 +107,5 @@ def test_bell_sim_counts_without_numpy_match_golden(tmp_path):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main(['bell-sim', '--workers', '3', '--counts-out', {str(path)!r}]) == 0\n"
         "assert 'numpy' not in sys.modules, 'numpy was loaded'\n")
-    assert path.read_bytes() == (SRC.parent / "tests" / "golden" / "bell_counts.csv").read_bytes()
+    golden = Path(__file__).resolve().parent / "golden" / "bell_counts.csv"
+    assert path.read_bytes() == golden.read_bytes()

@@ -8,11 +8,12 @@ A 3-sigma violation is one-sided: (S - 2)/sigma >= 3.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from typing import NamedTuple
 
 from . import _philox
-from .errors import DomainError
+from .errors import DomainError, Record
 
 V_MIN = 1.0 / math.sqrt(2.0)
 PHOTON_CAP = 1.0e12
@@ -42,21 +43,24 @@ def _as_setting_pairs(settings) -> tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
-class CoincidenceCounts:
+class CoincidenceCounts(Record):
     """Counts per (setting pair, outcome pair), outcome order ++, +-, -+, --.
 
     Counts are rows of 4 floats so exact analytic expectations can be fed to
     the estimator; the simulator always produces nonnegative integers.
     """
 
+    __slots__ = ("settings", "counts")
+
     def __init__(self, settings, counts):
-        self.settings = _as_setting_pairs(settings)
+        settings = _as_setting_pairs(settings)
         rows = tuple(tuple(map(float, row)) for row in counts)
-        if len(rows) != len(self.settings) or any(len(r) != 4 for r in rows):
+        if len(rows) != len(settings) or any(len(r) != 4 for r in rows):
             raise DomainError("counts must have shape (n_settings, 4)")
         if not all(0.0 <= x < math.inf for r in rows for x in r):
             raise DomainError("counts must be finite and nonnegative")
-        self.counts = rows
+        object.__setattr__(self, "settings", settings)
+        object.__setattr__(self, "counts", rows)
 
 
 class ChshResult(NamedTuple):
@@ -76,13 +80,6 @@ def joint_probabilities(v: float, alpha: float, beta: float) -> tuple:
     """P(++, +-, -+, --) with uniform marginals and singlet correlation."""
     e = singlet_correlation(v, alpha, beta)
     return ((1.0 + e) / 4.0, (1.0 - e) / 4.0, (1.0 - e) / 4.0, (1.0 + e) / 4.0)
-
-
-def analytic_counts(v: float, pairs_per_setting: float) -> CoincidenceCounts:
-    """Exact expected counts (generally non-integer) at CHSH_SETTINGS, for estimator checks."""
-    rows = [[pairs_per_setting * p for p in joint_probabilities(v, a, b)]
-            for a, b in CHSH_SETTINGS]
-    return CoincidenceCounts(CHSH_SETTINGS, rows)
 
 
 def required_photons(v: float) -> int:
@@ -138,9 +135,11 @@ def simulate_coincidences(
     how the workers are scheduled.  The draws are numpy's
     Generator(Philox(child)).multinomial; they run in numpy when a caller has
     already imported it, and otherwise in `_philox`, which gives the same
-    counts without numpy's import.
+    counts without numpy's import.  `n_pairs` must be an integer (a numpy
+    integer too); a float is a TypeError, not another budget.
     """
     settings = _as_setting_pairs(settings)
+    n_pairs = operator.index(n_pairs)
     if n_pairs <= 0:
         raise DomainError("n_pairs must be positive")
     if not 1 <= workers <= WORKER_CAP:

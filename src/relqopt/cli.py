@@ -72,7 +72,17 @@ def _require(ok: bool, flag: str, rule: str) -> None:
 
 def _load_scenario(args, **flags) -> scen.Scenario:
     s = scen.load_scenario(args.scenario) if args.scenario else scen.Scenario()
-    return scen.with_overrides(s, seed=args.seed, workers=args.workers, **flags)
+    return scen.with_overrides(s, **flags)
+
+
+def _finite(rows, header) -> list:
+    """`rows`, unless a value is NaN or infinite; inside `scen.effect_errors` that fails
+    the group, as `scen.evaluate` fails a report group."""
+    for row in rows:
+        for name, x in zip(header, row):
+            if not math.isfinite(x):
+                raise NumericFailure(f"{name} is {x}")
+    return rows
 
 
 def _parse_effects(raw: str | None):
@@ -85,22 +95,24 @@ def _parse_effects(raw: str | None):
 
 
 def _cmd_report(args, stream) -> int:
-    s = _load_scenario(args)
+    s = _load_scenario(args, seed=args.seed, workers=args.workers)
     report = scen.run_report(s, effects=_parse_effects(args.effects))
     return _write_entries(report.entries, args.format, stream)
 
 
 def _cmd_bell_sim(args, stream) -> int:
-    s = _load_scenario(args, photon_budget=args.photons)
+    s = _load_scenario(args, seed=args.seed, workers=args.workers, photon_budget=args.photons)
     with scen.effect_errors("bell"):
         counts = scen.bell_counts(s)
     report = scen.evaluate(s, [("bell", functools.partial(scen.GROUPS["bell"], counts=counts))])
-    _write_entries(report.entries, args.format, stream)
     if args.counts_out:
-        with open(args.counts_out, "w", encoding="utf-8", newline="") as fh:
-            _write_rows([(*pair, *row) for pair, row in zip(counts.settings, counts.counts)],
-                        ("alpha", "beta", "n_pp", "n_pm", "n_mp", "n_mm"), "csv", fh)
-    return 0
+        try:
+            with open(args.counts_out, "w", encoding="utf-8", newline="") as fh:
+                _write_rows([(*pair, *row) for pair, row in zip(counts.settings, counts.counts)],
+                            ("alpha", "beta", "n_pp", "n_pm", "n_mp", "n_mm"), "csv", fh)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write --counts-out file: {exc}") from None
+    return _write_entries(report.entries, args.format, stream)
 
 
 def _cmd_wigner(args, stream) -> int:
@@ -138,6 +150,7 @@ def _cmd_orbit(args, stream) -> int:
                 rng, rate, _ = orbits.relative_geometry(state, gs)
                 row += [rng, rate]
             rows.append(tuple(row))
+        _finite(rows, header)
     _write_rows(rows, header, args.format, stream)
     return 0
 
@@ -148,20 +161,22 @@ def _cmd_curves(args, stream) -> int:
     if args.which == "photons":
         _require(args.v_min > bell.V_MIN, "--v-min", "> 1/sqrt(2)")
         _require(args.v_min <= args.v_max <= 1.0, "--v-max", "in [--v-min, 1]")
+        header = ("V", "N")
         with scen.effect_errors("bell"):
-            rows = [(v, bell.required_photons(v))
-                    for v in _linspace(args.v_min, args.v_max, args.points)]
-        _write_rows(rows, ("V", "N"), args.format, stream)
+            rows = _finite([(v, bell.required_photons(v))
+                            for v in _linspace(args.v_min, args.v_max, args.points)], header)
+        _write_rows(rows, header, args.format, stream)
         return 0
     # Ralph correlation vs proper-time differential
     if args.delta_max is not None:
         _require(0.0 < args.delta_max < math.inf, "--delta-max", "finite and > 0")
     model = qft_effects.EventOperatorModel(detector_resolution=s.detector_resolution)
     d_max = args.delta_max if args.delta_max is not None else 6.0 * s.detector_resolution
+    header = ("delta", "C")
     with scen.effect_errors("qft"):
-        rows = [(delta, qft_effects.ralph_correlation(model, delta))
-                for delta in _linspace(0.0, d_max, args.points)]
-    _write_rows(rows, ("delta", "C"), args.format, stream)
+        rows = _finite([(delta, qft_effects.ralph_correlation(model, delta))
+                        for delta in _linspace(0.0, d_max, args.points)], header)
+    _write_rows(rows, header, args.format, stream)
     return 0
 
 
@@ -170,10 +185,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--scenario", metavar="PATH", default=None,
                         help="scenario file (defaults apply when omitted)")
     common.add_argument("--format", choices=("table", "csv"), default="table")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the Monte Carlo seed (unsigned 64-bit)")
-    common.add_argument("--workers", type=int, default=None,
-                        help="override the number of Monte Carlo streams")
+    # the two subcommands that run the Monte Carlo
+    monte_carlo = argparse.ArgumentParser(add_help=False, parents=[common])
+    monte_carlo.add_argument("--seed", type=int, default=None,
+                             help="override the Monte Carlo seed (unsigned 64-bit)")
+    monte_carlo.add_argument("--workers", type=int, default=None,
+                             help="override the number of Monte Carlo streams")
 
     parser = argparse.ArgumentParser(
         prog="relqopt",
@@ -181,13 +198,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("report", parents=[common],
+    p = sub.add_parser("report", parents=[monte_carlo],
                        help="evaluate every enabled effect group")
     p.add_argument("--effects", default=None,
                    help="comma-separated group filter (e.g. geometry,bell)")
     p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("bell-sim", parents=[common],
+    p = sub.add_parser("bell-sim", parents=[monte_carlo],
                        help="CHSH Monte Carlo with Poisson error propagation")
     p.add_argument("--photons", type=int, default=None,
                    help="total pair budget (default: scenario photon_budget)")
@@ -197,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diffusion", parents=[common],
                        help="polarization-diffusion forecasts")
-    p.set_defaults(func=_cmd_report, effects="diffusion")
+    p.set_defaults(func=_cmd_report, effects="diffusion", seed=None, workers=None)
 
     p = sub.add_parser("wigner", parents=[common],
                        help="exact and first-order little-group angles")
@@ -245,9 +262,6 @@ def main(argv=None) -> int:
     except (ConfigurationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericFailure, OverflowError) as exc:
-        print(f"error: numeric failure: {exc}", file=sys.stderr)
-        return 3
 
 
 def run() -> None:

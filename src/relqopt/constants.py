@@ -39,20 +39,19 @@ def convert_angle(x: float, target: str) -> float:
 
 
 class EarthParams(Record):
-    """Earth: mass (kg), spin J (kg m^2/s), equatorial radius (m), sidereal rate (rad/s)."""
+    """Earth: mass (kg) and spin J (kg m^2/s); every instance shares the radius and rate."""
 
-    __slots__ = ("mass", "angular_momentum", "radius", "rotation_rate")
+    __slots__ = ("mass", "angular_momentum")
+    radius = 6378137.0  # equatorial, m
+    rotation_rate = 7.2921159e-5  # sidereal, rad/s
 
-    def __init__(self, mass=5.972e24, angular_momentum=5.86e33, radius=6378137.0,
-                 rotation_rate=7.2921159e-5):
+    def __init__(self, mass=5.972e24, angular_momentum=5.86e33):
         if not (math.isfinite(mass) and mass > 0):
             raise DomainError("mass must be positive")
         if not (math.isfinite(angular_momentum) and angular_momentum > 0):
             raise DomainError("angular_momentum must be positive")
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "angular_momentum", angular_momentum)
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "rotation_rate", rotation_rate)
 
     @property
     def mu(self) -> float:

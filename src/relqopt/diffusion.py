@@ -54,19 +54,6 @@ class CircleDensity:
     def modes(self) -> int:
         return self.coefficients.size - 1
 
-    def coefficient(self, m: int) -> complex:
-        """rho_m; negative m via conjugate symmetry, |m| > modes gives 0."""
-        if abs(m) > self.modes:
-            return 0.0 + 0.0j
-        return complex(self.coefficients[m]) if m >= 0 else complex(self.coefficients[-m]).conjugate()
-
-    @classmethod
-    def uniform(cls, modes: int = DEFAULT_MODES) -> "CircleDensity":
-        import numpy as np
-        c = np.zeros(modes + 1, dtype=complex)
-        c[0] = 1.0 / (2.0 * math.pi)
-        return cls(c)
-
     @classmethod
     def wrapped_gaussian(cls, mean: float, sigma: float,
                          modes: int = DEFAULT_MODES) -> "CircleDensity":

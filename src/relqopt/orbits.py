@@ -138,13 +138,6 @@ def newtonian_potential(r: float) -> float:
     return -EARTH.mu / r
 
 
-def circular_speed(r: float) -> float:
-    """Circular-orbit speed sqrt(mu/r)."""
-    if r <= 0:
-        raise DomainError("r must be positive")
-    return math.sqrt(EARTH.mu / r)
-
-
 def preset_orbit(name: str) -> OrbitSpec:
     """Named circular/transfer presets used by scenario files."""
     try:

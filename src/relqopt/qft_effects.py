@@ -36,13 +36,6 @@ def unruh_temperature(a: float) -> float:
     return HBAR * a / (2.0 * math.pi * C_LIGHT * BOLTZMANN_K)
 
 
-def acceleration_for_temperature(t: float) -> float:
-    """Inverse of unruh_temperature: a = 2 pi c k_B T / hbar."""
-    if t < 0:
-        raise DomainError("temperature must be nonnegative")
-    return 2.0 * math.pi * C_LIGHT * BOLTZMANN_K * t / HBAR
-
-
 def required_acceleration(omega: float) -> float:
     """Acceleration a = omega c that brings a mode of angular frequency omega to resonance."""
     if omega < 0:

@@ -11,7 +11,6 @@ from relqopt.bell import (
     V_MIN,
     WORKER_CAP,
     CoincidenceCounts,
-    analytic_counts,
     chsh_estimate,
     joint_probabilities,
     required_photons,
@@ -56,8 +55,14 @@ def test_chsh_settings_are_the_standard_arrangement():
 # -------------------------------------------------------------- estimator
 
 
+def _expected_counts(v, pairs_per_setting):
+    """The exact expected (non-integer) counts at the CHSH settings."""
+    return CoincidenceCounts(CHSH_SETTINGS, [
+        [pairs_per_setting * p for p in joint_probabilities(v, a, b)] for a, b in CHSH_SETTINGS])
+
+
 def test_ideal_singlet_reaches_tsirelson():
-    counts = analytic_counts(1.0, 1e6)
+    counts = _expected_counts(1.0, 1e6)
     res = chsh_estimate(counts)
     assert res.s_value == pytest.approx(TSIRELSON, abs=1e-10)
 
@@ -68,7 +73,7 @@ def test_uniform_counts_give_zero():
 
 
 def test_reduced_visibility_scales_s():
-    res = chsh_estimate(analytic_counts(0.9, 1e6))
+    res = chsh_estimate(_expected_counts(0.9, 1e6))
     assert res.s_value == pytest.approx(0.9 * TSIRELSON, abs=1e-10)
     assert res.s_value == pytest.approx(2.546, abs=1e-3)
 
@@ -199,6 +204,12 @@ def test_invalid_simulation_inputs():
         simulate_coincidences(0.9, 100, workers=0)
     with pytest.raises(DomainError):
         simulate_coincidences(0.9, 100, workers=WORKER_CAP + 1)
+    # a float budget is refused, not rounded to another budget
+    for budget in (1000.5, 10.9, 1000.0):
+        with pytest.raises(TypeError):
+            simulate_coincidences(0.9, budget, seed=3)
+    assert simulate_coincidences(0.9, np.int64(1000), seed=3) == simulate_coincidences(
+        0.9, 1000, seed=3)
 
 
 # ------------------------------------------------------------------- csv

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from relqopt import bell
+from relqopt import bell, orbits
 from relqopt.cli import _linspace, main
 
 
@@ -128,6 +128,16 @@ def test_unknown_effect_group_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--seed", "1"], ["curves", "--workers", "2"],
+    ["wigner", "--seed", "1"], ["diffusion", "--seed", "1"],
+])
+def test_monte_carlo_flags_exist_only_where_the_monte_carlo_runs(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: " + " ".join(argv[1:]) in err
+
+
 # -------------------------------------------------------------- subcommands
 
 
@@ -154,6 +164,13 @@ def test_bell_sim_counts_out_runs_one_monte_carlo(capsys, tmp_path, monkeypatch)
     code, _, _ = _run(capsys, "bell-sim", "--counts-out", str(tmp_path / "counts.csv"))
     assert code == 0
     assert len(calls) == 1
+
+
+def test_bell_sim_unwritable_counts_out_exits_2_naming_the_path(capsys, tmp_path):
+    path = str(tmp_path / "missing" / "counts.csv")
+    code, out, err = _run(capsys, "bell-sim", "--photons", "1000", "--counts-out", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write --counts-out file: ") and path in err
 
 
 def test_bell_sim_low_visibility_exits_3(capsys, tmp_path):
@@ -248,6 +265,25 @@ def test_curves_ralph(capsys):
     assert rows[0] == ["delta", "C"]
     assert float(rows[1][1]) == 1.0
     assert float(rows[2][1]) == pytest.approx(math.exp(-1.0), rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_curves_non_finite_row_exits_3_naming_the_group(capsys, tmp_path):
+    # the default --delta-max, 6 detector resolutions, overflows to inf
+    path = _write(tmp_path, "[link]\ndetector_resolution = 1e308\n")
+    code, out, err = _run(capsys, "curves", "--which", "ralph", "--scenario", path)
+    assert code == 3 and out == ""
+    assert err == "error: effect 'qft' failed: delta is nan\n"
+
+
+def test_orbit_non_finite_row_exits_3_naming_the_orbit(capsys, tmp_path, monkeypatch):
+    path = _write(tmp_path, "[stations]\nstation1 = 0 0 0\n")
+    station_state = orbits.station_state
+    monkeypatch.setattr(orbits, "station_state", lambda gs, t: orbits.StateVector(
+        t, (math.inf, 0.0, 0.0), station_state(gs, t).velocity))
+    code, out, err = _run(capsys, "orbit", "--scenario", path, "--samples", "3")
+    assert code == 3 and out == ""
+    assert err == "error: effect 'orbit' failed: range is inf\n"
 
 
 def test_console_entry_point():

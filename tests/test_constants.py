@@ -39,6 +39,13 @@ def test_earth_params_validation():
         EarthParams(mass=-1.0)
 
 
+def test_earth_radius_and_rotation_rate_are_fixed():
+    for earth in (EARTH, ROUNDED_EARTH):
+        assert (earth.radius, earth.rotation_rate) == (6378137.0, 7.2921159e-5)
+    with pytest.raises(TypeError):
+        EarthParams(radius=6.4e6)
+
+
 def test_rounded_earth_unit_conversion():
     assert ROUNDED_EARTH.mass == pytest.approx(5.98e24)
     assert ROUNDED_EARTH.angular_momentum == pytest.approx(5.86e33)

@@ -7,8 +7,8 @@ import pickle
 
 import pytest
 
-from relqopt import (constants, diffusion, gravitomagnetism, interferometry, kinematics, orbits,
-                     qft_effects, scenario, wigner)
+from relqopt import (bell, constants, diffusion, gravitomagnetism, interferometry, kinematics,
+                     orbits, qft_effects, scenario, wigner)
 from relqopt.errors import ConfigurationError, Record
 
 
@@ -19,6 +19,7 @@ def _polar(theta):
 # each factory builds a fresh instance from the same arguments on every call
 RECORDS = {
     "EarthParams": lambda: constants.EarthParams(mass=5.98e24),
+    "CoincidenceCounts": lambda: bell.CoincidenceCounts(bell.CHSH_SETTINGS, [(250.0,) * 4] * 4),
     "DiffusionParams": lambda: diffusion.DiffusionParams(2e-9, 4e-8),
     "BlochTensorModel": lambda: diffusion.BlochTensorModel(_polar, _polar, _polar),
     "OrbitSpec": lambda: orbits.OrbitSpec(7.2e6, 0.01, 0.5),

@@ -15,6 +15,12 @@ workload the median and quartiles over seeds of every end-to-end metric,
 every per-layer metric and the `cli_mix` floors.  NNN is one more than the
 highest number already in bench/.  Old files are never rewritten.
 
+Each seed also runs `cli_mix` untraced in the source state, under the key
+`cli_mix_from_source`: src/relqopt/__pycache__ is removed and the run has
+PYTHONDONTWRITEBYTECODE=1, so every child compiles relqopt from source, as
+in a fresh checkout whose bytecode is not kept.  Import work weighs several
+times more there than with bytecode.  The tree is compiled again afterwards.
+
 --quick is for the tier-1 shape test: one seed, 0.5 s perfbench --quick
 runs, traced only on pass_sweep (every traced run reports every per-layer
 metric, because the probes run in each).  Its numbers mean nothing, so it
@@ -24,8 +30,11 @@ prints the document to stdout and writes no file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -62,19 +71,31 @@ def compile_sources() -> dict:
             "modules": len(modules), "modules_with_current_pyc": current}
 
 
+@contextlib.contextmanager
+def from_source():
+    """The environment of a run without relqopt bytecode: none on disk, none
+    written.  The compiled tree is put back afterwards."""
+    shutil.rmtree(ROOT / "src" / "relqopt" / "__pycache__", ignore_errors=True)
+    try:
+        yield dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    finally:
+        compile_sources()
+
+
 def git_sha() -> str:
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
                           text=True, check=False)
     return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
-def run_once(workload: str, seed: int, seconds: float, trace: int, quick: bool) -> dict:
+def run_once(workload: str, seed: int, seconds: float, trace: int, quick: bool,
+             env=None) -> dict:
     """One perfbench run: its result line, provenance and any floor lines."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
     if quick:
         argv.append("--quick")
-    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=False)
+    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, check=False)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(argv[1:])} exited {proc.returncode}: {proc.stderr[-300:]}")
@@ -99,7 +120,8 @@ def summarize(runs: list, declared: dict) -> dict:
         if not mine:
             continue
         entry = {"attempted": sum(r["attempted"] for r in mine),
-                 "failed": sum(r["failed"] for r in mine)}
+                 "failed": sum(r["failed"] for r in mine),
+                 "correct": all(r["correct"] for r in mine)}
         for kind, trace in (("end_to_end", 0), ("per_layer", 1)):
             values = {}
             for r in (r for r in mine if r["trace"] == trace):
@@ -133,7 +155,7 @@ def main(argv=None) -> int:
                 for kind in ("end_to_end", "per_layer")}
     bytecode = compile_sources()
     seeds, seconds = (SEEDS[:1], 0.5) if args.quick else (SEEDS, SECONDS)
-    runs = []
+    runs, source_runs, pyc_during = [], [], []
     for seed in seeds:
         for workload in WORKLOADS:
             for trace in (0, 1):
@@ -143,6 +165,12 @@ def main(argv=None) -> int:
                 r = run_once(workload, seed, seconds, trace, args.quick)
                 r.update(workload=workload, seed=seed, trace=trace)
                 runs.append(r)
+        print(f"# cli_mix seed={seed} trace=0 from source", file=sys.stderr, flush=True)
+        with from_source() as env:
+            r = run_once("cli_mix", seed, seconds, 0, args.quick, env)
+            pyc_during.append(len(list((ROOT / "src" / "relqopt").glob("__pycache__/*.pyc"))))
+        r.update(workload="cli_mix", seed=seed, trace=0)
+        source_runs.append(r)
 
     prov = runs[0]["provenance"]
     sha = git_sha()
@@ -152,8 +180,14 @@ def main(argv=None) -> int:
         "machine": {k: prov[k] for k in ("nproc", "cpus_allowed", "python", "numpy", "blas")},
         "bytecode": bytecode,
         "runs": {"seeds": list(seeds), "seconds": seconds, "quick": args.quick,
-                 "order": "per seed, each workload untraced then traced"},
+                 "order": "per seed, each workload untraced then traced, "
+                          "then cli_mix untraced from source"},
         "workloads": summarize(runs, declared),
+        "cli_mix_from_source": {
+            "env": {"PYTHONDONTWRITEBYTECODE": "1"},
+            "relqopt_pyc_files": max(pyc_during),
+            **{k: v for k, v in summarize(source_runs, declared)["cli_mix"].items()
+               if k != "per_layer"}},
     }, indent=1, sort_keys=True) + "\n"
     if args.quick:
         print(text, end="")

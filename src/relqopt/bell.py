@@ -12,15 +12,10 @@ import operator
 import sys
 from typing import NamedTuple
 
-from . import _philox
+from .constants import PHOTON_CAP, WORKER_CAP
 from .errors import DomainError, Record
 
 V_MIN = 1.0 / math.sqrt(2.0)
-PHOTON_CAP = 1.0e12
-# Monte Carlo streams: each one is a SeedSequence child and a Philox generator
-# built in a Python loop, ~40 us with numpy and ~100 us without, so the count
-# is bounded
-WORKER_CAP = 1024
 
 # standard CHSH arrangement (alpha, beta) per correlation slot; S uses
 # E1 - E2 + E3 + E4
@@ -135,11 +130,11 @@ def simulate_coincidences(
     how the workers are scheduled.  The draws are numpy's
     Generator(Philox(child)).multinomial; they run in numpy when a caller has
     already imported it, and otherwise in `_philox`, which gives the same
-    counts without numpy's import.  `n_pairs` must be an integer (a numpy
-    integer too); a float is a TypeError, not another budget.
+    counts without numpy's import.  `n_pairs`, `seed` and `workers` must be
+    integers (numpy integers too); a float is a TypeError on both paths.
     """
     settings = _as_setting_pairs(settings)
-    n_pairs = operator.index(n_pairs)
+    n_pairs, seed, workers = map(operator.index, (n_pairs, seed, workers))
     if n_pairs <= 0:
         raise DomainError("n_pairs must be positive")
     if not 1 <= workers <= WORKER_CAP:
@@ -173,4 +168,5 @@ def _simulate_numpy(v, n_pairs, settings, seed, workers) -> list:
 
 def _simulate_python(v, n_pairs, settings, seed, workers) -> list:
     """`_simulate_numpy`'s counts, bit for bit, from `_philox` without numpy."""
+    from . import _philox
     return _draw(_philox.spawned_multinomials(seed, workers), v, n_pairs, settings, workers)

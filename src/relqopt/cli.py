@@ -9,7 +9,11 @@ Output is an aligned table by default or RFC-4180-style CSV (LF line
 endings, '.' decimal separator, 17 significant digits) with --format csv.
 Angles are degrees on the command line, matching scenario files.
 
-No subcommand loads numpy.
+No subcommand loads numpy.  Each imports only the relqopt modules it runs:
+`cli`, `scenario`, `orbits`, `constants` and `errors`, and then `wigner` for
+wigner, `diffusion` and `kinematics` for diffusion, `bell` and `_philox` for
+bell-sim, `bell` or `qft_effects` for curves photons or ralph, and all for the
+default report.  A child with no bytecode to read compiles only those.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import functools
 import math
 import sys
 
-from . import bell, orbits, qft_effects
 from . import scenario as scen
 from .errors import ConfigurationError, DomainError, EffectError, NumericFailure
 
@@ -130,6 +133,7 @@ def _cmd_wigner(args, stream) -> int:
 
 
 def _cmd_orbit(args, stream) -> int:
+    from . import orbits
     _require(2 <= args.samples <= ROW_CAP, "--samples", f"in [2, {ROW_CAP}]")
     if args.duration is not None:
         _require(0.0 < args.duration < math.inf, "--duration", "finite and > 0")
@@ -159,6 +163,7 @@ def _cmd_curves(args, stream) -> int:
     _require(2 <= args.points <= ROW_CAP, "--points", f"in [2, {ROW_CAP}]")
     s = _load_scenario(args)
     if args.which == "photons":
+        from . import bell
         _require(args.v_min > bell.V_MIN, "--v-min", "> 1/sqrt(2)")
         _require(args.v_min <= args.v_max <= 1.0, "--v-max", "in [--v-min, 1]")
         header = ("V", "N")
@@ -168,6 +173,7 @@ def _cmd_curves(args, stream) -> int:
         _write_rows(rows, header, args.format, stream)
         return 0
     # Ralph correlation vs proper-time differential
+    from . import qft_effects
     if args.delta_max is not None:
         _require(0.0 < args.delta_max < math.inf, "--delta-max", "finite and > 0")
     model = qft_effects.EventOperatorModel(detector_resolution=s.detector_resolution)

@@ -22,6 +22,12 @@ NEUTRON_MASS = 1.67492749804e-27  # kg
 ASTRONOMICAL_UNIT = 1.496e11     # m
 LUNAR_DISTANCE = 3.84e8          # m
 
+# largest Bell pair budget, and the most Monte Carlo streams: each one is a
+# SeedSequence child and a Philox generator built in a Python loop, ~40 us with
+# numpy and ~100 us without, so the count is bounded
+PHOTON_CAP = 1.0e12
+WORKER_CAP = 1024
+
 _ANGLE_FACTORS = {
     "rad": 1.0,
     "deg": 180.0 / math.pi,

@@ -22,9 +22,9 @@ import sys
 from collections import namedtuple
 from typing import NamedTuple
 
-# only the wigner rows need `wigner`, so they import it when they run
-from . import bell, diffusion, gravitomagnetism, interferometry, kinematics, orbits, qft_effects
-from .constants import C_LIGHT, EARTH, G0, ROUNDED_EARTH
+# each effect group imports its own module where it runs
+from . import orbits
+from .constants import C_LIGHT, EARTH, G0, PHOTON_CAP, ROUNDED_EARTH, WORKER_CAP
 from .errors import ConfigurationError, DomainError, EffectError, Record
 from .orbits import GroundStation, OrbitSpec, preset_orbit
 
@@ -46,6 +46,7 @@ class EffectReport(NamedTuple):
 
 
 def _geometry(s: Scenario, sat) -> list:
+    from . import kinematics
     light_time = s.light_time_s()
     ground = kinematics.Event(t=s.delay_s(), x=0.0, y=0.0, z=0.0)
     remote = kinematics.Event(t=light_time, x=s.separation_m(), y=0.0, z=0.0)
@@ -112,6 +113,7 @@ def wigner_exact(s: Scenario, sat, *, theta, phi, theta_b, phi_b, beta=None) -> 
 
 
 def _gravitomagnetic(s: Scenario, sat) -> list:
+    from . import gravitomagnetism
     body = gravitomagnetism.SpinningBody(
         mass=ROUNDED_EARTH.mass, angular_momentum=ROUNDED_EARTH.angular_momentum)
     r_orbit = sat.radius
@@ -130,6 +132,7 @@ def _gravitomagnetic(s: Scenario, sat) -> list:
 
 
 def _interferometry(s: Scenario, sat) -> list:
+    from . import interferometry
     altitude = s.orbit_spec().semi_major_axis - EARTH.radius
     link = interferometry.OpticalLink(
         wavelength=s.wavelength,
@@ -149,6 +152,7 @@ def _interferometry(s: Scenario, sat) -> list:
 
 
 def _qft(s: Scenario, sat) -> list:
+    from . import qft_effects
     phi_low = orbits.newtonian_potential(EARTH.radius)
     phi_high = orbits.newtonian_potential(sat.radius)
     delta = qft_effects.proper_time_differential(
@@ -177,6 +181,7 @@ def _qft(s: Scenario, sat) -> list:
 
 
 def _diffusion(s: Scenario, sat) -> list:
+    from . import diffusion
     t, nu = s.light_time_s(), s.frequency_hz()
     return [
         ReportEntry("diffusion.affine_parameter", diffusion.affine_parameter(t, nu),
@@ -195,14 +200,16 @@ def _diffusion(s: Scenario, sat) -> list:
     ]
 
 
-def bell_counts(s: Scenario) -> bell.CoincidenceCounts:
-    """The scenario's simulated CHSH coincidence counts."""
+def bell_counts(s: Scenario):
+    """The scenario's simulated CHSH coincidence counts, a `bell.CoincidenceCounts`."""
+    from . import bell
     return bell.simulate_coincidences(
         s.visibility, s.photon_budget, bell.CHSH_SETTINGS, seed=s.seed, workers=s.workers)
 
 
 def _bell(s: Scenario, sat, counts=None) -> list:
     """`counts` are the scenario's simulated counts, simulated here when None."""
+    from . import bell
     n_req = bell.required_photons(s.visibility)
     result = bell.chsh_estimate(bell_counts(s) if counts is None else counts)
     return [
@@ -313,9 +320,9 @@ KEYS = (_key("mission", "preset", "leo1000", ("in", orbits.PRESETS), parse=_text
         _key("link", "detector_resolution", 500e-15, (">", 0)),
         _key("link", "analyzer_switch_time", 10e-9, (">=", 0)),
         _key("bell", "visibility", 0.95, (">", 0), ("<=", 1)),
-        _key("bell", "photon_budget", 1_000_000, (">=", 1), ("<=", bell.PHOTON_CAP), parse=_int),
+        _key("bell", "photon_budget", 1_000_000, (">=", 1), ("<=", PHOTON_CAP), parse=_int),
         _key("bell", "seed", 1, (">=", 0), ("<", 2**64), parse=_int),
-        _key("bell", "workers", 1, (">=", 1), ("<=", bell.WORKER_CAP), parse=_int),
+        _key("bell", "workers", 1, (">=", 1), ("<=", WORKER_CAP), parse=_int),
         _key("geometry", "separation", None, (">", 0)),
         _key("geometry", "delay", None, (">=", 0)),
         _key("geometry", "relative_speed", 15e3, (">", 0), ("<", C_LIGHT)),
@@ -380,6 +387,7 @@ class Scenario(Record):
         return self.orbit_spec().semi_major_axis - EARTH.radius
 
     def light_time_s(self) -> float:
+        from . import kinematics
         return kinematics.light_travel_time(self.separation_m())
 
     def frequency_hz(self) -> float:
@@ -392,10 +400,12 @@ class Scenario(Record):
         return self.overlap_time if self.overlap_time is not None else self.light_time_s()
 
     def interaction_s(self) -> float:
+        from . import qft_effects
         t = self.interaction_time
         return t if t is not None else qft_effects.spacelike_window(self.separation_m())
 
     def berry_a(self) -> float:
+        from . import qft_effects
         a = self.berry_acceleration
         return a if a is not None else qft_effects.required_acceleration(self.berry_gap)
 

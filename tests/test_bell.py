@@ -210,6 +210,12 @@ def test_invalid_simulation_inputs():
             simulate_coincidences(0.9, budget, seed=3)
     assert simulate_coincidences(0.9, np.int64(1000), seed=3) == simulate_coincidences(
         0.9, 1000, seed=3)
+    # so is a float seed or stream count (test_package checks the Python stream too)
+    for kwargs in ({"seed": 1.0}, {"seed": 3.5}, {"workers": 2.0}):
+        with pytest.raises(TypeError):
+            simulate_coincidences(0.9, 1000, **kwargs)
+    assert simulate_coincidences(0.9, 1000, seed=np.uint64(3), workers=np.int64(2)) == (
+        simulate_coincidences(0.9, 1000, seed=3, workers=2))
 
 
 # ------------------------------------------------------------------- csv

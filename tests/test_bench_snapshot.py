@@ -1,7 +1,8 @@
 """Shape of the committed performance snapshot: a quick `bench/snapshot.py`
 run prints every end-to-end metric per workload, every per-layer metric of
-its traced run, the cli_mix floors and the bytecode state.  No timing is
-asserted."""
+its traced run, the cli_mix floors, the bytecode state and the cli_mix run
+from source.  Every workload checks its own outputs and must report them
+correct with no failed op.  No timing is asserted."""
 
 import importlib.util
 import json
@@ -34,8 +35,13 @@ def test_quick_snapshot_has_the_declared_shape():
     bytecode = data["bytecode"]
     assert bytecode["modules"] > 0 and bytecode["modules_with_current_pyc"] == bytecode["modules"]
     assert set(data["workloads"]) == {w["name"] for w in declared["workloads"]}
-    for name, workload in data["workloads"].items():
+    source = data["cli_mix_from_source"]
+    assert source["env"] == {"PYTHONDONTWRITEBYTECODE": "1"} and source["relqopt_pyc_files"] == 0
+    assert set(source) == {"env", "relqopt_pyc_files", "attempted", "failed", "correct",
+                           "end_to_end", "floors"}
+    for name, workload in (*data["workloads"].items(), ("cli_mix_from_source", source)):
         assert workload["attempted"] > 0 and workload["failed"] == 0, name
+        assert workload["correct"] is True, name
         for metric in declared["end_to_end"]:
             summary = workload["end_to_end"][metric["name"]]
             assert summary["unit"] == metric["unit"], (name, metric["name"])
@@ -44,5 +50,6 @@ def test_quick_snapshot_has_the_declared_shape():
     traced = data["workloads"]["pass_sweep"]["per_layer"]
     for metric in declared["per_layer"]:
         assert traced[metric["name"]]["unit"] == metric["unit"], metric["name"]
-    assert set(data["workloads"]["cli_mix"]["floors"]) == {
-        "cli.floor_python_ms", "cli.floor_numpy_ms", "cli.floor_numpy_pinned_ms"}
+    for cli_mix in (data["workloads"]["cli_mix"], source):
+        assert set(cli_mix["floors"]) == {
+            "cli.floor_python_ms", "cli.floor_numpy_ms", "cli.floor_numpy_pinned_ms"}

@@ -61,6 +61,34 @@ def test_start_up_skips_dataclasses_inspect_and_configparser(argv):
     _run_fresh(code)
 
 
+# the relqopt modules that every subcommand loads, and the library modules
+_CORE = {"cli", "constants", "errors", "orbits", "scenario"}
+_LIBRARY = {"_philox", "bell", "diffusion", "gravitomagnetism", "interferometry", "kinematics",
+            "qft_effects", "wigner"}
+# what each command line loads besides _CORE
+_LOADS = {
+    "orbit": set(),
+    "wigner": {"wigner"},
+    "diffusion": {"diffusion", "kinematics"},
+    "bell-sim": {"bell", "_philox"},
+    "curves --which photons": {"bell"},
+    "curves --which ralph": {"qft_effects"},
+    "report --effects geometry": {"kinematics"},
+    "report": _LIBRARY,
+}
+
+
+@pytest.mark.parametrize("command", _LOADS)
+def test_each_subcommand_loads_only_the_modules_it_runs(command):
+    _run_fresh(
+        "import contextlib, io, sys\n"
+        "from relqopt.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({command.split()!r}) == 0\n"
+        "loaded = sorted(m[len('relqopt.'):] for m in sys.modules if m.startswith('relqopt.'))\n"
+        f"assert loaded == {sorted(_CORE | _LOADS[command])!r}, loaded\n")
+
+
 # library code that runs without numpy, by test id
 _SCALAR_CODE = {
     "import relqopt.wigner": "import relqopt.wigner\n",
@@ -109,3 +137,18 @@ def test_bell_sim_counts_without_numpy_match_golden(tmp_path):
         "assert 'numpy' not in sys.modules, 'numpy was loaded'\n")
     golden = Path(__file__).resolve().parent / "golden" / "bell_counts.csv"
     assert path.read_bytes() == golden.read_bytes()
+
+
+def test_float_seed_or_workers_is_a_type_error_without_numpy():
+    # the numpy path's half is in test_bell::test_invalid_simulation_inputs
+    _run_fresh(
+        "import sys\n"
+        "from relqopt.bell import simulate_coincidences\n"
+        "for kwargs in ({'seed': 1.0}, {'workers': 2.0}):\n"
+        "    try:\n"
+        "        simulate_coincidences(0.9, 1000, **kwargs)\n"
+        "    except TypeError:\n"
+        "        pass\n"
+        "    else:\n"
+        "        raise AssertionError(f'{kwargs} accepted')\n"
+        "assert 'numpy' not in sys.modules, 'numpy was loaded'\n")

@@ -17,6 +17,7 @@ __version__ = "0.1.0"
 
 _SUBMODULES = (
     "bell",
+    "cli",
     "constants",
     "diffusion",
     "gravitomagnetism",

@@ -160,8 +160,6 @@ def _btpe(rand, n: int, p: float) -> int:
 
 
 def _binomial(rand, n: int, p: float) -> int:
-    if n == 0 or p == 0.0:
-        return 0
     q = min(p, 1.0 - p)  # drawn for p > 1/2 as n minus a draw at 1 - p
     x = _inversion(rand, n, q) if q * n <= 30.0 else _btpe(rand, n, q)
     return x if p <= 0.5 else n - x

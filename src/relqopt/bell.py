@@ -2,7 +2,8 @@
 
 The quantum model is visibility-degraded singlet correlations
 E(alpha, beta) = -v cos 2(alpha - beta) with uniform single-side marginals.
-A 3-sigma violation is one-sided: (S - 2)/sigma >= 3.
+A 3-sigma violation is one-sided: (S - 2)/sigma >= 3.  Counts, the estimator
+and the Monte Carlo all use the standard CHSH arrangement, `CHSH_SETTINGS`.
 """
 
 from __future__ import annotations
@@ -27,34 +28,21 @@ CHSH_SETTINGS = (
 )
 
 
-def _as_setting_pairs(settings) -> tuple[tuple[float, float], ...]:
-    """Analyzer settings as (alpha, beta) float pairs; DomainError unless finite."""
-    out = []
-    for alpha, beta in settings:
-        alpha, beta = float(alpha), float(beta)
-        if not (math.isfinite(alpha) and math.isfinite(beta)):
-            raise DomainError("analyzer angles must be finite")
-        out.append((alpha, beta))
-    return tuple(out)
-
-
 class CoincidenceCounts(Record):
-    """Counts per (setting pair, outcome pair), outcome order ++, +-, -+, --.
+    """Counts per row of `CHSH_SETTINGS`, in its order; outcome order ++, +-, -+, --.
 
-    Counts are rows of 4 floats so exact analytic expectations can be fed to
-    the estimator; the simulator always produces nonnegative integers.
+    Counts are a 4x4 table of floats so exact analytic expectations can be fed
+    to the estimator; the simulator always produces nonnegative integers.
     """
 
-    __slots__ = ("settings", "counts")
+    __slots__ = ("counts",)
 
-    def __init__(self, settings, counts):
-        settings = _as_setting_pairs(settings)
+    def __init__(self, counts):
         rows = tuple(tuple(map(float, row)) for row in counts)
-        if len(rows) != len(settings) or any(len(r) != 4 for r in rows):
-            raise DomainError("counts must have shape (n_settings, 4)")
+        if len(rows) != 4 or any(len(r) != 4 for r in rows):
+            raise DomainError("counts must have shape (4, 4)")
         if not all(0.0 <= x < math.inf for r in rows for x in r):
             raise DomainError("counts must be finite and nonnegative")
-        object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "counts", rows)
 
 
@@ -95,8 +83,6 @@ def chsh_estimate(counts: CoincidenceCounts) -> ChshResult:
     E_i = (N_pp + N_mm - N_pm - N_mp) / N_i; S = |E1 - E2 + E3 + E4|;
     each raw count is treated as Poisson (variance = count).
     """
-    if len(counts.settings) != 4:
-        raise DomainError("CHSH needs exactly 4 setting pairs")
     e, variance = [], 0.0
     # every sum runs left to right (Python >= 3.12's sum() compensates)
     for n_pp, n_pm, n_mp, n_mm in counts.counts:
@@ -117,14 +103,13 @@ def chsh_estimate(counts: CoincidenceCounts) -> ChshResult:
 def simulate_coincidences(
     v: float,
     n_pairs: int,
-    settings=CHSH_SETTINGS,
     seed: int = 0,
     workers: int = 1,
 ) -> CoincidenceCounts:
-    """Sample coincidence counts for n_pairs total pairs.
+    """Sample coincidence counts for n_pairs total pairs at the `CHSH_SETTINGS`.
 
-    Pairs are split as evenly as possible across settings, then across
-    worker streams (SeedSequence spawn of `seed`); each worker's outcome
+    Pairs are split as evenly as possible across the four setting pairs, then
+    across worker streams (SeedSequence spawn of `seed`); each worker's outcome
     draws are multinomial in its own stream, and worker results are summed,
     so counts are bitwise reproducible for a given (seed, workers) no matter
     how the workers are scheduled.  The draws are numpy's
@@ -133,22 +118,20 @@ def simulate_coincidences(
     counts without numpy's import.  `n_pairs`, `seed` and `workers` must be
     integers (numpy integers too); a float is a TypeError on both paths.
     """
-    settings = _as_setting_pairs(settings)
     n_pairs, seed, workers = map(operator.index, (n_pairs, seed, workers))
     if n_pairs <= 0:
         raise DomainError("n_pairs must be positive")
     if not 1 <= workers <= WORKER_CAP:
         raise DomainError(f"workers must lie in [1, {WORKER_CAP}]")
     simulate = _simulate_numpy if "numpy" in sys.modules else _simulate_python
-    return CoincidenceCounts(settings, simulate(v, n_pairs, settings, seed, workers))
+    return CoincidenceCounts(simulate(v, n_pairs, seed, workers))
 
 
-def _draw(multinomials, v, n_pairs, settings, workers) -> list:
-    """Integer counts per setting; worker w draws its shares with the w-th multinomial."""
-    n_set = len(settings)
-    per_setting = [n_pairs // n_set + (1 if i < n_pairs % n_set else 0) for i in range(n_set)]
-    probs = [joint_probabilities(v, alpha, beta) for alpha, beta in settings]
-    rows = [[0, 0, 0, 0] for _ in settings]
+def _draw(multinomials, v, n_pairs, workers) -> list:
+    """Integer counts per setting pair; worker w draws its shares with the w-th multinomial."""
+    per_setting = [n_pairs // 4 + (1 if i < n_pairs % 4 else 0) for i in range(4)]
+    probs = [joint_probabilities(v, alpha, beta) for alpha, beta in CHSH_SETTINGS]
+    rows = [[0, 0, 0, 0] for _ in range(4)]
     for w, multinomial in enumerate(multinomials):
         for row, p, n_i in zip(rows, probs, per_setting):
             share = n_i // workers + (1 if w < n_i % workers else 0)
@@ -158,15 +141,15 @@ def _draw(multinomials, v, n_pairs, settings, workers) -> list:
     return rows
 
 
-def _simulate_numpy(v, n_pairs, settings, seed, workers) -> list:
-    """Counts per setting from numpy's spawned Philox generators."""
+def _simulate_numpy(v, n_pairs, seed, workers) -> list:
+    """Counts per setting pair from numpy's spawned Philox generators."""
     import numpy as np
     streams = np.random.SeedSequence(seed).spawn(workers)
     return _draw((np.random.Generator(np.random.Philox(s)).multinomial for s in streams),
-                 v, n_pairs, settings, workers)
+                 v, n_pairs, workers)
 
 
-def _simulate_python(v, n_pairs, settings, seed, workers) -> list:
+def _simulate_python(v, n_pairs, seed, workers) -> list:
     """`_simulate_numpy`'s counts, bit for bit, from `_philox` without numpy."""
     from . import _philox
-    return _draw(_philox.spawned_multinomials(seed, workers), v, n_pairs, settings, workers)
+    return _draw(_philox.spawned_multinomials(seed, workers), v, n_pairs, workers)

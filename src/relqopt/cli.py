@@ -104,6 +104,7 @@ def _cmd_report(args, stream) -> int:
 
 
 def _cmd_bell_sim(args, stream) -> int:
+    from . import bell
     s = _load_scenario(args, seed=args.seed, workers=args.workers, photon_budget=args.photons)
     with scen.effect_errors("bell"):
         counts = scen.bell_counts(s)
@@ -111,7 +112,7 @@ def _cmd_bell_sim(args, stream) -> int:
     if args.counts_out:
         try:
             with open(args.counts_out, "w", encoding="utf-8", newline="") as fh:
-                _write_rows([(*pair, *row) for pair, row in zip(counts.settings, counts.counts)],
+                _write_rows([(*pair, *row) for pair, row in zip(bell.CHSH_SETTINGS, counts.counts)],
                             ("alpha", "beta", "n_pp", "n_pm", "n_mp", "n_mm"), "csv", fh)
         except OSError as exc:
             raise ConfigurationError(f"cannot write --counts-out file: {exc}") from None
@@ -151,8 +152,7 @@ def _cmd_orbit(args, stream) -> int:
             row = [state.time, *state.position, *state.velocity]
             if track_station:
                 gs = orbits.station_state(s.stations[0], t)
-                rng, rate, _ = orbits.relative_geometry(state, gs)
-                row += [rng, rate]
+                row += orbits.relative_geometry(state, gs)
             rows.append(tuple(row))
         _finite(rows, header)
     _write_rows(rows, header, args.format, stream)

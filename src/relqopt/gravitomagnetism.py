@@ -8,8 +8,9 @@ parameter:
 
     Omega = 2 omega - (omega . khat) khat - E_g x k
 
-Closed-form rotation angles for rays through a spinning mass are provided
-for the principal-null (radial) and transverse (impact-parameter) cases.
+Closed-form rotation angles for rays through a spinning mass, given as a
+`constants.EarthParams`, are provided for the principal-null (radial) and
+transverse (impact-parameter) cases.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import numbers
 from typing import Callable
 
-from .constants import C_LIGHT, GRAVITATIONAL_G
+from .constants import C_LIGHT, GRAVITATIONAL_G, EarthParams
 from .errors import DomainError, Record
 
 
@@ -62,18 +63,6 @@ class RayState(Record):
         if not math.isfinite(lam):
             raise DomainError("lam must be finite")
         object.__setattr__(self, "lam", lam)
-
-
-class SpinningBody(Record):
-    """Point spinning mass: M (kg), angular momentum J (kg m^2/s)."""
-
-    __slots__ = ("mass", "angular_momentum")
-
-    def __init__(self, mass, angular_momentum):
-        if mass <= 0 or angular_momentum <= 0:
-            raise DomainError("mass and angular momentum must be positive")
-        object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "angular_momentum", angular_momentum)
 
 
 def _rotation_rate(omega, eg, khat, k) -> tuple:
@@ -140,7 +129,7 @@ def transport_ray(
 
 
 def kerr_principal_null_rotation(
-    body: SpinningBody, r1: float, r2: float, theta: float
+    body: EarthParams, r1: float, r2: float, theta: float
 ) -> float:
     """Polarization rotation along a radial ray between radii r1 and r2.
 
@@ -156,7 +145,7 @@ def kerr_principal_null_rotation(
     return math.asin(x)
 
 
-def axial_impact_rotation(body: SpinningBody, s: float) -> float:
+def axial_impact_rotation(body: EarthParams, s: float) -> float:
     """Rotation for a ray passing a spinning mass at impact parameter s.
 
     chi = arcsin(4 G J / (s^2 c^3)) for propagation parallel to the spin.
@@ -169,7 +158,7 @@ def axial_impact_rotation(body: SpinningBody, s: float) -> float:
     return math.asin(x)
 
 
-def closed_path_rotation(body: SpinningBody, s1: float, s2: float) -> float:
+def closed_path_rotation(body: EarthParams, s1: float, s2: float) -> float:
     """Net rotation around a closed loop with legs at impact parameters s1, s2.
 
     delta_chi = (4 G J / c^3)(1/s1^2 - 1/s2^2); equal legs cancel exactly.

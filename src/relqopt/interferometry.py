@@ -19,8 +19,8 @@ class NeutronBeam(Record):
     __slots__ = ("wavelength",)
 
     def __init__(self, wavelength):
-        if wavelength <= 0:
-            raise DomainError("wavelength must be positive")
+        if not 0.0 < wavelength < math.inf:
+            raise DomainError("wavelength must be positive and finite")
         object.__setattr__(self, "wavelength", wavelength)
 
     @property
@@ -38,10 +38,11 @@ class OpticalLink(Record):
     __slots__ = ("wavelength", "fibre_length", "altitude")
 
     def __init__(self, wavelength, fibre_length, altitude):
-        if wavelength <= 0:
-            raise DomainError("wavelength must be positive")
-        if fibre_length < 0 or altitude < 0:
-            raise DomainError("fibre_length and altitude must be nonnegative")
+        if not 0.0 < wavelength < math.inf:
+            raise DomainError("wavelength must be positive and finite")
+        for name, x in (("fibre_length", fibre_length), ("altitude", altitude)):
+            if not 0.0 <= x < math.inf:
+                raise DomainError(f"{name} must be nonnegative and finite")
         object.__setattr__(self, "wavelength", wavelength)
         object.__setattr__(self, "fibre_length", fibre_length)
         object.__setattr__(self, "altitude", altitude)

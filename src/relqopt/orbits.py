@@ -16,6 +16,14 @@ _KEPLER_TOL = 1e-12
 _KEPLER_MAX_ITER = 50
 
 
+def _set_finite(record: Record, *values) -> None:
+    """Set `record`'s fields in `__slots__` order; DomainError naming a non-finite one."""
+    for name, x in zip(record.__slots__, values):
+        if not math.isfinite(x):
+            raise DomainError(f"{name} must be finite")
+        object.__setattr__(record, name, x)
+
+
 class OrbitSpec(Record):
     __slots__ = ("semi_major_axis", "eccentricity", "inclination", "raan", "arg_perigee",
                  "mean_anomaly_epoch", "epoch")
@@ -26,13 +34,8 @@ class OrbitSpec(Record):
             raise DomainError("eccentricity must lie in [0, 1)")
         if semi_major_axis * (1.0 - eccentricity) <= EARTH.radius:
             raise DomainError("semi_major_axis must put the perigee above the Earth's surface")
-        object.__setattr__(self, "semi_major_axis", semi_major_axis)
-        object.__setattr__(self, "eccentricity", eccentricity)
-        object.__setattr__(self, "inclination", inclination)
-        object.__setattr__(self, "raan", raan)
-        object.__setattr__(self, "arg_perigee", arg_perigee)
-        object.__setattr__(self, "mean_anomaly_epoch", mean_anomaly_epoch)
-        object.__setattr__(self, "epoch", epoch)
+        _set_finite(self, semi_major_axis, eccentricity, inclination, raan, arg_perigee,
+                    mean_anomaly_epoch, epoch)
 
     def period(self) -> float:
         return 2.0 * math.pi * math.sqrt(self.semi_major_axis**3 / EARTH.mu)
@@ -63,9 +66,7 @@ class GroundStation(Record):
             raise DomainError("|latitude| must be <= pi/2")
         if altitude < 0:
             raise DomainError("altitude must be nonnegative")
-        object.__setattr__(self, "latitude", latitude)
-        object.__setattr__(self, "longitude", longitude)
-        object.__setattr__(self, "altitude", altitude)
+        _set_finite(self, latitude, longitude, altitude)
 
 
 def solve_kepler(mean_anomaly: float, eccentricity: float) -> float:
@@ -120,15 +121,15 @@ def station_state(gs: GroundStation, t: float) -> StateVector:
                        velocity=(-w * y, w * x, 0.0))
 
 
-def relative_geometry(a: StateVector, b: StateVector) -> tuple[float, float, float]:
-    """(range, range rate, relative speed) between two simultaneous states."""
+def relative_geometry(a: StateVector, b: StateVector) -> tuple[float, float]:
+    """(range, range rate) between two simultaneous states."""
     if a.time != b.time:
         raise DomainError("states must share the same time")
     dr = [q - p for p, q in zip(a.position, b.position)]
     dv = [q - p for p, q in zip(a.velocity, b.velocity)]
     rng = math.hypot(*dr)
     rate = (dr[0] * dv[0] + dr[1] * dv[1] + dr[2] * dv[2]) / rng if rng > 0.0 else 0.0
-    return rng, rate, math.hypot(*dv)
+    return rng, rate
 
 
 def newtonian_potential(r: float) -> float:

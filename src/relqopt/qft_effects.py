@@ -16,17 +16,14 @@ from .errors import DomainError, Record
 
 
 class EventOperatorModel(Record):
-    """Detector timing resolution d_t and maximum correlation C_max."""
+    """Detector timing resolution d_t (s)."""
 
-    __slots__ = ("detector_resolution", "max_correlation")
+    __slots__ = ("detector_resolution",)
 
-    def __init__(self, detector_resolution, max_correlation=1.0):
-        if detector_resolution <= 0:
-            raise DomainError("detector_resolution must be positive")
-        if not 0.0 < max_correlation <= 1.0:
-            raise DomainError("max_correlation must lie in (0, 1]")
+    def __init__(self, detector_resolution):
+        if not 0.0 < detector_resolution < math.inf:
+            raise DomainError("detector_resolution must be positive and finite")
         object.__setattr__(self, "detector_resolution", detector_resolution)
-        object.__setattr__(self, "max_correlation", max_correlation)
 
 
 def unruh_temperature(a: float) -> float:
@@ -77,9 +74,9 @@ def spacelike_window(separation: float) -> float:
 
 
 def ralph_correlation(model: EventOperatorModel, delta: float) -> float:
-    """Event-operator decorrelation C = C_max exp(-delta^2 / (4 d_t^2))."""
+    """Event-operator decorrelation C = exp(-delta^2 / (4 d_t^2))."""
     x = delta / (2.0 * model.detector_resolution)
-    return model.max_correlation * math.exp(-(x * x))
+    return math.exp(-(x * x))
 
 
 def proper_time_differential(

@@ -114,19 +114,17 @@ def wigner_exact(s: Scenario, sat, *, theta, phi, theta_b, phi_b, beta=None) -> 
 
 def _gravitomagnetic(s: Scenario, sat) -> list:
     from . import gravitomagnetism
-    body = gravitomagnetism.SpinningBody(
-        mass=ROUNDED_EARTH.mass, angular_momentum=ROUNDED_EARTH.angular_momentum)
     r_orbit = sat.radius
     return [
         ReportEntry("gravitomagnetic.kerr_rotation",
                     gravitomagnetism.kerr_principal_null_rotation(
-                        body, r_orbit, math.inf, 0.25 * math.pi),
+                        ROUNDED_EARTH, r_orbit, math.inf, 0.25 * math.pi),
                     "rad", "§3.2.1 Eq. (17)"),
         ReportEntry("gravitomagnetic.axial_rotation",
-                    gravitomagnetism.axial_impact_rotation(body, EARTH.radius),
+                    gravitomagnetism.axial_impact_rotation(ROUNDED_EARTH, EARTH.radius),
                     "rad", "§3.2.1 Eq. (chi1)"),
         ReportEntry("gravitomagnetic.closed_path_rotation",
-                    gravitomagnetism.closed_path_rotation(body, EARTH.radius, r_orbit),
+                    gravitomagnetism.closed_path_rotation(ROUNDED_EARTH, EARTH.radius, r_orbit),
                     "rad", "§3.2.1 Eq. (18)"),
     ]
 
@@ -204,7 +202,7 @@ def bell_counts(s: Scenario):
     """The scenario's simulated CHSH coincidence counts, a `bell.CoincidenceCounts`."""
     from . import bell
     return bell.simulate_coincidences(
-        s.visibility, s.photon_budget, bell.CHSH_SETTINGS, seed=s.seed, workers=s.workers)
+        s.visibility, s.photon_budget, seed=s.seed, workers=s.workers)
 
 
 def _bell(s: Scenario, sat, counts=None) -> list:

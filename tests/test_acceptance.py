@@ -18,8 +18,7 @@ from relqopt.constants import (ASTRONOMICAL_UNIT, C_LIGHT, EARTH, G0,
                                LUNAR_DISTANCE, ROUNDED_EARTH, convert_angle)
 from relqopt.errors import DomainError
 
-EARTH_BODY = gravitomagnetism.SpinningBody(
-    mass=ROUNDED_EARTH.mass, angular_momentum=ROUNDED_EARTH.angular_momentum)
+EARTH_BODY = ROUNDED_EARTH
 
 
 def _link(distance: float, t1: float):
@@ -150,8 +149,7 @@ def test_criterion_07_detector_response():
 def test_criterion_08_event_operator():
     with criterion(8, "event-operator decorrelation: exp(-1) at 2 d_t; monotone; 5.4e-14 s clock lag"):
         d_t = 3.5e-13
-        model = qft_effects.EventOperatorModel(detector_resolution=d_t,
-                                               max_correlation=1.0)
+        model = qft_effects.EventOperatorModel(detector_resolution=d_t)
         assert qft_effects.ralph_correlation(model, 2.0 * d_t) == math.exp(-1.0)
         values = [qft_effects.ralph_correlation(model, float(x))
                   for x in np.linspace(0.0, 6.0 * d_t, 41)]

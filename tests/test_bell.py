@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from relqopt import bell
+from relqopt import _philox, bell
 from relqopt.bell import (
     CHSH_SETTINGS,
     PHOTON_CAP,
@@ -57,7 +57,7 @@ def test_chsh_settings_are_the_standard_arrangement():
 
 def _expected_counts(v, pairs_per_setting):
     """The exact expected (non-integer) counts at the CHSH settings."""
-    return CoincidenceCounts(CHSH_SETTINGS, [
+    return CoincidenceCounts([
         [pairs_per_setting * p for p in joint_probabilities(v, a, b)] for a, b in CHSH_SETTINGS])
 
 
@@ -68,7 +68,7 @@ def test_ideal_singlet_reaches_tsirelson():
 
 
 def test_uniform_counts_give_zero():
-    counts = CoincidenceCounts(CHSH_SETTINGS, np.full((4, 4), 250.0))
+    counts = CoincidenceCounts(np.full((4, 4), 250.0))
     assert chsh_estimate(counts).s_value == 0.0
 
 
@@ -81,7 +81,7 @@ def test_reduced_visibility_scales_s():
 def test_estimator_bounds_on_random_counts():
     rng = np.random.default_rng(83)
     for _ in range(200):
-        counts = CoincidenceCounts(CHSH_SETTINGS, rng.uniform(1.0, 1000.0, size=(4, 4)))
+        counts = CoincidenceCounts(rng.uniform(1.0, 1000.0, size=(4, 4)))
         res = chsh_estimate(counts)
         assert res.s_value <= 4.0 + 1e-12
         assert res.sigma > 0.0
@@ -89,12 +89,16 @@ def test_estimator_bounds_on_random_counts():
 
 def test_estimator_rejects_degenerate_input():
     with pytest.raises(DomainError):
-        chsh_estimate(CoincidenceCounts(CHSH_SETTINGS, np.zeros((4, 4))))
+        chsh_estimate(CoincidenceCounts(np.zeros((4, 4))))
     perfect = np.array([[0.0, 50.0, 50.0, 0.0]] * 4)
     with pytest.raises(DomainError):
-        chsh_estimate(CoincidenceCounts(CHSH_SETTINGS, perfect))
-    with pytest.raises(DomainError):
-        CoincidenceCounts(CHSH_SETTINGS[:3] + ((0.0, math.nan),), np.full((4, 4), 25.0))
+        chsh_estimate(CoincidenceCounts(perfect))
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (5, 4), (4, 3)])
+def test_counts_must_be_one_row_of_four_per_chsh_setting(shape):
+    with pytest.raises(DomainError, match=r"shape \(4, 4\)"):
+        CoincidenceCounts(np.full(shape, 25.0))
 
 
 # -------------------------------------------------------- required photons
@@ -163,19 +167,15 @@ def test_simulated_correlations_are_bounded():
 
 
 def _path_cases():
-    """(v, n_pairs, settings, seed, workers): seeds past 2**53 (which a float would
-    round), the budget and worker caps, budgets small enough that every binomial
-    takes the inversion branch (n p <= 30) next to ones that take BTPE, and aligned
-    analyzers, whose probabilities 0 and 1/2 reach p = 0 and the p > 1/2 reflection."""
-    aligned = ((0.0, 0.0), (0.0, 0.5 * math.pi))
+    """(v, n_pairs, seed, workers): seeds past 2**53 (which a float would round), the
+    budget and worker caps, and budgets small enough that every binomial takes the
+    inversion branch (n p <= 30) next to ones that take BTPE."""
     cases = [
-        (0.95, int(PHOTON_CAP), CHSH_SETTINGS, 9007199254740993, 1),
-        (0.95, int(PHOTON_CAP), CHSH_SETTINGS, 2**64 - 1, WORKER_CAP),
-        (1.0, 1_000_000, CHSH_SETTINGS, 2**53, WORKER_CAP),
-        (0.0, 100, CHSH_SETTINGS, 2**64 - 1, 3),
-        (1.0, 105, CHSH_SETTINGS, 5_000_000, 1),
-        (1.0, 1_000_000, aligned, 7, 2),
-        (1.0, 50, aligned, 2**64 - 1, 1),
+        (0.95, int(PHOTON_CAP), 9007199254740993, 1),
+        (0.95, int(PHOTON_CAP), 2**64 - 1, WORKER_CAP),
+        (1.0, 1_000_000, 2**53, WORKER_CAP),
+        (0.0, 100, 2**64 - 1, 3),
+        (1.0, 105, 5_000_000, 1),
     ]
     rng = random.Random(12)
     for _ in range(300):
@@ -184,17 +184,31 @@ def _path_cases():
                         int(10 ** rng.uniform(0.0, 12.0))))
         seed = rng.choice((rng.randrange(2**16), rng.randrange(2**53, 2**64)))
         workers = rng.choice((1, 1, 2, 3, rng.randint(1, 64)))
-        cases.append((v, n, CHSH_SETTINGS, seed, workers))
+        cases.append((v, n, seed, workers))
     return cases
 
 
-def test_python_stream_matches_numpy_generator():
+def _counting(calls, key, fn, when=lambda *args: True):
+    def counted(*args):
+        calls[key] += when(*args)
+        return fn(*args)
+    return counted
+
+
+def test_python_stream_matches_numpy_generator(monkeypatch):
     # the Python stream stands in for numpy's wherever numpy is not loaded
+    calls = dict.fromkeys(("inversion", "btpe", "reflection"), 0)
+    monkeypatch.setattr(_philox, "_inversion", _counting(calls, "inversion", _philox._inversion))
+    monkeypatch.setattr(_philox, "_btpe", _counting(calls, "btpe", _philox._btpe))
+    monkeypatch.setattr(_philox, "_binomial", _counting(
+        calls, "reflection", _philox._binomial, lambda rand, n, p: p > 0.5))
     mismatched = [case for case in _path_cases()
                   if bell._simulate_numpy(*case) != bell._simulate_python(*case)]
     assert not mismatched, (
         "relqopt._philox no longer gives numpy's Generator(Philox(child)).multinomial "
         f"counts (a numpy release may have changed its streams, NEP 19): {mismatched[:5]}")
+    # the cases reach both binomial branches and the p > 1/2 reflection
+    assert all(calls.values()), calls
 
 
 def test_invalid_simulation_inputs():

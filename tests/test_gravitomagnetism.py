@@ -8,7 +8,6 @@ from relqopt.errors import DomainError
 from relqopt.gravitomagnetism import (
     GravField,
     RayState,
-    SpinningBody,
     axial_impact_rotation,
     closed_path_rotation,
     kerr_principal_null_rotation,
@@ -16,8 +15,7 @@ from relqopt.gravitomagnetism import (
     transport_ray,
 )
 
-EARTH_BODY = SpinningBody(mass=ROUNDED_EARTH.mass,
-                          angular_momentum=ROUNDED_EARTH.angular_momentum)
+EARTH_BODY = ROUNDED_EARTH
 
 
 # ------------------------------------------------------------ local rates

@@ -18,13 +18,20 @@ def _run_fresh(code):
 
 def test_submodules_load_on_first_use():
     code = (
-        "import sys\n"
+        "import re, sys\n"
+        "import relqopt\n"
+        # every module of the package docstring's map, which a bare import leaves unloaded
+        "names = re.findall(r'`(\\w+)`', relqopt.__doc__)\n"
+        "assert {'bell', 'cli', 'scenario', 'wigner'} <= set(names), names\n"
+        "loaded = [name for name in names if f'relqopt.{name}' in sys.modules]\n"
+        "assert not loaded, f'loaded by import relqopt: {loaded}'\n"
         "from relqopt import gravitomagnetism, wigner\n"
         "assert 'relqopt.scenario' not in sys.modules, 'scenario loaded eagerly'\n"
         "assert 'relqopt.bell' not in sys.modules, 'bell loaded eagerly'\n"
-        "import relqopt\n"
         "assert relqopt.bell.required_photons(0.9) == 288\n"
         "assert relqopt.wigner is wigner\n"
+        "for name in names:\n"
+        "    assert getattr(relqopt, name) is sys.modules[f'relqopt.{name}'], name\n"
         "try:\n"
         "    relqopt.no_such_module\n"
         "except AttributeError:\n"

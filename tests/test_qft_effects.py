@@ -106,11 +106,11 @@ def test_ralph_correlation_values():
 
 
 def test_ralph_correlation_monotone_even():
-    model = EventOperatorModel(detector_resolution=1e-12, max_correlation=0.9)
+    model = EventOperatorModel(detector_resolution=1e-12)
     deltas = np.linspace(0.0, 1e-11, 50)
     vals = [ralph_correlation(model, float(d)) for d in deltas]
     assert all(a > b for a, b in zip(vals, vals[1:]))
-    assert all(0.0 < v <= 0.9 for v in vals)
+    assert vals[0] == 1.0 and all(0.0 < v <= 1.0 for v in vals)
     assert ralph_correlation(model, -3e-12) == ralph_correlation(model, 3e-12)
 
 
@@ -133,5 +133,3 @@ def test_model_validation():
         negativity_bound(1.0, 0.0)
     with pytest.raises(DomainError):
         EventOperatorModel(detector_resolution=0.0)
-    with pytest.raises(DomainError):
-        EventOperatorModel(detector_resolution=1e-12, max_correlation=1.5)

@@ -9,7 +9,7 @@ import pytest
 
 from relqopt import (bell, constants, diffusion, gravitomagnetism, interferometry, kinematics,
                      orbits, qft_effects, scenario, wigner)
-from relqopt.errors import ConfigurationError, Record
+from relqopt.errors import ConfigurationError, DomainError, Record
 
 
 def _polar(theta):
@@ -19,16 +19,15 @@ def _polar(theta):
 # each factory builds a fresh instance from the same arguments on every call
 RECORDS = {
     "EarthParams": lambda: constants.EarthParams(mass=5.98e24),
-    "CoincidenceCounts": lambda: bell.CoincidenceCounts(bell.CHSH_SETTINGS, [(250.0,) * 4] * 4),
+    "CoincidenceCounts": lambda: bell.CoincidenceCounts([(250.0,) * 4] * 4),
     "DiffusionParams": lambda: diffusion.DiffusionParams(2e-9, 4e-8),
     "BlochTensorModel": lambda: diffusion.BlochTensorModel(_polar, _polar, _polar),
     "OrbitSpec": lambda: orbits.OrbitSpec(7.2e6, 0.01, 0.5),
     "StateVector": lambda: orbits.StateVector(1.0, (7e6, 0.0, 0.0), (0.0, 7.5e3, 0.0)),
     "GroundStation": lambda: orbits.GroundStation(0.8, 0.2, 500.0),
-    "EventOperatorModel": lambda: qft_effects.EventOperatorModel(5e-13, 0.9),
+    "EventOperatorModel": lambda: qft_effects.EventOperatorModel(5e-13),
     "GravField": lambda: gravitomagnetism.GravField((0.0, 0.0, 1e-9), [1e-7, 0.0, 0.0]),
     "RayState": lambda: gravitomagnetism.RayState((7e6, 0, 0), (0.0, 1.0, 0.0), (0, 0, 1), 2.0),
-    "SpinningBody": lambda: gravitomagnetism.SpinningBody(5.98e24, 5.86e33),
     "NeutronBeam": lambda: interferometry.NeutronBeam(1.4e-10),
     "OpticalLink": lambda: interferometry.OpticalLink(8e-7, 4e3, 5e5),
     "Event": lambda: kinematics.Event(2e-5, 1e6, 0.0),
@@ -76,10 +75,33 @@ def test_equal_arguments_give_equal_records_with_equal_hashes(make):
 def test_records_differ_when_a_field_differs():
     assert orbits.OrbitSpec(7.2e6) != orbits.OrbitSpec(7.3e6)
     assert scenario.Scenario(seed=1) != scenario.Scenario(seed=2)
-    assert gravitomagnetism.SpinningBody(1.0, 2.0) != gravitomagnetism.SpinningBody(2.0, 1.0)
+    assert constants.EarthParams(1.0, 2.0) != constants.EarthParams(2.0, 1.0)
     # equal values in records of different types are not equal records
-    assert gravitomagnetism.SpinningBody(1.0, 2.0) != diffusion.DiffusionParams(1.0, 2.0)
+    assert constants.EarthParams(1.0, 2.0) != diffusion.DiffusionParams(1.0, 2.0)
     assert kinematics.Event(0.0, 1.0, 2.0) != (0.0, 1.0, 2.0, 0.0)
+
+
+# record, valid keyword arguments, and the float fields that must be finite
+FINITE_FIELDS = [
+    (orbits.OrbitSpec, {"semi_major_axis": 7.2e6},
+     ("semi_major_axis", "inclination", "raan", "arg_perigee", "mean_anomaly_epoch", "epoch")),
+    (orbits.GroundStation, {"latitude": 0.8, "longitude": 0.2, "altitude": 500.0},
+     ("latitude", "longitude", "altitude")),
+    (qft_effects.EventOperatorModel, {"detector_resolution": 5e-13}, ("detector_resolution",)),
+    (interferometry.NeutronBeam, {"wavelength": 1.4e-10}, ("wavelength",)),
+    (interferometry.OpticalLink, {"wavelength": 8e-7, "fibre_length": 4e3, "altitude": 5e5},
+     ("wavelength", "fibre_length", "altitude")),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, field, value", [
+    pytest.param(cls, kwargs, field, value, id=f"{cls.__name__}-{field}-{value}")
+    for cls, kwargs, fields in FINITE_FIELDS for field in fields for value in (math.nan, math.inf)
+])
+def test_non_finite_field_is_refused_naming_it(cls, kwargs, field, value):
+    cls(**kwargs)
+    with pytest.raises(DomainError, match=rf"\b{field}\b"):
+        cls(**{**kwargs, field: value})
 
 
 def test_scenario_replace_validates_and_keeps_the_other_fields():

@@ -222,12 +222,10 @@ def test_report_values_equal_direct_library_calls():
         0.5 * math.pi, 0.5 * math.pi, 0.5 * math.pi, 0.0, sat.speed)
     assert by["wigner.diffraction_ratio"].value == wigner.diffraction_transform(1.0, s.relative_speed)
 
-    body = gravitomagnetism.SpinningBody(
-        mass=ROUNDED_EARTH.mass, angular_momentum=ROUNDED_EARTH.angular_momentum)
     assert by["gravitomagnetic.kerr_rotation"].value == gravitomagnetism.kerr_principal_null_rotation(
-        body, sat.radius, math.inf, 0.25 * math.pi)
+        ROUNDED_EARTH, sat.radius, math.inf, 0.25 * math.pi)
     assert by["gravitomagnetic.axial_rotation"].value == gravitomagnetism.axial_impact_rotation(
-        body, EARTH.radius)
+        ROUNDED_EARTH, EARTH.radius)
 
     assert by["qft.unruh_temperature"].value == qft_effects.unruh_temperature(9.81)
     assert by["qft.spacelike_window"].value == qft_effects.spacelike_window(s.separation_m())
@@ -239,7 +237,7 @@ def test_report_values_equal_direct_library_calls():
         s.cmb_chi, s.cmb_time, s.cmb_frequency)
 
     counts = bell.simulate_coincidences(s.visibility, s.photon_budget,
-                                        bell.CHSH_SETTINGS, seed=s.seed, workers=s.workers)
+                                        seed=s.seed, workers=s.workers)
     result = bell.chsh_estimate(counts)
     assert by["bell.simulated_s"].value == result.s_value
     assert by["bell.sigma"].value == result.sigma

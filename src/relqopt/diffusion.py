@@ -57,10 +57,9 @@ class CircleDensity:
     @classmethod
     def wrapped_gaussian(cls, mean: float, sigma: float,
                          modes: int = DEFAULT_MODES) -> "CircleDensity":
-        if not math.isfinite(mean):
-            raise DomainError("mean must be finite")
-        if not 0.0 < sigma < math.inf:
-            raise DomainError("sigma must be positive and finite")
+        _check_finite("mean", mean)
+        _check_positive("sigma", sigma)
+        modes = _integer("modes", modes)
         import numpy as np
         m = np.arange(modes + 1)
         c = np.exp(-0.5 * (m * sigma) ** 2) * np.exp(-1j * m * mean) / (2.0 * math.pi)
@@ -90,6 +89,22 @@ class DiffusionParams(Record):
         object.__setattr__(self, "d_drift", d_drift)
 
 
+def _check_finite(name: str, x: float) -> None:
+    if not math.isfinite(x):
+        raise DomainError(f"{name} must be finite")
+
+
+def _check_positive(name: str, x: float) -> None:
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{name} must be positive and finite")
+
+
+def _integer(name: str, value) -> int:
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer")
+    return int(value)
+
+
 def _check_span(lambda_span: float) -> None:
     if not 0.0 <= lambda_span < math.inf:
         raise DomainError("lambda_span must be finite and nonnegative")
@@ -110,36 +125,40 @@ def evolve_equator(rho0: CircleDensity, params: DiffusionParams,
 
 def affine_parameter(t: float, nu: float) -> float:
     """Invariant affine parameter lambda = t / (h nu) for coordinate time t."""
-    if nu <= 0:
-        raise DomainError("nu must be positive")
+    _check_finite("t", t)
+    _check_positive("nu", nu)
     return t / (PLANCK_H * nu)
 
 
 def angle_shift(t: float, nu: float, d_drift: float) -> float:
     """Frame-angle drift chi = t dDrift / nu accumulated over time t."""
-    if nu <= 0:
-        raise DomainError("nu must be positive")
+    _check_finite("t", t)
+    _check_positive("nu", nu)
+    _check_finite("d_drift", d_drift)
     return t * d_drift / nu
 
 
 def polarization_decay(t: float, nu: float, c_diff: float) -> float:
     """Depolarization exponent mu = 4 t cDiff / nu (P' = exp(-mu) P)."""
-    if nu <= 0:
-        raise DomainError("nu must be positive")
+    _check_finite("t", t)
+    _check_positive("nu", nu)
+    _check_finite("c_diff", c_diff)
     return 4.0 * t * c_diff / nu
 
 
 def drift_bound_from_angle(chi: float, t: float, nu: float) -> float:
     """Invert chi = t d / nu: the drift constant saturating an angle bound."""
-    if t <= 0 or nu <= 0:
-        raise DomainError("t and nu must be positive")
+    _check_finite("chi", chi)
+    _check_positive("t", t)
+    _check_positive("nu", nu)
     return chi * nu / t
 
 
 def diffusion_bound_from_decay(mu: float, t: float, nu: float) -> float:
     """Invert mu = 4 t c / nu: the diffusion constant saturating a decay bound."""
-    if t <= 0 or nu <= 0:
-        raise DomainError("t and nu must be positive")
+    _check_finite("mu", mu)
+    _check_positive("t", t)
+    _check_positive("nu", nu)
     return mu * nu / (4.0 * t)
 
 
@@ -198,82 +217,71 @@ def _rotate_grid(values: np.ndarray, angle: float) -> np.ndarray:
     return np.fft.irfft(spec * np.exp(-1j * m * angle), n=n)
 
 
-def equivariance_check(
-    model: BlochTensorModel,
-    rho0: CircleDensity,
-    rotation: float,
-    lambda_span: float,
-    grid_n: int = 256,
-    coefficient_samplers=None,
-) -> float:
-    """L1 distance between rotate-then-evolve and evolve-then-rotate.
-
-    For any valid (polar-only) model the equator dynamics has constant
-    coefficients and commutes with rotations, so the deviation is numerical
-    noise.  `coefficient_samplers` is a test hook: a pair of callables
-    (c(beta), d(beta)) injecting azimuth-dependent coefficients, which breaks
-    the symmetry and makes the deviation finite.
-
-    Both paths advance together as one (2, grid_n // 2 + 1) state of rfft
-    coefficients under classical RK4: each stage takes one batched irfft of
-    [ik V, V] to the grid, forms c d_beta v - d v there, and returns ik times
-    its rfft.
+def _rk4_rfft(spec: np.ndarray, c_diff: float, d_drift: float, lambda_span: float,
+              grid_n: int) -> tuple[np.ndarray, int]:
+    """Advance rfft states (..., grid_n // 2 + 1) of real grids by lambda_span
+    with classical RK4; return them and the step count, which keeps every
+    |dt lambda_m| <= 2.  Each stage takes one batched irfft of [ik V, V] to the
+    grid, forms c d_beta v - d v there, and returns ik times its rfft.
     """
     import numpy as np
-    _check_span(lambda_span)
-    if not math.isfinite(rotation):
-        raise DomainError("rotation must be finite")
-    if not isinstance(grid_n, numbers.Integral) or isinstance(grid_n, bool):
-        raise DomainError("grid_n must be an integer")
-    grid_n = int(grid_n)
-    model.validate()
-    v0 = rho0.to_grid(grid_n)
-    h = 2.0 * math.pi / grid_n
-    if lambda_span == 0.0:
-        return 0.0
-    beta = np.arange(grid_n) * h
-    if coefficient_samplers is None:
-        params = model.equator_params()
-        c_arr = np.full(grid_n, params.c_diff)
-        d_arr = np.full(grid_n, params.d_drift)
-    else:
-        c_fn, d_fn = coefficient_samplers
-        c_arr = np.asarray([float(c_fn(b)) for b in beta])
-        d_arr = np.asarray([float(d_fn(b)) for b in beta])
-        if not (np.isfinite(c_arr).all() and np.isfinite(d_arr).all()):
-            raise DomainError("injected coefficients must be finite")
-        if c_arr.min() < 0:
-            raise DomainError("injected diffusion coefficient must be nonnegative")
-
     m_max = grid_n // 2
     ik = 1j * np.arange(m_max + 1)
     if grid_n % 2 == 0:
         # irfft drops the imaginary Nyquist term that ik V would carry; a zero keeps
         # the state the rfft of a real grid
         ik[m_max] = 0.0
-    coeffs = np.stack([c_arr, d_arr])
-    pair = np.empty((2, 2, m_max + 1), dtype=complex)
+    coeffs = np.array([[c_diff], [d_drift]])
+    pair = np.empty(spec.shape[:-1] + (2, m_max + 1), dtype=complex)
 
     def rhs(spec):
-        np.multiply(ik, spec, out=pair[:, 0])
-        pair[:, 1] = spec
+        np.multiply(ik, spec, out=pair[..., 0, :])
+        pair[..., 1, :] = spec
         grid = np.fft.irfft(pair, n=grid_n)
         grid *= coeffs
-        out = np.fft.rfft(np.subtract(grid[:, 0], grid[:, 1]))
+        out = np.fft.rfft(np.subtract(grid[..., 0, :], grid[..., 1, :]))
         out *= ik
         return out
 
-    stiff = float(c_arr.max()) * m_max**2 + abs(d_arr).max() * m_max
+    stiff = c_diff * m_max**2 + abs(d_drift) * m_max
     n_steps = max(64, int(lambda_span * stiff / 2.0) + 1)
     dt = lambda_span / n_steps
-
-    spec = np.fft.rfft(np.stack([v0, _rotate_grid(v0, rotation)]))
     for _ in range(n_steps):
         k1 = rhs(spec)
         k2 = rhs(spec + 0.5 * dt * k1)
         k3 = rhs(spec + 0.5 * dt * k2)
         k4 = rhs(spec + dt * k3)
         spec = spec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return spec, n_steps
+
+
+def equivariance_check(
+    model: BlochTensorModel,
+    rho0: CircleDensity,
+    rotation: float,
+    lambda_span: float,
+    grid_n: int = 256,
+) -> float:
+    """L1 distance between rotate-then-evolve and evolve-then-rotate.
+
+    For any valid (polar-only) model the equator dynamics has constant
+    coefficients and commutes with rotations, so the deviation is numerical
+    noise.  Both paths advance together as one (2, grid_n // 2 + 1) rfft state.
+    Azimuth-dependent coefficients, which break the symmetry, are taken only by
+    the reference copy in tests/reference_kernels.py.
+    """
+    import numpy as np
+    _check_span(lambda_span)
+    _check_finite("rotation", rotation)
+    grid_n = _integer("grid_n", grid_n)
+    model.validate()
+    v0 = rho0.to_grid(grid_n)
+    h = 2.0 * math.pi / grid_n
+    if lambda_span == 0.0:
+        return 0.0
+    params = model.equator_params()
+    spec = np.fft.rfft(np.stack([v0, _rotate_grid(v0, rotation)]))
+    spec, _ = _rk4_rfft(spec, params.c_diff, params.d_drift, lambda_span, grid_n)
     evolved, path_b = np.fft.irfft(spec, n=grid_n)
     path_a = _rotate_grid(evolved, rotation)
     return float(np.sum(np.abs(path_a - path_b)) * h)

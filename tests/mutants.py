@@ -1,0 +1,81 @@
+"""Mutation check: tier-1 must fail on each deliberately broken copy of the library.
+
+Run by hand from anywhere (pytest does not collect this file):
+
+    python3 tests/mutants.py [extra pytest arguments]
+
+The unmutated tree is copied to a temporary directory and tier-1 must pass
+there.  Then, for each mutation, a fresh copy gets one textual patch and
+tier-1 must fail on it.  A patch whose text does not occur exactly once in
+its file is an error, so that code which moved makes this script fail
+loudly instead of passing vacuously.  Extra arguments go to pytest, for
+example a test file to narrow the run.  Exits 1 if any check fails.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, file, text, replacement)
+MUTANTS = [
+    ("rk4_k4_from_k2", "src/relqopt/diffusion.py",
+     "k4 = rhs(spec + dt * k3)", "k4 = rhs(spec + dt * k2)"),
+    ("nyquist_zero_dropped", "src/relqopt/diffusion.py",
+     "ik[m_max] = 0.0", "pass"),
+]
+
+
+def _copy_tree(dest: Path) -> None:
+    shutil.copytree(ROOT, dest, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench",
+        ".bench_build"))
+
+
+def _tier1(tree: Path, pytest_args) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors", *pytest_args],
+        cwd=tree, env=env, capture_output=True, text=True)
+
+
+def _summary(run: subprocess.CompletedProcess) -> str:
+    lines = run.stdout.strip().splitlines()
+    return lines[-1] if lines else run.stderr.strip()
+
+
+def main(pytest_args) -> int:
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="relqopt-mutants-") as tmp:
+        base = Path(tmp) / "base"
+        _copy_tree(base)
+        run = _tier1(base, pytest_args)
+        print(f"unmutated: {_summary(run)}")
+        if run.returncode != 0:
+            print("the unmutated tree must pass before mutants mean anything")
+            return 1
+        for name, rel, text, replacement in MUTANTS:
+            tree = Path(tmp) / name
+            _copy_tree(tree)
+            path = tree / rel
+            source = path.read_text()
+            count = source.count(text)
+            if count != 1:
+                print(f"{name}: patch text occurs {count} times in {rel}, expected once")
+                failures += 1
+                continue
+            path.write_text(source.replace(text, replacement))
+            run = _tier1(tree, pytest_args)
+            killed = run.returncode != 0
+            print(f"{name}: {'killed' if killed else 'SURVIVED'} ({_summary(run)})")
+            failures += not killed
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

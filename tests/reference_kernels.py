@@ -4,9 +4,10 @@ These are the straightforward formulations the library kernels were first
 written in: the little-group decomposition as a product of validated
 `LorentzMatrix` objects, the RK4 transport on a numpy state vector with
 `np.cross`, and the diffusion equivariance witness as two separate RK4 solves
-on the grid.  The library now computes the same quantities on raw arrays and
-floats, and advances both witness paths as one spectral state;
-`test_reference_equivalence.py` holds the two to agreement.  The Lorentz
+on the grid.  The library now computes the angle and the transport on raw
+arrays and floats; `test_reference_equivalence.py` holds the two pairs to
+agreement.  The witness copy here is the only one that takes azimuth-dependent
+coefficients, with which the deviation must become finite.  The Lorentz
 helpers below build each transform as a validated `LorentzMatrix` and form
 every product and matrix-vector product in numpy, apart from the library's
 float path.  The metric `ETA`, the reference null vector `K_REF` and
@@ -118,7 +119,13 @@ def _rotate_grid(values, angle):
 
 def equivariance_check(model, rho0, rotation, lambda_span, grid_n=256,
                        coefficient_samplers=None):
-    """Evolve-then-rotate against rotate-then-evolve, one grid RK4 solve each."""
+    """Evolve-then-rotate against rotate-then-evolve, one grid RK4 solve each.
+
+    `coefficient_samplers`, a pair of callables (c(beta), d(beta)), replaces the
+    model's constant equator coefficients with azimuth-dependent ones, which
+    break the rotation symmetry.  The library's `diffusion.equivariance_check`
+    takes constant coefficients only, so this hook exists only here.
+    """
     model.validate()
     v0 = rho0.to_grid(grid_n)
     h = 2.0 * math.pi / grid_n

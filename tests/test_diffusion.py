@@ -81,6 +81,20 @@ def test_wrapped_gaussian_rejects_non_finite_parameters(mean, sigma):
         CircleDensity.wrapped_gaussian(mean=mean, sigma=sigma, modes=8)
 
 
+@pytest.mark.parametrize("modes", [8.5, 8.0, np.float64(8.0), True, "8"],
+                         ids=["fraction", "float", "numpy_float", "bool", "str"])
+def test_wrapped_gaussian_requires_an_integer_mode_count(modes):
+    with pytest.raises(DomainError):
+        CircleDensity.wrapped_gaussian(mean=0.0, sigma=1.0, modes=modes)
+
+
+def test_wrapped_gaussian_accepts_numpy_integer_mode_count():
+    rho = CircleDensity.wrapped_gaussian(mean=0.3, sigma=1.0, modes=np.int64(8))
+    assert rho.modes == 8
+    assert np.array_equal(
+        rho.coefficients, CircleDensity.wrapped_gaussian(mean=0.3, sigma=1.0, modes=8).coefficients)
+
+
 def test_grid_round_trip():
     rho = CircleDensity.wrapped_gaussian(mean=-0.7, sigma=0.5, modes=64)
     grid = rho.to_grid(512)
@@ -173,6 +187,28 @@ def test_oracle_itself_handles_pure_drift():
 # ---------------------------------------------------------- reduced forms
 
 
+# Each closed form with valid values of all its float arguments.
+_CLOSED_FORM_CALLS = {
+    affine_parameter: dict(t=1.0, nu=1e14),
+    angle_shift: dict(t=1.0, nu=1e14, d_drift=4e-8),
+    polarization_decay: dict(t=1.0, nu=1e14, c_diff=2e-9),
+    drift_bound_from_angle: dict(chi=0.1, t=1.0, nu=1e14),
+    diffusion_bound_from_decay: dict(mu=0.025, t=1.0, nu=1e14),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("fn, name", [
+    (fn, name) for fn, kwargs in _CLOSED_FORM_CALLS.items() for name in kwargs
+], ids=lambda v: getattr(v, "__name__", v))
+def test_closed_forms_refuse_non_finite_arguments(fn, name, bad):
+    kwargs = dict(_CLOSED_FORM_CALLS[fn])
+    assert math.isfinite(fn(**kwargs))
+    kwargs[name] = bad
+    with pytest.raises(DomainError):
+        fn(**kwargs)
+
+
 def test_affine_parameter():
     assert affine_parameter(0.0, 1e14) == 0.0
     assert affine_parameter(1.0, 1e14) == pytest.approx(1.0 / (PLANCK_H * 1e14), rel=1e-15)
@@ -231,16 +267,6 @@ def test_zero_span_gives_zero_deviation():
     model = _constant_model()
     rho0 = CircleDensity.wrapped_gaussian(mean=0.0, sigma=0.5, modes=64)
     assert equivariance_check(model, rho0, rotation=1.2, lambda_span=0.0) == 0.0
-
-
-def test_azimuth_dependent_injection_breaks_equivariance():
-    model = _constant_model()
-    rho0 = CircleDensity.wrapped_gaussian(mean=1.0, sigma=0.5, modes=64)
-    dev = equivariance_check(
-        model, rho0, rotation=0.9, lambda_span=0.5,
-        coefficient_samplers=(lambda b: 0.05 * (1.0 + 0.5 * math.cos(b)), lambda b: 0.3),
-    )
-    assert dev > 1e-4
 
 
 def test_model_validation_rejects_bad_tensors():
@@ -330,16 +356,3 @@ def test_equivariance_check_rejects_non_finite_equator_coefficients(model):
     rho0 = CircleDensity.wrapped_gaussian(mean=1.0, sigma=0.5, modes=16)
     with pytest.raises(DomainError):
         equivariance_check(model, rho0, rotation=0.9, lambda_span=0.5)
-
-
-@pytest.mark.parametrize("samplers", [
-    (lambda b: math.inf, lambda b: 0.3),
-    (lambda b: 0.05 if b < 3.0 else math.nan, lambda b: 0.3),
-    (lambda b: 0.05, lambda b: math.nan),
-    (lambda b: 0.05, lambda b: -math.inf),
-], ids=["c_inf", "c_nan_somewhere", "d_nan", "d_minus_inf"])
-def test_equivariance_check_rejects_non_finite_sampler_values(samplers):
-    rho0 = CircleDensity.wrapped_gaussian(mean=1.0, sigma=0.5, modes=16)
-    with pytest.raises(DomainError):
-        equivariance_check(_constant_model(), rho0, rotation=0.9, lambda_span=0.5,
-                           coefficient_samplers=samplers)

@@ -1,4 +1,5 @@
-"""The library kernels agree with the reference formulations in reference_kernels.py."""
+"""The library kernels agree with the reference formulations in reference_kernels.py,
+and the diffusion witness's RK4 with the exact solution."""
 
 import math
 
@@ -7,7 +8,7 @@ import pytest
 
 import reference_kernels as ref
 from relqopt.constants import C_LIGHT, EARTH, GRAVITATIONAL_G
-from relqopt.diffusion import BlochTensorModel, CircleDensity, equivariance_check
+from relqopt.diffusion import BlochTensorModel, CircleDensity, _rk4_rfft
 from relqopt.gravitomagnetism import GravField, RayState, transport_ray
 from relqopt.wigner import FourMomentum, LorentzMatrix, wigner_angle
 
@@ -124,23 +125,88 @@ def _witness_cases(n=50, grid_n=256):
         yield model, rho0, rng.uniform(0.0, 2.0 * math.pi), lam
 
 
-def test_equivariance_check_matches_reference_on_constant_models():
-    devs = [(equivariance_check(*case), ref.equivariance_check(*case))
-            for case in _witness_cases()]
-    assert len(devs) >= 50
-    assert max(abs(got - want) for got, want in devs) <= TOL
-    assert max(want for _, want in devs) <= 1e-9
+# The witness's RK4 helper against the exact solution.  On rfft states it
+# multiplies mode m by R(z)^n, n steps of z = dt lambda_m, where
+# lambda_m = -c m^2 - i d m (0 at the Nyquist mode of an even grid, which the
+# helper holds fixed) and R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.  The exact
+# factor is e^{nz}, and each mode's error is bounded by two terms:
+# - truncation: |e^z - R(z)| <= |z|^5/120 e^|z| (the tail of the exponential
+#   series), and |R(z)|, |e^z| <= 1 on the half-disc |z| <= 2, Re z <= 0 that
+#   the step rule keeps every z in, so |e^{nz} - R(z)^n| <= n |e^z - R(z)|;
+# - rounding, with ||.|| the l2 norm over all N modes of the full spectrum:
+#   one FFT of length N errs by at most log2(N) eta relative in l2, eta = 6.7u,
+#   u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+#   Thm 24.2; taken to hold for pocketfft's real and mixed-radix transforms).
+#   A stage dt*rhs(W) runs one irfft and one rfft around products whose l2
+#   gain is at most dt*stiff <= 2, and rounds about six products and sums, so
+#   it errs by at most 2 (2 log2(N) eta + 6u) ||W||.  For |z| <= 2 the four
+#   stage inputs have ||W|| <= (1, 2, 3, 7) ||V||, and a stage error reaches
+#   the step with weight (7, 6, 4, 1)/6, 38/6 in all.  With 30u ||V|| for the
+#   update's own sums, to first order a step errs by at most kappa(N) u ||V||,
+#   kappa(N) = 38/6 * 2 (2 log2(N) eta/u + 6) + 30 (1464 at N = 256).  Since
+#   |R(z)| <= 1 these errors do not grow, and ||V0|| <= sqrt(N) max|V0_m|, so
+#   each mode is off by at most n kappa(N) u sqrt(N) max|V0_m|.
+# The bound holds for the state as a complex spectrum, the Nyquist mode
+# included; a grid comparison would hide that mode, as irfft drops its
+# imaginary part.
 
 
-@pytest.mark.parametrize("grid_n", [256, 255, 130])
-def test_equivariance_check_matches_reference_with_azimuth_dependent_coefficients(grid_n):
+def _kappa(grid_n):
+    return 38.0 / 6.0 * 2.0 * (2.0 * math.log2(grid_n) * 6.7 + 6.0) + 30.0
+
+
+def _rk4_error_over_bound(v0, c_diff, d_drift, lambda_span, grid_n):
+    """Largest |RK4 - exact| / bound over the modes of rfft states v0."""
+    got, n = _rk4_rfft(v0, c_diff, d_drift, lambda_span, grid_n)
+    m = np.arange(grid_n // 2 + 1)
+    lam = -c_diff * m.astype(float) ** 2 - 1j * d_drift * m
+    if grid_n % 2 == 0:
+        lam[-1] = 0.0
+    z = (lambda_span / n) * lam
+    assert np.abs(z).max() <= 2.0 and z.real.max() <= 0.0
+    truncation = n * np.abs(z) ** 5 / 120.0 * np.exp(np.abs(z)) * np.abs(v0)
+    rounding = (n * _kappa(grid_n) * 2.0**-53 * math.sqrt(grid_n)
+                * np.abs(v0).max(axis=-1, keepdims=True))
+    return float(np.max(np.abs(got - v0 * np.exp(n * z)) / (truncation + rounding)))
+
+
+def test_witness_rk4_meets_exact_solution_on_witness_models():
+    ratios = []
+    for model, rho0, rotation, lambda_span in _witness_cases():
+        params = model.equator_params()
+        v = np.fft.rfft(rho0.to_grid(256))
+        v0 = np.stack([v, v * np.exp(-1j * np.arange(v.size) * rotation)])
+        ratios.append(_rk4_error_over_bound(v0, params.c_diff, params.d_drift,
+                                            lambda_span, 256))
+    assert len(ratios) == 50
+    assert max(ratios) <= 1.0
+
+
+@pytest.mark.parametrize("grid_n", [256, 255])
+def test_witness_rk4_meets_exact_solution_with_top_mode_excited(grid_n):
+    model, _, _, lambda_span = next(_witness_cases(1, grid_n))
+    params = model.equator_params()
+    v0 = np.fft.rfft(np.random.default_rng(grid_n).standard_normal(grid_n))
+    assert abs(v0[-1]) >= 1.0
+    assert _rk4_error_over_bound(v0, params.c_diff, params.d_drift,
+                                 lambda_span, grid_n) <= 1.0
+
+
+def _c_of_beta(beta):
+    return 0.05 * (1.0 + 0.5 * math.cos(beta))
+
+
+def _d_of_beta(beta):
+    return 0.3 + 0.1 * math.sin(2.0 * beta)
+
+
+@pytest.mark.parametrize("grid_n, d_of_beta", [
+    (256, _d_of_beta), (255, _d_of_beta), (130, _d_of_beta), (256, lambda beta: 0.3),
+], ids=["256", "255", "130", "256-c_only"])
+def test_reference_witness_breaks_on_azimuth_dependence(grid_n, d_of_beta):
+    """Azimuth-dependent coefficients make the deviation finite; constant ones do not."""
     model, _, _, _ = next(_witness_cases(1))
     rho0 = CircleDensity.wrapped_gaussian(mean=1.0, sigma=0.5, modes=60)
-    samplers = (lambda b: 0.05 * (1.0 + 0.5 * math.cos(b)),
-                lambda b: 0.3 + 0.1 * math.sin(2.0 * b))
-    got = equivariance_check(model, rho0, 0.9, 0.5, grid_n=grid_n,
-                             coefficient_samplers=samplers)
-    want = ref.equivariance_check(model, rho0, 0.9, 0.5, grid_n=grid_n,
-                                  coefficient_samplers=samplers)
-    assert want > 1e-4
-    assert abs(got - want) <= TOL
+    assert ref.equivariance_check(model, rho0, 0.9, 0.5, grid_n=grid_n) <= 1e-9
+    assert ref.equivariance_check(model, rho0, 0.9, 0.5, grid_n=grid_n,
+                                  coefficient_samplers=(_c_of_beta, d_of_beta)) > 1e-4

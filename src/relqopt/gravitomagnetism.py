@@ -135,8 +135,10 @@ def kerr_principal_null_rotation(
 
     delta_chi = arcsin(-(J/(M c)) (1/r1 - 1/r2) cos(theta)); r2 may be inf.
     """
-    if r1 <= 0 or r2 <= 0:
-        raise DomainError("radii must be positive")
+    if not (0.0 < r1 < math.inf and 0.0 < r2):
+        raise DomainError("radii must be positive, and r1 finite")
+    if not math.isfinite(theta):
+        raise DomainError("theta must be finite")
     inv1 = 1.0 / r1
     inv2 = 0.0 if math.isinf(r2) else 1.0 / r2
     x = -(body.angular_momentum / (body.mass * C_LIGHT)) * (inv1 - inv2) * math.cos(theta)
@@ -150,8 +152,8 @@ def axial_impact_rotation(body: EarthParams, s: float) -> float:
 
     chi = arcsin(4 G J / (s^2 c^3)) for propagation parallel to the spin.
     """
-    if s <= 0:
-        raise DomainError("impact parameter must be positive")
+    if not 0.0 < s < math.inf:
+        raise DomainError("impact parameter must be positive and finite")
     x = 4.0 * GRAVITATIONAL_G * body.angular_momentum / (s * s * C_LIGHT**3)
     if x >= 1.0:
         raise DomainError("impact parameter too small; arcsin argument >= 1")
@@ -163,7 +165,7 @@ def closed_path_rotation(body: EarthParams, s1: float, s2: float) -> float:
 
     delta_chi = (4 G J / c^3)(1/s1^2 - 1/s2^2); equal legs cancel exactly.
     """
-    if s1 <= 0 or s2 <= 0:
-        raise DomainError("impact parameters must be positive")
+    if not (0.0 < s1 < math.inf and 0.0 < s2 < math.inf):
+        raise DomainError("impact parameters must be positive and finite")
     coef = 4.0 * GRAVITATIONAL_G * body.angular_momentum / C_LIGHT**3
     return coef * (1.0 / (s1 * s1) - 1.0 / (s2 * s2))

@@ -67,8 +67,8 @@ def cow_neutron_phase(beam: NeutronBeam, area: float, tilt: float) -> float:
 
 def grav_redshift_weak_field(height: float) -> float:
     """Fractional frequency shift G0 h / c^2 between levels separated by height."""
-    if height < 0:
-        raise DomainError("height must be nonnegative")
+    if not 0.0 <= height < math.inf:
+        raise DomainError("height must be nonnegative and finite")
     return G0 * height / (C_LIGHT * C_LIGHT)
 
 
@@ -82,6 +82,6 @@ def optical_cow_phase(link: OpticalLink) -> float:
 
 def displacement_during_delay(speed: float, delay: float) -> float:
     """Transverse displacement of a moving platform over a storage delay."""
-    if speed < 0 or delay < 0:
-        raise DomainError("speed and delay must be nonnegative")
+    if not (0.0 <= speed < math.inf and 0.0 <= delay < math.inf):
+        raise DomainError("speed and delay must be nonnegative and finite")
     return speed * delay

@@ -134,7 +134,7 @@ def relative_geometry(a: StateVector, b: StateVector) -> tuple[float, float]:
 
 def newtonian_potential(r: float) -> float:
     """Potential -mu/r (J/kg), negative and increasing with altitude."""
-    if r <= 0:
+    if not 0.0 < r:  # r = inf is the zero at infinity
         raise DomainError("r must be positive")
     return -EARTH.mu / r
 

@@ -28,15 +28,15 @@ class EventOperatorModel(Record):
 
 def unruh_temperature(a: float) -> float:
     """Thermal bath temperature T = hbar a / (2 pi c k_B) for proper acceleration a."""
-    if a < 0:
-        raise DomainError("acceleration must be nonnegative")
+    if not 0.0 <= a < math.inf:
+        raise DomainError("acceleration must be nonnegative and finite")
     return HBAR * a / (2.0 * math.pi * C_LIGHT * BOLTZMANN_K)
 
 
 def required_acceleration(omega: float) -> float:
     """Acceleration a = omega c that brings a mode of angular frequency omega to resonance."""
-    if omega < 0:
-        raise DomainError("omega must be nonnegative")
+    if not 0.0 <= omega < math.inf:
+        raise DomainError("omega must be nonnegative and finite")
     return omega * C_LIGHT
 
 
@@ -48,8 +48,10 @@ def berry_phase_difference(omega_a: float, a: float, big_g: float) -> float:
     reduced mod 1 first, making period-1 invariance exact.  a = 0 returns the
     0 limit.
     """
-    if a < 0 or omega_a < 0:
-        raise DomainError("omega_a and a must be nonnegative")
+    if not (0.0 <= a < math.inf and 0.0 <= omega_a < math.inf):
+        raise DomainError("omega_a and a must be nonnegative and finite")
+    if not math.isfinite(big_g):
+        raise DomainError("big_g must be finite")
     if a == 0.0:
         return 0.0
     q = math.atan(math.exp(-math.pi * omega_a * C_LIGHT / a))
@@ -60,16 +62,16 @@ def berry_phase_difference(omega_a: float, a: float, big_g: float) -> float:
 def negativity_bound(separation: float, interaction_time: float) -> float:
     """Vacuum-entanglement negativity scale N = exp(-(R/(cT))^3) for two
     detectors at separation R that interact for a time T."""
-    if separation <= 0 or interaction_time <= 0:
-        raise DomainError("separation and interaction_time must be positive")
+    if not (0.0 < separation < math.inf and 0.0 < interaction_time < math.inf):
+        raise DomainError("separation and interaction_time must be positive and finite")
     ratio = separation / (C_LIGHT * interaction_time)
     return math.exp(-(ratio**3))
 
 
 def spacelike_window(separation: float) -> float:
     """Longest interaction time R/c that keeps two detectors spacelike."""
-    if separation < 0:
-        raise DomainError("separation must be nonnegative")
+    if not 0.0 <= separation < math.inf:
+        raise DomainError("separation must be nonnegative and finite")
     return separation / C_LIGHT
 
 

@@ -453,26 +453,57 @@ def _station(key: str, raw: str) -> GroundStation:
         raise ConfigurationError(f"{where} {exc}") from None
 
 
+# an inline comment: `#` or `;` at the start of a line or after whitespace
+_COMMENT = re.compile(r"(?<!\S)[#;]")
+
+
+def _read_sections(lines) -> dict:
+    """{section: {key: raw value}} from a scenario file's lines, parsed before any is
+    validated: `[section]` headers and `key = value` lines, keys lower-cased.  A repeated
+    section or key, a key before any section, an indented line or any other line is a
+    parse error naming its line."""
+    sections, section = {}, None
+    for n, line in enumerate(lines, 1):
+        text = _COMMENT.split(line, 1)[0].strip()
+        if not text:
+            continue
+        if line[0].isspace():
+            problem = "indented lines (continued values) are not supported"
+        elif text[0] == "[" and text[-1] == "]" and len(text) > 2:
+            name = text[1:-1]
+            if name not in sections:
+                section = sections[name] = {}
+                continue
+            problem = f"section [{name}] is repeated"
+        elif section is None:
+            problem = "a key before any [section] header"
+        else:
+            key, eq, raw = text.partition("=")
+            key = key.rstrip().lower()
+            if not (eq and key) or ":" in key or key[0] == "[":
+                problem = f"expected 'key = value', not {text!r}"
+            elif key in section:
+                problem = f"[{name}] {key} is repeated"
+            else:
+                section[key] = raw.strip()
+                continue
+        raise ConfigurationError(f"scenario parse error: line {n}: {problem}")
+    return sections
+
+
 def load_scenario(path: str) -> Scenario:
     """Parse and validate a scenario file (strict: unknown keys are errors)."""
-    import configparser
-    parser = configparser.ConfigParser(
-        strict=True, interpolation=None, inline_comment_prefixes=("#", ";")
-    )
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh, source=path)
+            sections = _read_sections(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read scenario file: {exc}") from None
-    except configparser.Error as exc:
-        raise ConfigurationError(f"scenario parse error: {exc}") from None
 
     kwargs = {}
-    for name in parser.sections():
+    for name, section in sections.items():
         known = SECTIONS.get(name)
         if known is None:
             raise ConfigurationError(f"unknown section [{name}]")
-        section = dict(parser.items(name, raw=True))
         for key, raw in section.items():
             if key not in known:
                 raise ConfigurationError(f"[{name}] {key} is not a known key")

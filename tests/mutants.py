@@ -27,6 +27,10 @@ MUTANTS = [
      "k4 = rhs(spec + dt * k3)", "k4 = rhs(spec + dt * k2)"),
     ("nyquist_zero_dropped", "src/relqopt/diffusion.py",
      "ik[m_max] = 0.0", "pass"),
+    ("c_d_swapped", "src/relqopt/diffusion.py",
+     "coeffs = np.array([[c_diff], [d_drift]])", "coeffs = np.array([[d_drift], [c_diff]])"),
+    ("repeated_key_accepted", "src/relqopt/scenario.py",
+     "elif key in section:", "elif False:"),
 ]
 
 

@@ -9,9 +9,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _run_fresh(code):
-    """Run `code` in a new interpreter that imports relqopt from src/."""
+    """Run `code` in a new interpreter, in the repository root, that imports relqopt
+    from src/."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=SRC.parent,
                           capture_output=True, text=True, timeout=60, check=False)
     assert proc.returncode == 0, proc.stderr
 
@@ -43,7 +44,8 @@ def test_submodules_load_on_first_use():
 
 
 # imports that start-up must not pay for: `dataclasses` (which pulls in
-# `inspect`, `ast` and `copy`), and `configparser` when no scenario file is read
+# `inspect`, `ast` and `copy`), and `configparser`, which nothing loads: scenario
+# files are read by `scenario._read_sections`
 _START_UP_FREE = ("dataclasses", "inspect", "configparser")
 
 
@@ -54,6 +56,8 @@ _START_UP_FREE = ("dataclasses", "inspect", "configparser")
     ["curves", "--which", "photons"],
     ["curves", "--which", "ralph"],
     ["report", "--effects", "geometry"],
+    ["report", "--scenario", "tests/golden/gto_two_stations.ini"],
+    ["orbit", "--scenario", "tests/golden/gto_two_stations.ini"],
 ], ids=lambda argv: " ".join(argv) or "import")
 def test_start_up_skips_dataclasses_inspect_and_configparser(argv):
     code = (

@@ -10,6 +10,7 @@ from relqopt.scenario import (
     EFFECT_GROUPS,
     SECTIONS,
     Scenario,
+    _read_sections,
     load_scenario,
     run_report,
     with_overrides,
@@ -76,6 +77,47 @@ def test_parse_error_reports_line(tmp_path):
     path = _write(tmp_path, "[link]\nwavelength 800e-9\n")
     with pytest.raises(ConfigurationError, match="line"):
         load_scenario(path)
+
+
+# parse errors name their line; configparser accepted the first three texts
+@pytest.mark.parametrize("text, line, match", [
+    ("[bell]\nseed: 3\n", 2, "expected 'key = value'"),
+    ("[bell]\nseed = 3\n  7\n", 3, "indented"),  # configparser: seed = '3\n7'
+    ("[bell]\nseed = 3\n  workers = 2\n", 3, "indented"),
+    ("[bell]\nseed = 1\nSEED = 2\n", 3, r"\[bell\] seed is repeated"),
+    ("[bell]\n[bell]\n", 2, r"section \[bell\] is repeated"),
+    ("seed = 1\n[bell]\n", 1, "before any"),
+], ids=["colon", "continued_value", "continued_key", "repeated_key", "repeated_section",
+        "key_before_section"])
+def test_reader_refuses_naming_the_line(tmp_path, text, line, match):
+    with pytest.raises(ConfigurationError, match=rf"^scenario parse error: line {line}: .*{match}"):
+        load_scenario(_write(tmp_path, text))
+
+
+def test_default_section_is_an_unknown_section(tmp_path):
+    # configparser read [DEFAULT] seed as [bell] seed
+    path = _write(tmp_path, "[DEFAULT]\nseed = 3\n\n[bell]\nvisibility = 0.9\n")
+    with pytest.raises(ConfigurationError, match=r"unknown section \[DEFAULT\]"):
+        load_scenario(path)
+
+
+def test_parse_error_wins_over_an_unknown_key(tmp_path):
+    path = _write(tmp_path, "[link]\nwavelenght = 800e-9\n[bell]\nseed 3\n")
+    with pytest.raises(ConfigurationError, match="^scenario parse error: line 4: "):
+        load_scenario(path)
+
+
+def test_comments_keys_and_whitespace(tmp_path):
+    path = _write(tmp_path, "# mission file\n[bell] ; budget\n\n  ; indented comment\n"
+                            "  \nSeed\t=  7 # the seed\nVISIBILITY=0.9;x\n")
+    with pytest.raises(ConfigurationError, match=r"\[bell\] visibility is not a number: '0.9;x'"):
+        load_scenario(path)
+    assert load_scenario(_write(tmp_path, "[bell]\nSeed\t=  7 # the seed\n")).seed == 7
+
+
+def test_inline_comment_starts_at_the_first_prefix_after_whitespace():
+    # configparser scans `#` and `;` in turns and cut this line at ` ;w`
+    assert _read_sections(["[a]\n", "k = x#y #z ;w\n"]) == {"a": {"k": "x#y"}}
 
 
 def test_missing_file_is_a_configuration_error():

@@ -9,8 +9,16 @@ beyond their range and malformed or non-finite text ("nan", "inf", "1e400",
 finite, or fail with a `ConfigurationError`/`DomainError` that names a
 `[section] key` of the file, or with an `EffectError` that names a group
 ("orbit" when the satellite state itself cannot be computed).
+
+The same files, rendered with random comments, blank lines, whitespace, key
+case and at times one line the grammar may refuse, are also read by the
+scenario reader and by `configparser` as an oracle: the reader must return
+what `configparser` returns, or refuse, naming the line, a text that
+`configparser` refuses too or that lies outside the reader's grammar.
 """
 
+import configparser
+import io
 import math
 import re
 import tempfile
@@ -132,3 +140,102 @@ def test_scenario_file_reports_finitely_or_fails_by_name(sections):
             assert exc.effect in (*scenario.EFFECT_GROUPS, "orbit"), str(exc)
         else:
             assert all(math.isfinite(e.value) for e in report.entries), report
+
+
+# -- the scenario reader against configparser ----------------------------------
+
+_PAD = st.sampled_from(("", " ", "  ", "\t"))
+# `#` or `;` glued to a value, which does not start a comment
+_GLUED = st.sampled_from(("", "", "#x", ";x"))
+# an inline comment: whitespace, `#` or `;`, then text without whitespace.  (With a
+# `#` glued to the value and ` ;` later in the comment, configparser would cut at
+# the ` ;`: see test_scenario::test_inline_comment_starts_at_the_first_prefix_after_whitespace.)
+_INLINE = st.one_of(st.just(""), st.builds(
+    "".join, st.tuples(st.sampled_from((" ", "\t", "  ")), st.sampled_from("#;"),
+                       st.text(alphabet="ab#;=:[]", max_size=8))))
+# blank and comment lines
+_FILLER = st.sampled_from(("", "   ", "# note", "; note = 1", "  # indented note", "\t;"))
+# each maps one line to the lines that replace it
+_BREAKS = (
+    lambda line: ["  " + line],                   # indented: continues the value above
+    lambda line: [line.replace("=", ":", 1)],     # `key: value`
+    lambda line: ["a:b = 1", line],               # `:` before `=`
+    lambda line: [line, line],                    # a repeated section or key
+    lambda line: ["[" + line],                    # a bracket that opens no whole header
+    lambda line: ["[" + line.replace("=", "] =", 1)],
+    lambda line: ["seed = 1", line],              # a key, before any section when first
+    lambda line: ["no delimiter", line],
+    lambda line: ["= 1", line],
+)
+
+
+@st.composite
+def scenario_texts(draw):
+    """`perfbench/scenario_gen.render`'s layout of a drawn file, with random
+    full-line and inline comments, blank lines, whitespace and key case, and
+    up to two non-blank lines changed by `_BREAKS`."""
+    lines = []
+    for name, keys in draw(scenario_files()).items():
+        lines.append(f"[{name}]" + draw(_INLINE))
+        for key, raw in keys.items():
+            key = draw(st.sampled_from((key, key.upper(), key.capitalize())))
+            lines.append(f"{key}{draw(_PAD)}={draw(_PAD)}{raw}{draw(_GLUED)}{draw(_PAD)}"
+                         f"{draw(_INLINE)}")
+        lines.append("")
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), draw(_FILLER))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        filled = [i for i, line in enumerate(lines) if line.strip()]
+        if filled:
+            i = draw(st.sampled_from(filled))
+            lines[i:i + 1] = draw(st.sampled_from(_BREAKS))(lines[i])
+    return "\n".join(lines)
+
+
+def _configparser_sections(text):
+    """{section: {key: raw}} as `configparser` reads `text`, or None if it refuses it."""
+    parser = configparser.ConfigParser(
+        strict=True, interpolation=None, inline_comment_prefixes=("#", ";"))
+    try:
+        parser.read_string(text)
+    except configparser.Error:
+        return None
+    return {name: dict(parser.items(name, raw=True)) for name in parser.sections()}
+
+
+def _outside_grammar(line: str) -> bool:
+    """A line `configparser` may accept that the reader refuses: an indented line,
+    `key: value` (a `:` before any `=`), or a `[` that opens no whole header."""
+    text = line.strip()
+    return line[:1].isspace() or ":" in text.split("=", 1)[0] or text.startswith("[")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(scenario_texts())
+@example("[DEFAULT]\nseed = 3\n\n[bell]\nvisibility = 0.9\n")  # configparser feeds seed to [bell]
+@example("[bell]\nseed: 3\n")
+@example("[bell]\nseed = 3\n  7\n")  # configparser reads seed as '3\n7'
+@example("[bell]\nseed = 3\n  workers = 2\n")  # and here as '3\nworkers = 2'
+@example("[bell]\nseed = 1\nSeed = 2\n")  # refused by both, as is each text below
+@example("[bell]\n\n[bell]\n")
+@example("seed = 1\n[bell]\n")
+@example("[bell]\nno delimiter\n")
+@example("[bell]\n= 1\n")
+@example("[bell]\n[seed] = 1\n")  # a header to configparser, refused by the reader
+@example("[bell]\na:b = 1\n")  # key a to configparser, refused by the reader
+def test_reader_agrees_with_configparser_or_refuses_naming_the_line(text):
+    oracle = _configparser_sections(text)
+    try:
+        got = scenario._read_sections(io.StringIO(text))
+    except ConfigurationError as exc:
+        m = re.fullmatch(r"scenario parse error: line (\d+): .+", str(exc))
+        assert m is not None, str(exc)
+        if oracle is not None:
+            assert _outside_grammar(text.split("\n")[int(m[1]) - 1]), (str(exc), text)
+        return
+    assert oracle is not None, text
+    default = got.pop("DEFAULT", None)
+    if default is not None:  # configparser merges [DEFAULT] into every section
+        assert "DEFAULT" not in scenario.SECTIONS
+        got = {name: {**default, **keys} for name, keys in got.items()}
+    assert got == oracle

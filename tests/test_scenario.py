@@ -107,14 +107,6 @@ def test_parse_error_wins_over_an_unknown_key(tmp_path):
         load_scenario(path)
 
 
-def test_comments_keys_and_whitespace(tmp_path):
-    path = _write(tmp_path, "# mission file\n[bell] ; budget\n\n  ; indented comment\n"
-                            "  \nSeed\t=  7 # the seed\nVISIBILITY=0.9;x\n")
-    with pytest.raises(ConfigurationError, match=r"\[bell\] visibility is not a number: '0.9;x'"):
-        load_scenario(path)
-    assert load_scenario(_write(tmp_path, "[bell]\nSeed\t=  7 # the seed\n")).seed == 7
-
-
 def test_inline_comment_starts_at_the_first_prefix_after_whitespace():
     # configparser scans `#` and `;` in turns and cut this line at ` ;w`
     assert _read_sections(["[a]\n", "k = x#y #z ;w\n"]) == {"a": {"k": "x#y"}}

@@ -147,9 +147,10 @@ def test_scenario_file_reports_finitely_or_fails_by_name(sections):
 _PAD = st.sampled_from(("", " ", "  ", "\t"))
 # `#` or `;` glued to a value, which does not start a comment
 _GLUED = st.sampled_from(("", "", "#x", ";x"))
-# an inline comment: whitespace, `#` or `;`, then text without whitespace.  (With a
-# `#` glued to the value and ` ;` later in the comment, configparser would cut at
-# the ` ;`: see test_scenario::test_inline_comment_starts_at_the_first_prefix_after_whitespace.)
+# an inline comment: whitespace, `#` or `;`, then text without whitespace.  With a
+# `#` glued to the value, configparser would cut a ` #` comment at a later ` ;`, as it
+# scans for `#` and `;` in turns; test_scenario's
+# test_inline_comment_starts_at_the_first_prefix_after_whitespace pins that case.
 _INLINE = st.one_of(st.just(""), st.builds(
     "".join, st.tuples(st.sampled_from((" ", "\t", "  ")), st.sampled_from("#;"),
                        st.text(alphabet="ab#;=:[]", max_size=8))))
@@ -162,7 +163,7 @@ _BREAKS = (
     lambda line: ["a:b = 1", line],               # `:` before `=`
     lambda line: [line, line],                    # a repeated section or key
     lambda line: ["[" + line],                    # a bracket that opens no whole header
-    lambda line: ["[" + line.replace("=", "] =", 1)],
+    lambda line: ["[" + line.replace("=", "] =", 1)],  # `[key] = value`, a header to configparser
     lambda line: ["seed = 1", line],              # a key, before any section when first
     lambda line: ["no delimiter", line],
     lambda line: ["= 1", line],

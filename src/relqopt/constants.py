@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConfigurationError, DomainError, Record
+from .errors import ConfigurationError, Record, check_positive
 
 # CODATA 2018. The first three are exact by SI definition.
 C_LIGHT = 299792458.0            # m / s
@@ -52,12 +52,9 @@ class EarthParams(Record):
     rotation_rate = 7.2921159e-5  # sidereal, rad/s
 
     def __init__(self, mass=5.972e24, angular_momentum=5.86e33):
-        if not (math.isfinite(mass) and mass > 0):
-            raise DomainError("mass must be positive")
-        if not (math.isfinite(angular_momentum) and angular_momentum > 0):
-            raise DomainError("angular_momentum must be positive")
-        object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "angular_momentum", angular_momentum)
+        object.__setattr__(self, "mass", check_positive("mass", mass))
+        object.__setattr__(self, "angular_momentum",
+                           check_positive("angular_momentum", angular_momentum))
 
     @property
     def mu(self) -> float:

@@ -20,11 +20,11 @@ products c*lambda and d*lambda are ever used.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import TYPE_CHECKING
 
 from .constants import PLANCK_H
-from .errors import DomainError, Record
+from .errors import (DomainError, Record, check_finite, check_integer, check_nonnegative,
+                     check_positive)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -57,9 +57,9 @@ class CircleDensity:
     @classmethod
     def wrapped_gaussian(cls, mean: float, sigma: float,
                          modes: int = DEFAULT_MODES) -> "CircleDensity":
-        _check_finite("mean", mean)
-        _check_positive("sigma", sigma)
-        modes = _integer("modes", modes)
+        check_finite("mean", mean)
+        check_positive("sigma", sigma)
+        modes = check_integer("modes", modes)
         import numpy as np
         m = np.arange(modes + 1)
         c = np.exp(-0.5 * (m * sigma) ** 2) * np.exp(-1j * m * mean) / (2.0 * math.pi)
@@ -81,39 +81,14 @@ class DiffusionParams(Record):
     __slots__ = ("c_diff", "d_drift")
 
     def __init__(self, c_diff, d_drift):
-        if not (math.isfinite(c_diff) and math.isfinite(d_drift)):
-            raise DomainError("c_diff and d_drift must be finite")
-        if c_diff < 0:
-            raise DomainError("c_diff must be nonnegative (anti-diffusion)")
-        object.__setattr__(self, "c_diff", c_diff)
-        object.__setattr__(self, "d_drift", d_drift)
-
-
-def _check_finite(name: str, x: float) -> None:
-    if not math.isfinite(x):
-        raise DomainError(f"{name} must be finite")
-
-
-def _check_positive(name: str, x: float) -> None:
-    if not 0.0 < x < math.inf:
-        raise DomainError(f"{name} must be positive and finite")
-
-
-def _integer(name: str, value) -> int:
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise DomainError(f"{name} must be an integer")
-    return int(value)
-
-
-def _check_span(lambda_span: float) -> None:
-    if not 0.0 <= lambda_span < math.inf:
-        raise DomainError("lambda_span must be finite and nonnegative")
+        object.__setattr__(self, "c_diff", check_nonnegative("c_diff", c_diff))
+        object.__setattr__(self, "d_drift", check_finite("d_drift", d_drift))
 
 
 def evolve_equator(rho0: CircleDensity, params: DiffusionParams,
                    lambda_span: float) -> CircleDensity:
     """Spectral evolution rho_m -> rho_m exp(-c m^2 L - i m d L)."""
-    _check_span(lambda_span)
+    check_nonnegative("lambda_span", lambda_span)
     import numpy as np
     m = np.arange(rho0.modes + 1)
     factor = np.exp(
@@ -125,40 +100,40 @@ def evolve_equator(rho0: CircleDensity, params: DiffusionParams,
 
 def affine_parameter(t: float, nu: float) -> float:
     """Invariant affine parameter lambda = t / (h nu) for coordinate time t."""
-    _check_finite("t", t)
-    _check_positive("nu", nu)
+    check_finite("t", t)
+    check_positive("nu", nu)
     return t / (PLANCK_H * nu)
 
 
 def angle_shift(t: float, nu: float, d_drift: float) -> float:
     """Frame-angle drift chi = t dDrift / nu accumulated over time t."""
-    _check_finite("t", t)
-    _check_positive("nu", nu)
-    _check_finite("d_drift", d_drift)
+    check_finite("t", t)
+    check_positive("nu", nu)
+    check_finite("d_drift", d_drift)
     return t * d_drift / nu
 
 
 def polarization_decay(t: float, nu: float, c_diff: float) -> float:
     """Depolarization exponent mu = 4 t cDiff / nu (P' = exp(-mu) P)."""
-    _check_finite("t", t)
-    _check_positive("nu", nu)
-    _check_finite("c_diff", c_diff)
+    check_finite("t", t)
+    check_positive("nu", nu)
+    check_finite("c_diff", c_diff)
     return 4.0 * t * c_diff / nu
 
 
 def drift_bound_from_angle(chi: float, t: float, nu: float) -> float:
     """Invert chi = t d / nu: the drift constant saturating an angle bound."""
-    _check_finite("chi", chi)
-    _check_positive("t", t)
-    _check_positive("nu", nu)
+    check_finite("chi", chi)
+    check_positive("t", t)
+    check_positive("nu", nu)
     return chi * nu / t
 
 
 def diffusion_bound_from_decay(mu: float, t: float, nu: float) -> float:
     """Invert mu = 4 t c / nu: the diffusion constant saturating a decay bound."""
-    _check_finite("mu", mu)
-    _check_positive("t", t)
-    _check_positive("nu", nu)
+    check_finite("mu", mu)
+    check_positive("t", t)
+    check_positive("nu", nu)
     return mu * nu / (4.0 * t)
 
 
@@ -271,9 +246,9 @@ def equivariance_check(
     the reference copy in tests/reference_kernels.py.
     """
     import numpy as np
-    _check_span(lambda_span)
-    _check_finite("rotation", rotation)
-    grid_n = _integer("grid_n", grid_n)
+    check_nonnegative("lambda_span", lambda_span)
+    check_finite("rotation", rotation)
+    grid_n = check_integer("grid_n", grid_n)
     model.validate()
     v0 = rho0.to_grid(grid_n)
     h = 2.0 * math.pi / grid_n

@@ -2,8 +2,13 @@
 
 Three failure categories: bad configuration (files, unit tags, schema),
 inputs outside a formula's domain, and numerical breakdown (non-convergence,
-non-finite intermediates).
+non-finite intermediates).  The `check_*` functions are the argument rules
+every module shares: each returns its value or raises `DomainError` naming it,
+and each comparison is written so that NaN fails it.
 """
+
+import math
+import numbers
 
 
 class ConfigurationError(ValueError):
@@ -24,6 +29,42 @@ class EffectError(NumericFailure):
     def __init__(self, effect: str, message: str):
         super().__init__(f"effect '{effect}' failed: {message}")
         self.effect = effect
+
+
+def check_finite(name: str, x):
+    if not math.isfinite(x):
+        raise DomainError(f"{name} must be finite")
+    return x
+
+
+def check_positive(name: str, x):
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{name} must be positive and finite")
+    return x
+
+
+def check_nonnegative(name: str, x):
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"{name} must be nonnegative and finite")
+    return x
+
+
+def check_integer(name: str, v) -> int:
+    """`v` as an `int`: any `numbers.Integral` (numpy integers too) but a `bool`."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise DomainError(f"{name} must be an integer")
+    return int(v)
+
+
+def check_vector(name: str, v) -> tuple:
+    """The three components of `v` as a tuple of finite floats."""
+    try:
+        x, y, z = map(float, v)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a finite 3-vector") from None
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise DomainError(f"{name} must be a finite 3-vector")
+    return x, y, z
 
 
 class Record:
@@ -51,6 +92,12 @@ class Record:
 
     def __reduce__(self):  # the default restores slots with setattr, which a record refuses
         return _rebuild, (type(self), self._values())
+
+
+def set_finite_fields(record: Record, *values) -> None:
+    """Set `record`'s fields in `__slots__` order, each through `check_finite`."""
+    for name, x in zip(record.__slots__, values):
+        object.__setattr__(record, name, check_finite(name, x))
 
 
 def _rebuild(cls, values):

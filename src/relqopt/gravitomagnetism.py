@@ -16,26 +16,15 @@ transverse (impact-parameter) cases.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import Callable
 
 from .constants import C_LIGHT, GRAVITATIONAL_G, EarthParams
-from .errors import DomainError, Record
+from .errors import (DomainError, Record, check_finite, check_integer, check_positive,
+                     check_vector)
 
 
-def _finite_vector(value, name: str) -> tuple:
-    """The three components of `value` as floats; DomainError unless finite."""
-    try:
-        x, y, z = (float(v) for v in value)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a finite 3-vector") from None
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise DomainError(f"{name} must be a finite 3-vector")
-    return x, y, z
-
-
-def _unit_vector(value, name: str) -> tuple:
-    v = _finite_vector(value, name)
+def _unit_vector(name: str, value) -> tuple:
+    v = check_vector(name, value)
     if not abs(math.hypot(*v) - 1.0) <= 1e-9:
         raise DomainError(f"{name} must be a unit vector")
     return v
@@ -47,8 +36,8 @@ class GravField(Record):
     __slots__ = ("omega", "eg")
 
     def __init__(self, omega, eg):
-        object.__setattr__(self, "omega", _finite_vector(omega, "omega"))
-        object.__setattr__(self, "eg", _finite_vector(eg, "eg"))
+        object.__setattr__(self, "omega", check_vector("omega", omega))
+        object.__setattr__(self, "eg", check_vector("eg", eg))
 
 
 class RayState(Record):
@@ -57,12 +46,10 @@ class RayState(Record):
     __slots__ = ("position", "khat", "fhat", "lam")
 
     def __init__(self, position, khat, fhat, lam=0.0):
-        object.__setattr__(self, "position", _finite_vector(position, "position"))
-        object.__setattr__(self, "khat", _unit_vector(khat, "khat"))
-        object.__setattr__(self, "fhat", _unit_vector(fhat, "fhat"))
-        if not math.isfinite(lam):
-            raise DomainError("lam must be finite")
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "position", check_vector("position", position))
+        object.__setattr__(self, "khat", _unit_vector("khat", khat))
+        object.__setattr__(self, "fhat", _unit_vector("fhat", fhat))
+        object.__setattr__(self, "lam", check_finite("lam", lam))
 
 
 def _rotation_rate(omega, eg, khat, k) -> tuple:
@@ -91,13 +78,10 @@ def transport_ray(
     spatial point, a tuple of three floats; khat and fhat are renormalized
     after every step.  The state is y = (position, khat, fhat) as nine floats.
     """
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
-        raise DomainError("steps must be an integer")
+    steps = check_integer("steps", steps)
     if steps < 1:
         raise DomainError("steps must be >= 1")
-    if not math.isfinite(lam_end):
-        raise DomainError("lam_end must be finite")
-    h = (lam_end - state.lam) / steps
+    h = (check_finite("lam_end", lam_end) - state.lam) / steps
 
     def deriv(y):
         px, py, pz, kx, ky, kz, fx, fy, fz = y
@@ -135,10 +119,10 @@ def kerr_principal_null_rotation(
 
     delta_chi = arcsin(-(J/(M c)) (1/r1 - 1/r2) cos(theta)); r2 may be inf.
     """
-    if not (0.0 < r1 < math.inf and 0.0 < r2):
-        raise DomainError("radii must be positive, and r1 finite")
-    if not math.isfinite(theta):
-        raise DomainError("theta must be finite")
+    check_positive("r1", r1)
+    if not 0.0 < r2:  # r2 = inf is a ray that runs out to infinity
+        raise DomainError("r2 must be positive")
+    check_finite("theta", theta)
     inv1 = 1.0 / r1
     inv2 = 0.0 if math.isinf(r2) else 1.0 / r2
     x = -(body.angular_momentum / (body.mass * C_LIGHT)) * (inv1 - inv2) * math.cos(theta)
@@ -152,8 +136,7 @@ def axial_impact_rotation(body: EarthParams, s: float) -> float:
 
     chi = arcsin(4 G J / (s^2 c^3)) for propagation parallel to the spin.
     """
-    if not 0.0 < s < math.inf:
-        raise DomainError("impact parameter must be positive and finite")
+    check_positive("s", s)
     x = 4.0 * GRAVITATIONAL_G * body.angular_momentum / (s * s * C_LIGHT**3)
     if x >= 1.0:
         raise DomainError("impact parameter too small; arcsin argument >= 1")
@@ -165,7 +148,7 @@ def closed_path_rotation(body: EarthParams, s1: float, s2: float) -> float:
 
     delta_chi = (4 G J / c^3)(1/s1^2 - 1/s2^2); equal legs cancel exactly.
     """
-    if not (0.0 < s1 < math.inf and 0.0 < s2 < math.inf):
-        raise DomainError("impact parameters must be positive and finite")
+    check_positive("s1", s1)
+    check_positive("s2", s2)
     coef = 4.0 * GRAVITATIONAL_G * body.angular_momentum / C_LIGHT**3
     return coef * (1.0 / (s1 * s1) - 1.0 / (s2 * s2))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .constants import C_LIGHT, G0, HBAR, NEUTRON_MASS, PLANCK_H
-from .errors import DomainError, Record
+from .errors import DomainError, Record, check_nonnegative, check_positive
 
 
 class NeutronBeam(Record):
@@ -19,9 +19,7 @@ class NeutronBeam(Record):
     __slots__ = ("wavelength",)
 
     def __init__(self, wavelength):
-        if not 0.0 < wavelength < math.inf:
-            raise DomainError("wavelength must be positive and finite")
-        object.__setattr__(self, "wavelength", wavelength)
+        object.__setattr__(self, "wavelength", check_positive("wavelength", wavelength))
 
     @property
     def speed(self) -> float:
@@ -38,14 +36,9 @@ class OpticalLink(Record):
     __slots__ = ("wavelength", "fibre_length", "altitude")
 
     def __init__(self, wavelength, fibre_length, altitude):
-        if not 0.0 < wavelength < math.inf:
-            raise DomainError("wavelength must be positive and finite")
-        for name, x in (("fibre_length", fibre_length), ("altitude", altitude)):
-            if not 0.0 <= x < math.inf:
-                raise DomainError(f"{name} must be nonnegative and finite")
-        object.__setattr__(self, "wavelength", wavelength)
-        object.__setattr__(self, "fibre_length", fibre_length)
-        object.__setattr__(self, "altitude", altitude)
+        object.__setattr__(self, "wavelength", check_positive("wavelength", wavelength))
+        object.__setattr__(self, "fibre_length", check_nonnegative("fibre_length", fibre_length))
+        object.__setattr__(self, "altitude", check_nonnegative("altitude", altitude))
 
 
 def cow_neutron_phase(beam: NeutronBeam, area: float, tilt: float) -> float:
@@ -54,8 +47,7 @@ def cow_neutron_phase(beam: NeutronBeam, area: float, tilt: float) -> float:
     Algebraically equal to -2 pi g A sin(alpha) / (lambda v^2) with
     v = h/(m lambda); both forms are evaluated and cross-checked.
     """
-    if area < 0:
-        raise DomainError("area must be nonnegative")
+    check_nonnegative("area", area)
     lam, m, g = beam.wavelength, NEUTRON_MASS, G0
     s = math.sin(tilt)
     phase = -lam * m * m * g * area * s / (2.0 * math.pi * HBAR * HBAR)
@@ -67,9 +59,7 @@ def cow_neutron_phase(beam: NeutronBeam, area: float, tilt: float) -> float:
 
 def grav_redshift_weak_field(height: float) -> float:
     """Fractional frequency shift G0 h / c^2 between levels separated by height."""
-    if not 0.0 <= height < math.inf:
-        raise DomainError("height must be nonnegative and finite")
-    return G0 * height / (C_LIGHT * C_LIGHT)
+    return G0 * check_nonnegative("height", height) / (C_LIGHT * C_LIGHT)
 
 
 def optical_cow_phase(link: OpticalLink) -> float:
@@ -82,6 +72,4 @@ def optical_cow_phase(link: OpticalLink) -> float:
 
 def displacement_during_delay(speed: float, delay: float) -> float:
     """Transverse displacement of a moving platform over a storage delay."""
-    if not (0.0 <= speed < math.inf and 0.0 <= delay < math.inf):
-        raise DomainError("speed and delay must be nonnegative and finite")
-    return speed * delay
+    return check_nonnegative("speed", speed) * check_nonnegative("delay", delay)

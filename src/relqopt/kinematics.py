@@ -12,7 +12,8 @@ import math
 from typing import NamedTuple
 
 from .constants import C_LIGHT
-from .errors import DomainError, Record
+from .errors import (DomainError, Record, check_nonnegative, check_positive, check_vector,
+                     set_finite_fields)
 
 INTERVAL_EPS = 1e-12
 
@@ -21,10 +22,7 @@ class Event(Record):
     __slots__ = ("t", "x", "y", "z")
 
     def __init__(self, t, x, y, z=0.0):
-        for name, value in zip(self.__slots__, (t, x, y, z)):
-            if not math.isfinite(value):
-                raise DomainError(f"event coordinate {name} must be finite")
-            object.__setattr__(self, name, value)
+        set_finite_fields(self, t, x, y, z)
 
 
 class IntervalResult(NamedTuple):
@@ -84,33 +82,28 @@ def timing_shift_per_distance(v0: float) -> float:
 
 def min_separation_for_switching(v0: float, switch_time: float) -> float:
     """Baseline (m) at which the v0/c^2 offset reaches switch_time seconds."""
-    if not (v0 > 0.0):
-        raise DomainError("v0 must be positive")
-    if switch_time < 0.0:
-        raise DomainError("switch_time must be nonnegative")
-    return switch_time * C_LIGHT * C_LIGHT / v0
+    check_positive("v0", v0)
+    return check_nonnegative("switch_time", switch_time) * C_LIGHT * C_LIGHT / v0
 
 
 def light_travel_time(distance: float) -> float:
     """One-way vacuum light time for a baseline in meters."""
-    if distance < 0.0:
-        raise DomainError("distance must be nonnegative")
-    return distance / C_LIGHT
+    return check_nonnegative("distance", distance) / C_LIGHT
 
 
 def causally_connected(e1: Event, e2: Event, kappa: float = 1.0) -> bool:
     """|dx| <= kappa * c * |dt| with a speed budget kappa >= 1."""
-    if kappa < 1.0:
-        raise DomainError("kappa must be >= 1")
+    if not 1.0 <= kappa < math.inf:
+        raise DomainError("kappa must be >= 1 and finite")
     _, dx2, cdt = _quadratic_form(e1, e2)
     return math.sqrt(dx2) <= kappa * abs(cdt)
 
 
 def boost_event(e: Event, beta_vec) -> Event:
     """Apply a pure boost with velocity beta_vec (fractions of c) to an event."""
-    b1, b2, b3 = (float(c) for c in beta_vec)
+    b1, b2, b3 = check_vector("beta_vec", beta_vec)
     beta2 = b1 * b1 + b2 * b2 + b3 * b3
-    if beta2 >= 1.0:
+    if not beta2 < 1.0:
         raise DomainError("|beta| must be < 1")
     if beta2 == 0.0:
         return e

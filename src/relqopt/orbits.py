@@ -10,18 +10,10 @@ from __future__ import annotations
 import math
 
 from .constants import EARTH, LUNAR_DISTANCE, ASTRONOMICAL_UNIT
-from .errors import DomainError, NumericFailure, Record
+from .errors import DomainError, NumericFailure, Record, check_nonnegative, set_finite_fields
 
 _KEPLER_TOL = 1e-12
 _KEPLER_MAX_ITER = 50
-
-
-def _set_finite(record: Record, *values) -> None:
-    """Set `record`'s fields in `__slots__` order; DomainError naming a non-finite one."""
-    for name, x in zip(record.__slots__, values):
-        if not math.isfinite(x):
-            raise DomainError(f"{name} must be finite")
-        object.__setattr__(record, name, x)
 
 
 class OrbitSpec(Record):
@@ -30,12 +22,12 @@ class OrbitSpec(Record):
 
     def __init__(self, semi_major_axis, eccentricity=0.0, inclination=0.0, raan=0.0,
                  arg_perigee=0.0, mean_anomaly_epoch=0.0, epoch=0.0):
+        set_finite_fields(self, semi_major_axis, eccentricity, inclination, raan, arg_perigee,
+                          mean_anomaly_epoch, epoch)
         if not 0.0 <= eccentricity < 1.0:
             raise DomainError("eccentricity must lie in [0, 1)")
-        if semi_major_axis * (1.0 - eccentricity) <= EARTH.radius:
+        if not semi_major_axis * (1.0 - eccentricity) > EARTH.radius:
             raise DomainError("semi_major_axis must put the perigee above the Earth's surface")
-        _set_finite(self, semi_major_axis, eccentricity, inclination, raan, arg_perigee,
-                    mean_anomaly_epoch, epoch)
 
     def period(self) -> float:
         return 2.0 * math.pi * math.sqrt(self.semi_major_axis**3 / EARTH.mu)
@@ -62,11 +54,9 @@ class GroundStation(Record):
     __slots__ = ("latitude", "longitude", "altitude")
 
     def __init__(self, latitude, longitude, altitude=0.0):
-        if abs(latitude) > 0.5 * math.pi:
+        set_finite_fields(self, latitude, longitude, check_nonnegative("altitude", altitude))
+        if not abs(latitude) <= 0.5 * math.pi:
             raise DomainError("|latitude| must be <= pi/2")
-        if altitude < 0:
-            raise DomainError("altitude must be nonnegative")
-        _set_finite(self, latitude, longitude, altitude)
 
 
 def solve_kepler(mean_anomaly: float, eccentricity: float) -> float:

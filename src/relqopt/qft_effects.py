@@ -12,7 +12,7 @@ import cmath
 import math
 
 from .constants import BOLTZMANN_K, C_LIGHT, HBAR
-from .errors import DomainError, Record
+from .errors import Record, check_finite, check_nonnegative, check_positive
 
 
 class EventOperatorModel(Record):
@@ -21,23 +21,18 @@ class EventOperatorModel(Record):
     __slots__ = ("detector_resolution",)
 
     def __init__(self, detector_resolution):
-        if not 0.0 < detector_resolution < math.inf:
-            raise DomainError("detector_resolution must be positive and finite")
-        object.__setattr__(self, "detector_resolution", detector_resolution)
+        object.__setattr__(self, "detector_resolution",
+                           check_positive("detector_resolution", detector_resolution))
 
 
 def unruh_temperature(a: float) -> float:
     """Thermal bath temperature T = hbar a / (2 pi c k_B) for proper acceleration a."""
-    if not 0.0 <= a < math.inf:
-        raise DomainError("acceleration must be nonnegative and finite")
-    return HBAR * a / (2.0 * math.pi * C_LIGHT * BOLTZMANN_K)
+    return HBAR * check_nonnegative("a", a) / (2.0 * math.pi * C_LIGHT * BOLTZMANN_K)
 
 
 def required_acceleration(omega: float) -> float:
     """Acceleration a = omega c that brings a mode of angular frequency omega to resonance."""
-    if not 0.0 <= omega < math.inf:
-        raise DomainError("omega must be nonnegative and finite")
-    return omega * C_LIGHT
+    return check_nonnegative("omega", omega) * C_LIGHT
 
 
 def berry_phase_difference(omega_a: float, a: float, big_g: float) -> float:
@@ -48,10 +43,9 @@ def berry_phase_difference(omega_a: float, a: float, big_g: float) -> float:
     reduced mod 1 first, making period-1 invariance exact.  a = 0 returns the
     0 limit.
     """
-    if not (0.0 <= a < math.inf and 0.0 <= omega_a < math.inf):
-        raise DomainError("omega_a and a must be nonnegative and finite")
-    if not math.isfinite(big_g):
-        raise DomainError("big_g must be finite")
+    check_nonnegative("omega_a", omega_a)
+    check_nonnegative("a", a)
+    check_finite("big_g", big_g)
     if a == 0.0:
         return 0.0
     q = math.atan(math.exp(-math.pi * omega_a * C_LIGHT / a))
@@ -62,17 +56,15 @@ def berry_phase_difference(omega_a: float, a: float, big_g: float) -> float:
 def negativity_bound(separation: float, interaction_time: float) -> float:
     """Vacuum-entanglement negativity scale N = exp(-(R/(cT))^3) for two
     detectors at separation R that interact for a time T."""
-    if not (0.0 < separation < math.inf and 0.0 < interaction_time < math.inf):
-        raise DomainError("separation and interaction_time must be positive and finite")
+    check_positive("separation", separation)
+    check_positive("interaction_time", interaction_time)
     ratio = separation / (C_LIGHT * interaction_time)
     return math.exp(-(ratio**3))
 
 
 def spacelike_window(separation: float) -> float:
     """Longest interaction time R/c that keeps two detectors spacelike."""
-    if not 0.0 <= separation < math.inf:
-        raise DomainError("separation must be nonnegative and finite")
-    return separation / C_LIGHT
+    return check_nonnegative("separation", separation) / C_LIGHT
 
 
 def ralph_correlation(model: EventOperatorModel, delta: float) -> float:
@@ -93,7 +85,6 @@ def proper_time_differential(
     Newtonian potential, larger at higher altitude.  A retroreflector doubles
     the path overlap.
     """
-    if overlap_time < 0:
-        raise DomainError("overlap_time must be nonnegative")
+    check_nonnegative("overlap_time", overlap_time)
     overlap = 2.0 * overlap_time if retroreflector else overlap_time
     return (potential_high - potential_low) / (C_LIGHT * C_LIGHT) * overlap

@@ -23,7 +23,7 @@ import math
 from operator import le, neg, sub
 
 from .constants import C_LIGHT
-from .errors import DomainError, Record
+from .errors import DomainError, Record, check_nonnegative, check_positive, check_vector
 
 _LORENTZ_TOL = 1e-10
 # the metric diag(1, -1, -1, -1), entries row by row
@@ -80,7 +80,7 @@ class LorentzMatrix(Record):
     @classmethod
     def rotation(cls, axis, angle: float) -> "LorentzMatrix":
         """Active rotation by `angle` about the unit 3-vector `axis` (Rodrigues)."""
-        x, y, z = map(float, axis)
+        x, y, z = check_vector("axis", axis)
         norm = math.hypot(x, y, z)
         if norm == 0.0:
             raise DomainError("rotation axis must be nonzero")
@@ -94,9 +94,9 @@ class LorentzMatrix(Record):
     @classmethod
     def boost(cls, beta_vec) -> "LorentzMatrix":
         """Active pure boost with velocity beta_vec (fractions of c)."""
-        x, y, z = map(float, beta_vec)
+        x, y, z = check_vector("beta_vec", beta_vec)
         b2 = x * x + y * y + z * z
-        if b2 >= 1.0:
+        if not b2 < 1.0:
             raise DomainError("|beta| must be < 1")
         gamma = 1.0 / math.sqrt(1.0 - b2)
         k = gamma * gamma / (1.0 + gamma)  # (gamma - 1) / beta^2, also at beta = 0
@@ -111,14 +111,8 @@ class FourMomentum(Record):
     __slots__ = ("energy", "k")
 
     def __init__(self, energy, k):
-        try:
-            x, y, z = (float(v) for v in k)
-        except (TypeError, ValueError):
-            raise DomainError("k must be a 3-vector") from None
-        if not (math.isfinite(energy) and energy > 0.0):
-            raise DomainError("energy must be positive and finite")
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-            raise DomainError("k must be finite")
+        x, y, z = check_vector("k", k)
+        check_positive("energy", energy)
         if not abs(energy - math.hypot(x, y, z)) <= 1e-12 * energy:
             raise DomainError("momentum is not null")
         object.__setattr__(self, "energy", energy)
@@ -219,8 +213,7 @@ def diffraction_transform(theta: float, v: float) -> float:
     beta = v / C_LIGHT
     if not -1.0 < beta < 1.0:
         raise DomainError("|v| must be < c")
-    if theta < 0.0:
-        raise DomainError("theta must be nonnegative")
+    check_nonnegative("theta", theta)
     return theta * math.sqrt((1.0 + beta) / (1.0 - beta))
 
 

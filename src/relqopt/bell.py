@@ -14,7 +14,7 @@ import sys
 from typing import NamedTuple
 
 from .constants import PHOTON_CAP, WORKER_CAP
-from .errors import DomainError, Record
+from .errors import DomainError, Record, check_finite
 
 V_MIN = 1.0 / math.sqrt(2.0)
 
@@ -56,6 +56,8 @@ def singlet_correlation(v: float, alpha: float, beta: float) -> float:
     """E = -v cos 2(alpha - beta)."""
     if not 0.0 <= v <= 1.0:
         raise DomainError("visibility must lie in [0, 1]")
+    check_finite("alpha", alpha)
+    check_finite("beta", beta)
     return -v * math.cos(2.0 * (alpha - beta))
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConfigurationError, Record, check_positive
+from .errors import ConfigurationError, Record, check_finite, check_positive
 
 # CODATA 2018. The first three are exact by SI definition.
 C_LIGHT = 299792458.0            # m / s
@@ -39,7 +39,7 @@ _ANGLE_FACTORS = {
 def convert_angle(x: float, target: str) -> float:
     """Convert an angle in radians to rad / deg / arcsec / arcmsec."""
     try:
-        return x * _ANGLE_FACTORS[target]
+        return check_finite("x", x) * _ANGLE_FACTORS[target]
     except KeyError:
         raise ConfigurationError(f"unknown angle unit tag {target!r}") from None
 

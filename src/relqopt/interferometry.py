@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .constants import C_LIGHT, G0, HBAR, NEUTRON_MASS, PLANCK_H
-from .errors import DomainError, Record, check_nonnegative, check_positive
+from .errors import DomainError, Record, check_finite, check_nonnegative, check_positive
 
 
 class NeutronBeam(Record):
@@ -49,7 +49,7 @@ def cow_neutron_phase(beam: NeutronBeam, area: float, tilt: float) -> float:
     """
     check_nonnegative("area", area)
     lam, m, g = beam.wavelength, NEUTRON_MASS, G0
-    s = math.sin(tilt)
+    s = math.sin(check_finite("tilt", tilt))
     phase = -lam * m * m * g * area * s / (2.0 * math.pi * HBAR * HBAR)
     alt = -2.0 * math.pi * g * area * s / (lam * beam.speed**2)
     if abs(phase - alt) > 1e-10 * max(1.0, abs(phase)):

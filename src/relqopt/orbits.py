@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 
 from .constants import EARTH, LUNAR_DISTANCE, ASTRONOMICAL_UNIT
-from .errors import DomainError, NumericFailure, Record, check_nonnegative, set_finite_fields
+from .errors import (DomainError, NumericFailure, Record, check_finite, check_nonnegative,
+                     set_finite_fields)
 
 _KEPLER_TOL = 1e-12
 _KEPLER_MAX_ITER = 50
@@ -61,7 +62,9 @@ class GroundStation(Record):
 
 def solve_kepler(mean_anomaly: float, eccentricity: float) -> float:
     """Eccentric anomaly from M = E - e sin E, Newton iteration to 1e-12."""
-    m = math.remainder(mean_anomaly, 2.0 * math.pi)
+    m = math.remainder(check_finite("mean_anomaly", mean_anomaly), 2.0 * math.pi)
+    if not 0.0 <= eccentricity < 1.0:
+        raise DomainError("eccentricity must lie in [0, 1)")
     e = eccentricity
     ecc_anom = m if e < 0.8 else math.pi
     for _ in range(_KEPLER_MAX_ITER):
@@ -74,6 +77,7 @@ def solve_kepler(mean_anomaly: float, eccentricity: float) -> float:
 
 def propagate(orbit: OrbitSpec, t: float) -> StateVector:
     """Two-body state at time t (inertial frame)."""
+    check_finite("t", t)
     a, e = orbit.semi_major_axis, orbit.eccentricity
     mu = EARTH.mu
     n = math.sqrt(mu / a**3)
@@ -100,6 +104,7 @@ def propagate(orbit: OrbitSpec, t: float) -> StateVector:
 
 def station_state(gs: GroundStation, t: float) -> StateVector:
     """Inertial state of an Earth-fixed station (spin about +z at rotation_rate)."""
+    check_finite("t", t)
     r = EARTH.radius + gs.altitude
     bx = r * (math.cos(gs.latitude) * math.cos(gs.longitude))
     by = r * (math.cos(gs.latitude) * math.sin(gs.longitude))

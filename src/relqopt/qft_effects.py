@@ -69,7 +69,7 @@ def spacelike_window(separation: float) -> float:
 
 def ralph_correlation(model: EventOperatorModel, delta: float) -> float:
     """Event-operator decorrelation C = exp(-delta^2 / (4 d_t^2))."""
-    x = delta / (2.0 * model.detector_resolution)
+    x = check_finite("delta", delta) / (2.0 * model.detector_resolution)
     return math.exp(-(x * x))
 
 
@@ -85,6 +85,8 @@ def proper_time_differential(
     Newtonian potential, larger at higher altitude.  A retroreflector doubles
     the path overlap.
     """
+    check_finite("potential_low", potential_low)
+    check_finite("potential_high", potential_high)
     check_nonnegative("overlap_time", overlap_time)
     overlap = 2.0 * overlap_time if retroreflector else overlap_time
     return (potential_high - potential_low) / (C_LIGHT * C_LIGHT) * overlap

@@ -23,7 +23,8 @@ import math
 from operator import le, neg, sub
 
 from .constants import C_LIGHT
-from .errors import DomainError, Record, check_nonnegative, check_positive, check_vector
+from .errors import (DomainError, Record, check_finite, check_nonnegative, check_positive,
+                     check_vector)
 
 _LORENTZ_TOL = 1e-10
 # the metric diag(1, -1, -1, -1), entries row by row
@@ -85,6 +86,7 @@ class LorentzMatrix(Record):
         if norm == 0.0:
             raise DomainError("rotation axis must be nonzero")
         x, y, z = x / norm, y / norm, z / norm
+        check_finite("angle", angle)
         c, s, t = math.cos(angle), math.sin(angle), 1.0 - math.cos(angle)
         return cls(((1.0, 0.0, 0.0, 0.0),
                     (0.0, c + t * x * x, t * x * y - s * z, t * x * z + s * y),
@@ -201,6 +203,8 @@ def first_order_boost_phase(
         raise DomainError("theta must lie in [0, pi/2]")
     if not 0.0 <= v < C_LIGHT:
         raise DomainError("v must satisfy 0 <= v < c")
+    for name, x in (("phi", phi), ("theta_b", theta_b), ("phi_b", phi_b)):
+        check_finite(name, x)
     return -math.tan(0.5 * theta) * math.sin(theta_b) * math.sin(phi - phi_b) * (v / C_LIGHT)
 
 
@@ -244,6 +248,7 @@ def apply_helicity_phase(state, chi: float, photon: int):
         raise DomainError("state must be a TwoPhotonState")
     if photon not in (0, 1):
         raise DomainError("photon index must be 0 or 1")
+    check_finite("chi", chi)
     ph = complex(math.cos(chi), math.sin(chi))
     pp, pm, mp, mm = state.amplitudes
     if photon == 0:

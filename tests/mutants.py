@@ -31,6 +31,11 @@ MUTANTS = [
      "coeffs = np.array([[c_diff], [d_drift]])", "coeffs = np.array([[d_drift], [c_diff]])"),
     ("repeated_key_accepted", "src/relqopt/scenario.py",
      "elif key in section:", "elif False:"),
+    ("positive_check_passes_nan", "src/relqopt/errors.py",
+     "if not 0.0 < x < math.inf:", "if x <= 0.0:"),
+    ("integer_check_accepts_bool", "src/relqopt/errors.py",
+     "if isinstance(v, bool) or not isinstance(v, numbers.Integral):",
+     "if not isinstance(v, numbers.Integral):"),
 ]
 
 

@@ -269,11 +269,12 @@ def test_curves_ralph(capsys):
 
 @pytest.mark.filterwarnings("error")
 def test_curves_non_finite_row_exits_3_naming_the_group(capsys, tmp_path):
-    # the default --delta-max, 6 detector resolutions, overflows to inf
+    # the default --delta-max, 6 detector resolutions, overflows to inf, and
+    # ralph_correlation refuses the non-finite delta it spreads into
     path = _write(tmp_path, "[link]\ndetector_resolution = 1e308\n")
     code, out, err = _run(capsys, "curves", "--which", "ralph", "--scenario", path)
     assert code == 3 and out == ""
-    assert err == "error: effect 'qft' failed: delta is nan\n"
+    assert err == "error: effect 'qft' failed: delta must be finite\n"
 
 
 def test_orbit_non_finite_row_exits_3_naming_the_orbit(capsys, tmp_path, monkeypatch):
@@ -298,6 +299,15 @@ def test_non_finite_scenario_number_exits_2_naming_the_key(capsys, tmp_path):
         code, out, err = _run(capsys, "report", "--scenario", _write(tmp_path, text))
         assert code == 2 and out == ""
         assert where in err
+
+
+def test_scenario_file_that_is_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "scenario.ini"
+    path.write_bytes(b"[bell]\nseed = 3 ; \xff\n")
+    code, out, err = _run(capsys, "report", "--scenario", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read scenario file: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
 
 
 def test_huge_photon_budget_exits_2_naming_the_key(capsys, tmp_path):

@@ -1,66 +1,144 @@
-"""The scalar closed forms that the report calls refuse NaN and ±inf by name.
+"""Every public function of the library refuses NaN and ±inf by name.
 
-Each domain check is written so that NaN fails it (`not 0.0 < x < math.inf`),
-as in `diffusion`'s closed forms, whose own cases are in
-`test_diffusion::test_closed_forms_refuse_non_finite_arguments`.
+The functions are found with `ast`, as in `test_public_names.py`: each public
+top-level function of `src/relqopt/*.py` with a parameter annotated `float`.
+`CALLS` holds one valid call of each, by keyword; a function found but missing
+there fails `test_every_function_with_a_float_parameter_has_a_valid_call`.
+Each float parameter is then given NaN, +inf and -inf in turn, and the call must
+raise `DomainError` whose message names the parameter. `ACCEPTED` lists the
+documented exceptions, each with its reason.
 """
 
+import ast
+import importlib
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from relqopt.constants import EARTH, G0, ROUNDED_EARTH
+from relqopt.constants import EARTH, ROUNDED_EARTH
+from relqopt.diffusion import BlochTensorModel, CircleDensity, DiffusionParams
 from relqopt.errors import DomainError
-from relqopt.gravitomagnetism import (
-    axial_impact_rotation,
-    closed_path_rotation,
-    kerr_principal_null_rotation,
-)
-from relqopt.interferometry import displacement_during_delay, grav_redshift_weak_field
-from relqopt.orbits import newtonian_potential
-from relqopt.qft_effects import (
-    berry_phase_difference,
-    negativity_bound,
-    required_acceleration,
-    spacelike_window,
-    unruh_temperature,
-)
+from relqopt.gravitomagnetism import GravField, RayState, kerr_principal_null_rotation
+from relqopt.interferometry import NeutronBeam
+from relqopt.kinematics import Event
+from relqopt.orbits import PRESETS, GroundStation
+from relqopt.qft_effects import EventOperatorModel
+from relqopt.wigner import TwoPhotonState
 
-# Each closed form with valid values of all its float arguments.
-_CALLS = {
-    kerr_principal_null_rotation: dict(r1=EARTH.radius, r2=2.0 * EARTH.radius,
-                                       theta=0.25 * math.pi),
-    axial_impact_rotation: dict(s=EARTH.radius),
-    closed_path_rotation: dict(s1=EARTH.radius, s2=2.0 * EARTH.radius),
-    unruh_temperature: dict(a=G0),
-    required_acceleration: dict(omega=1e6),
-    berry_phase_difference: dict(omega_a=1e6, a=3e14, big_g=0.25),
-    negativity_bound: dict(separation=1e6, interaction_time=1e-3),
-    spacelike_window: dict(separation=1e6),
-    grav_redshift_weak_field: dict(height=1e6),
-    displacement_during_delay: dict(speed=7e3, delay=20e-6),
-    newtonian_potential: dict(r=7e6),
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "relqopt").glob("*.py"))
+
+
+def _float_parameters():
+    """{"module.function": (float parameter names)} for every public top-level function."""
+    found = {}
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                names = tuple(a.arg for a in args
+                              if a.annotation is not None and ast.unparse(a.annotation) == "float")
+                if names:
+                    found[f"{path.stem}.{node.name}"] = names
+    return found
+
+
+FLOAT_PARAMETERS = _float_parameters()
+
+
+_RHO = CircleDensity.wrapped_gaussian(0.3, 0.4, modes=16)
+_STATE = TwoPhotonState((0.0, math.sqrt(0.5), -math.sqrt(0.5), 0.0))
+
+# one valid call of each function, every argument by keyword
+CALLS = {
+    "bell.singlet_correlation": dict(v=0.9, alpha=0.0, beta=0.4),
+    "bell.joint_probabilities": dict(v=0.9, alpha=0.0, beta=0.4),
+    "bell.required_photons": dict(v=0.9),
+    "bell.simulate_coincidences": dict(v=0.9, n_pairs=400, seed=3, workers=1),
+    "constants.convert_angle": dict(x=1e-9, target="arcmsec"),
+    "diffusion.evolve_equator": dict(rho0=_RHO, params=DiffusionParams(1e-3, 1e-2),
+                                     lambda_span=2.0),
+    "diffusion.affine_parameter": dict(t=3.0, nu=5e14),
+    "diffusion.angle_shift": dict(t=3.0, nu=5e14, d_drift=1e-3),
+    "diffusion.polarization_decay": dict(t=3.0, nu=5e14, c_diff=1e-3),
+    "diffusion.drift_bound_from_angle": dict(chi=1e-6, t=3.0, nu=5e14),
+    "diffusion.diffusion_bound_from_decay": dict(mu=1e-6, t=3.0, nu=5e14),
+    "diffusion.equivariance_check": dict(
+        model=BlochTensorModel(lambda th: [[1e-3, 0.0], [0.0, 1e-3]], lambda th: [0.0, 1e-2],
+                               lambda th: 1.0),
+        rho0=_RHO, rotation=0.7, lambda_span=1.0, grid_n=64),
+    "gravitomagnetism.transport_ray": dict(
+        state=RayState((7e6, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+        sampler=lambda position: GravField((0.0, 0.0, 1e-9), (0.0, 0.0, 0.0)),
+        lam_end=10.0, steps=2),
+    "gravitomagnetism.kerr_principal_null_rotation": dict(
+        body=ROUNDED_EARTH, r1=EARTH.radius, r2=2.0 * EARTH.radius, theta=0.25 * math.pi),
+    "gravitomagnetism.axial_impact_rotation": dict(body=ROUNDED_EARTH, s=EARTH.radius),
+    "gravitomagnetism.closed_path_rotation": dict(body=ROUNDED_EARTH, s1=EARTH.radius,
+                                                  s2=2.0 * EARTH.radius),
+    "interferometry.cow_neutron_phase": dict(beam=NeutronBeam(1.4e-10), area=1e-3, tilt=0.5),
+    "interferometry.grav_redshift_weak_field": dict(height=1e6),
+    "interferometry.displacement_during_delay": dict(speed=7e3, delay=20e-6),
+    "kinematics.timing_shift_per_distance": dict(v0=15e3),
+    "kinematics.min_separation_for_switching": dict(v0=15e3, switch_time=10e-9),
+    "kinematics.light_travel_time": dict(distance=1e6),
+    "kinematics.causally_connected": dict(e1=Event(0.0, 0.0, 0.0), e2=Event(1.0, 1e3, 0.0),
+                                          kappa=1.5),
+    "orbits.solve_kepler": dict(mean_anomaly=1.0, eccentricity=0.1),
+    "orbits.propagate": dict(orbit=PRESETS["leo500"], t=100.0),
+    "orbits.station_state": dict(gs=GroundStation(0.8, 0.2, 500.0), t=100.0),
+    "orbits.newtonian_potential": dict(r=7e6),
+    "qft_effects.unruh_temperature": dict(a=9.81),
+    "qft_effects.required_acceleration": dict(omega=1e6),
+    "qft_effects.berry_phase_difference": dict(omega_a=1e6, a=3e14, big_g=0.25),
+    "qft_effects.negativity_bound": dict(separation=1e6, interaction_time=1e-3),
+    "qft_effects.spacelike_window": dict(separation=1e6),
+    "qft_effects.ralph_correlation": dict(model=EventOperatorModel(5e-13), delta=1e-12),
+    "qft_effects.proper_time_differential": dict(potential_low=-6.2e7, potential_high=-5.8e7,
+                                                 overlap_time=1e-3),
+    "wigner.first_order_boost_phase": dict(theta=0.5, phi=0.3, theta_b=1.0, phi_b=0.2, v=7e3),
+    "wigner.diffraction_transform": dict(theta=1e-5, v=1e3),
+    "wigner.apply_helicity_phase": dict(state=_STATE, chi=0.3, photon=0),
 }
-_BODY = {kerr_principal_null_rotation, axial_impact_rotation, closed_path_rotation}
-# documented exceptions: a ray that runs out to infinity, and the potential's zero there
-_ACCEPTED = {(kerr_principal_null_rotation, "r2", math.inf), (newtonian_potential, "r", math.inf)}
+
+# (function, parameter, value) -> why the value is accepted
+ACCEPTED = {
+    ("gravitomagnetism.kerr_principal_null_rotation", "r2", math.inf):
+        "a radial ray that runs out to infinity",
+    ("orbits.newtonian_potential", "r", math.inf): "the potential's zero at infinity",
+}
+
+# a message may name a parameter by the quantity it stands for
+NAMED_AS = {("bell", "v"): "visibility"}
 
 
-def _call(fn, **kwargs):
-    return fn(ROUNDED_EARTH, **kwargs) if fn in _BODY else fn(**kwargs)
+def _function(qualname):
+    module, name = qualname.split(".")
+    return getattr(importlib.import_module(f"relqopt.{module}"), name)
 
 
-@pytest.mark.parametrize("fn, name, bad", [
-    pytest.param(fn, name, bad, id=f"{fn.__name__}-{name}-{bad}")
-    for fn, kwargs in _CALLS.items() for name in kwargs
-    for bad in (math.nan, math.inf, -math.inf) if (fn, name, bad) not in _ACCEPTED
+def test_every_function_with_a_float_parameter_has_a_valid_call():
+    assert sorted(FLOAT_PARAMETERS) == sorted(CALLS)
+    for qualname, kwargs in CALLS.items():
+        _function(qualname)(**kwargs)
+
+
+@pytest.mark.parametrize("qualname, name, bad", [
+    pytest.param(qualname, name, bad, id=f"{qualname}-{name}-{bad}")
+    for qualname, names in FLOAT_PARAMETERS.items() for name in names
+    for bad in (math.nan, math.inf, -math.inf) if (qualname, name, bad) not in ACCEPTED
 ])
-def test_closed_forms_refuse_non_finite_arguments(fn, name, bad):
-    kwargs = dict(_CALLS[fn])
-    assert math.isfinite(_call(fn, **kwargs))
-    kwargs[name] = bad
-    with pytest.raises(DomainError):
-        _call(fn, **kwargs)
+def test_non_finite_argument_is_refused_naming_it(qualname, name, bad):
+    label = NAMED_AS.get((qualname.split(".")[0], name), name)
+    kwargs = {**CALLS[qualname], name: bad}
+    with pytest.raises(DomainError, match=rf"(?<!\w){re.escape(label)}(?!\w)"):
+        _function(qualname)(**kwargs)
+
+
+@pytest.mark.parametrize("qualname, name, value", sorted(ACCEPTED))
+def test_documented_exceptions_give_a_finite_value(qualname, name, value):
+    assert math.isfinite(_function(qualname)(**{**CALLS[qualname], name: value}))
 
 
 def test_kerr_rotation_accepts_a_ray_to_infinity():

@@ -67,7 +67,7 @@ class CircleDensity:
 
     def to_grid(self, n: int) -> np.ndarray:
         """Evaluate on n uniform points (small negative ringing is kept)."""
-        if n < 2 * self.modes + 2:
+        if check_integer("n", n) < 2 * self.modes + 2:
             raise DomainError("grid too coarse for the spectral content")
         import numpy as np
         spec = np.zeros(n // 2 + 1, dtype=complex)
@@ -173,8 +173,7 @@ class BlochTensorModel(Record):
             u = np.asarray(self.u_vector(float(th)), dtype=float)
             if u.shape != (2,) or not np.isfinite(u).all():
                 raise DomainError("u_vector must return a finite 2-vector")
-            if not self.density_of_states(float(th)) > 0:
-                raise DomainError("density_of_states must be positive")
+            check_positive("density_of_states", self.density_of_states(float(th)))
 
     def equator_params(self) -> DiffusionParams:
         """Constant equator coefficients: c = K^{bb}(pi/2), d = u^b(pi/2)."""

@@ -88,6 +88,15 @@ def test_wrapped_gaussian_requires_an_integer_mode_count(modes):
         CircleDensity.wrapped_gaussian(mean=0.0, sigma=1.0, modes=modes)
 
 
+@pytest.mark.parametrize("n", [64.0, np.float64(64.0), True, "64"],
+                         ids=["float", "numpy_float", "bool", "str"])
+def test_to_grid_requires_an_integer_point_count(n):
+    rho = CircleDensity.wrapped_gaussian(mean=0.0, sigma=1.0, modes=8)
+    assert rho.to_grid(np.int64(64)).shape == (64,)
+    with pytest.raises(DomainError):
+        rho.to_grid(n)
+
+
 def test_wrapped_gaussian_accepts_numpy_integer_mode_count():
     rho = CircleDensity.wrapped_gaussian(mean=0.3, sigma=1.0, modes=np.int64(8))
     assert rho.modes == 8
@@ -351,7 +360,10 @@ def test_equivariance_check_accepts_numpy_integer_grid():
     BlochTensorModel(k_tensor=lambda th: np.diag([0.05, 0.05]),
                      u_vector=lambda th: np.array([0.0, math.inf]),
                      density_of_states=lambda th: 1.0),
-], ids=["k_inf", "k_bb_nan", "u_b_nan", "u_b_inf"])
+    BlochTensorModel(k_tensor=lambda th: np.diag([0.05, 0.05]),
+                     u_vector=lambda th: np.array([0.0, 0.3]),
+                     density_of_states=lambda th: math.inf),
+], ids=["k_inf", "k_bb_nan", "u_b_nan", "u_b_inf", "density_inf"])
 def test_equivariance_check_rejects_non_finite_equator_coefficients(model):
     rho0 = CircleDensity.wrapped_gaussian(mean=1.0, sigma=0.5, modes=16)
     with pytest.raises(DomainError):

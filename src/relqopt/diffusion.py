@@ -67,7 +67,8 @@ class CircleDensity:
 
     def to_grid(self, n: int) -> np.ndarray:
         """Evaluate on n uniform points (small negative ringing is kept)."""
-        if check_integer("n", n) < 2 * self.modes + 2:
+        n = check_integer("n", n)
+        if n < 2 * self.modes + 2:
             raise DomainError("grid too coarse for the spectral content")
         import numpy as np
         spec = np.zeros(n // 2 + 1, dtype=complex)

@@ -25,8 +25,7 @@ class OrbitSpec(Record):
                  arg_perigee=0.0, mean_anomaly_epoch=0.0, epoch=0.0):
         set_finite_fields(self, semi_major_axis, eccentricity, inclination, raan, arg_perigee,
                           mean_anomaly_epoch, epoch)
-        if not 0.0 <= eccentricity < 1.0:
-            raise DomainError("eccentricity must lie in [0, 1)")
+        _check_eccentricity(eccentricity)
         if not semi_major_axis * (1.0 - eccentricity) > EARTH.radius:
             raise DomainError("semi_major_axis must put the perigee above the Earth's surface")
 
@@ -60,12 +59,16 @@ class GroundStation(Record):
             raise DomainError("|latitude| must be <= pi/2")
 
 
+def _check_eccentricity(e):
+    if not 0.0 <= e < 1.0:
+        raise DomainError("eccentricity must lie in [0, 1)")
+    return e
+
+
 def solve_kepler(mean_anomaly: float, eccentricity: float) -> float:
     """Eccentric anomaly from M = E - e sin E, Newton iteration to 1e-12."""
     m = math.remainder(check_finite("mean_anomaly", mean_anomaly), 2.0 * math.pi)
-    if not 0.0 <= eccentricity < 1.0:
-        raise DomainError("eccentricity must lie in [0, 1)")
-    e = eccentricity
+    e = _check_eccentricity(eccentricity)
     ecc_anom = m if e < 0.8 else math.pi
     for _ in range(_KEPLER_MAX_ITER):
         delta = (ecc_anom - e * math.sin(ecc_anom) - m) / (1.0 - e * math.cos(ecc_anom))

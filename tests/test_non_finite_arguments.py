@@ -3,7 +3,8 @@
 The functions are found with `ast`, as in `test_public_names.py`: each public
 top-level function of `src/relqopt/*.py` with a parameter annotated `float`.
 `CALLS` holds one valid call of each, by keyword; a function found but missing
-there fails `test_every_function_with_a_float_parameter_has_a_valid_call`.
+there fails `test_every_function_with_a_float_parameter_has_a_valid_call`, as
+does a valid call whose float result (or float in a tuple result) is not finite.
 Each float parameter is then given NaN, +inf and -inf in turn, and the call must
 raise `DomainError` whose message names the parameter. `ACCEPTED` lists the
 documented exceptions, each with its reason.
@@ -121,7 +122,9 @@ def _function(qualname):
 def test_every_function_with_a_float_parameter_has_a_valid_call():
     assert sorted(FLOAT_PARAMETERS) == sorted(CALLS)
     for qualname, kwargs in CALLS.items():
-        _function(qualname)(**kwargs)
+        result = _function(qualname)(**kwargs)
+        values = result if isinstance(result, tuple) else (result,)
+        assert all(math.isfinite(x) for x in values if isinstance(x, float)), qualname
 
 
 @pytest.mark.parametrize("qualname, name, bad", [

@@ -25,7 +25,7 @@ from typing import NamedTuple
 # each effect group imports its own module where it runs
 from . import orbits
 from .constants import C_LIGHT, EARTH, G0, PHOTON_CAP, ROUNDED_EARTH, WORKER_CAP
-from .errors import ConfigurationError, DomainError, EffectError, Record
+from .errors import ConfigurationError, DomainError, EffectError, Record, check_finite
 from .orbits import GroundStation, OrbitSpec, preset_orbit
 
 
@@ -97,12 +97,15 @@ def _wigner(s: Scenario, sat, *, theta=0.5 * math.pi, phi=0.5 * math.pi, theta_b
     ]
 
 
-def wigner_exact(s: Scenario, sat, *, theta, phi, theta_b, phi_b, beta=None) -> list:
+def wigner_exact(s: Scenario, sat, *, theta: float, phi: float, theta_b: float,
+                 phi_b: float, beta=None) -> list:
     """The boost speed and the exact little-group angle for `_wigner`'s geometry; at the
     report's fixed geometry that angle is zero up to rounding, so only the `wigner`
     subcommand prints these rows."""
     from . import wigner
-    beta = sat.speed / C_LIGHT if beta is None else beta
+    for name, x in (("theta", theta), ("phi", phi), ("theta_b", theta_b), ("phi_b", phi_b)):
+        check_finite(name, x)
+    beta = sat.speed / C_LIGHT if beta is None else check_finite("beta", beta)
     lam = wigner.LorentzMatrix.boost(tuple(beta * x for x in _direction(theta_b, phi_b)))
     return [
         ReportEntry("wigner.beta", beta, "dimensionless", "§3.1.1"),

@@ -24,11 +24,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # (name, file, text, replacement)
 MUTANTS = [
     ("rk4_k4_from_k2", "src/relqopt/diffusion.py",
-     "k4 = rhs(spec + dt * k3)", "k4 = rhs(spec + dt * k2)"),
+     "k4 = lam * (spec + dt * k3)", "k4 = lam * (spec + dt * k2)"),
     ("nyquist_zero_dropped", "src/relqopt/diffusion.py",
-     "ik[m_max] = 0.0", "pass"),
+     "lam[-1] = 0.0", "pass"),
     ("c_d_swapped", "src/relqopt/diffusion.py",
-     "coeffs = np.array([[c_diff], [d_drift]])", "coeffs = np.array([[d_drift], [c_diff]])"),
+     "lam = -c_diff * m**2 - 1j * d_drift * m", "lam = -d_drift * m**2 - 1j * c_diff * m"),
     ("repeated_key_accepted", "src/relqopt/scenario.py",
      "elif key in section:", "elif False:"),
     ("positive_check_passes_nan", "src/relqopt/errors.py",

@@ -6,8 +6,8 @@ top-level function of `src/relqopt/*.py` with a parameter annotated `float`.
 there fails `test_every_function_with_a_float_parameter_has_a_valid_call`, as
 does a valid call whose float result (or float in a tuple result) is not finite.
 Each float parameter is then given NaN, +inf and -inf in turn, and the call must
-raise `DomainError` whose message names the parameter. `ACCEPTED` lists the
-documented exceptions, each with its reason.
+raise `DomainError` whose message names the parameter; so is each parameter of
+`OPTIONAL_FLOATS`. `ACCEPTED` lists the documented exceptions, each with its reason.
 """
 
 import ast
@@ -24,8 +24,9 @@ from relqopt.errors import DomainError
 from relqopt.gravitomagnetism import GravField, RayState, kerr_principal_null_rotation
 from relqopt.interferometry import NeutronBeam
 from relqopt.kinematics import Event
-from relqopt.orbits import PRESETS, GroundStation
+from relqopt.orbits import PRESETS, GroundStation, propagate
 from relqopt.qft_effects import EventOperatorModel
+from relqopt.scenario import Scenario
 from relqopt.wigner import TwoPhotonState
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "relqopt").glob("*.py"))
@@ -50,6 +51,7 @@ FLOAT_PARAMETERS = _float_parameters()
 
 _RHO = CircleDensity.wrapped_gaussian(0.3, 0.4, modes=16)
 _STATE = TwoPhotonState((0.0, math.sqrt(0.5), -math.sqrt(0.5), 0.0))
+_SCENARIO = Scenario()
 
 # one valid call of each function, every argument by keyword
 CALLS = {
@@ -98,6 +100,8 @@ CALLS = {
     "qft_effects.ralph_correlation": dict(model=EventOperatorModel(5e-13), delta=1e-12),
     "qft_effects.proper_time_differential": dict(potential_low=-6.2e7, potential_high=-5.8e7,
                                                  overlap_time=1e-3),
+    "scenario.wigner_exact": dict(s=_SCENARIO, sat=propagate(_SCENARIO.orbit_spec(), 0.0),
+                                  theta=0.5, phi=0.3, theta_b=1.0, phi_b=0.2),
     "wigner.first_order_boost_phase": dict(theta=0.5, phi=0.3, theta_b=1.0, phi_b=0.2, v=7e3),
     "wigner.diffraction_transform": dict(theta=1e-5, v=1e3),
     "wigner.apply_helicity_phase": dict(state=_STATE, chi=0.3, photon=0),
@@ -109,6 +113,9 @@ ACCEPTED = {
         "a radial ray that runs out to infinity",
     ("orbits.newtonian_potential", "r", math.inf): "the potential's zero at infinity",
 }
+
+# float parameters that default to None, which the annotation scan cannot see
+OPTIONAL_FLOATS = [("scenario.wigner_exact", "beta")]
 
 # a message may name a parameter by the quantity it stands for
 NAMED_AS = {("bell", "v"): "visibility"}
@@ -129,7 +136,8 @@ def test_every_function_with_a_float_parameter_has_a_valid_call():
 
 @pytest.mark.parametrize("qualname, name, bad", [
     pytest.param(qualname, name, bad, id=f"{qualname}-{name}-{bad}")
-    for qualname, names in FLOAT_PARAMETERS.items() for name in names
+    for qualname, name in [(q, n) for q, names in FLOAT_PARAMETERS.items() for n in names]
+    + OPTIONAL_FLOATS
     for bad in (math.nan, math.inf, -math.inf) if (qualname, name, bad) not in ACCEPTED
 ])
 def test_non_finite_argument_is_refused_naming_it(qualname, name, bad):

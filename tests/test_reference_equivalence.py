@@ -133,15 +133,19 @@ def _witness_cases(n=50, grid_n=256):
 # - truncation: |e^z - R(z)| <= |z|^5/120 e^|z| (the tail of the exponential
 #   series), and |R(z)|, |e^z| <= 1 on the half-disc |z| <= 2, Re z <= 0 that
 #   the step rule keeps every z in, so |e^{nz} - R(z)^n| <= n |e^z - R(z)|;
-# - rounding, with ||.|| the l2 norm over all N modes of the full spectrum:
-#   one FFT of length N errs by at most log2(N) eta relative in l2, eta = 6.7u,
-#   u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-#   Thm 24.2; taken to hold for pocketfft's real and mixed-radix transforms).
-#   A stage dt*rhs(W) runs one irfft and one rfft around products whose l2
-#   gain is at most dt*stiff <= 2, and rounds about six products and sums, so
-#   it errs by at most 2 (2 log2(N) eta + 6u) ||W||.  For |z| <= 2 the four
-#   stage inputs have ||W|| <= (1, 2, 3, 7) ||V||, and a stage error reaches
-#   the step with weight (7, 6, 4, 1)/6, 38/6 in all.  With 30u ||V|| for the
+# - rounding, with ||.|| the l2 norm over all N modes of the full spectrum and
+#   u = 2^-53.  A stage dt*rhs(W) = dt lambda_m W_m is diagonal.  Per mode it
+#   rounds lambda_m (each part once, u), the complex product lambda_m W_m
+#   (sqrt(2) gamma_2 < 3u; Higham, Accuracy and Stability of Numerical
+#   Algorithms, 2nd ed., Lemma 3.5), the scale by dt or dt/2 (u) and the sum
+#   that forms W (u), each under a gain |dt lambda_m| <= 2, so it errs by at
+#   most 2 * 6u |W_m|, and by at most 2 * 6u ||W|| in l2.  The bound below
+#   keeps the term of a stage made with one irfft and one rfft instead,
+#   2 (2 log2(N) eta + 6u) ||W||, where one FFT of length N errs by at most
+#   log2(N) eta relative in l2, eta = 6.7u (Higham, Thm 24.2).  It is larger,
+#   so it remains a valid upper bound.  For |z| <= 2 the four stage inputs
+#   have ||W|| <= (1, 2, 3, 7) ||V||, and a stage error reaches the step with
+#   weight (7, 6, 4, 1)/6, 38/6 in all.  With 30u ||V|| for the
 #   update's own sums, to first order a step errs by at most kappa(N) u ||V||,
 #   kappa(N) = 38/6 * 2 (2 log2(N) eta/u + 6) + 30 (1464 at N = 256).  Since
 #   |R(z)| <= 1 these errors do not grow, and ||V0|| <= sqrt(N) max|V0_m|, so

@@ -18,9 +18,7 @@ _M64 = (1 << 64) - 1
 
 
 def _words(n: int) -> list:
-    """`n` as little-endian 32-bit words, as SeedSequence reads an int."""
-    if n < 0:
-        raise ValueError("expected non-negative integer")
+    """`n` (>= 0) as little-endian 32-bit words, as SeedSequence reads an int."""
     return [n >> s & _M32 for s in range(0, max(n.bit_length(), 1), 32)]
 
 

@@ -123,6 +123,8 @@ def simulate_coincidences(
     n_pairs, seed, workers = map(operator.index, (n_pairs, seed, workers))
     if n_pairs <= 0:
         raise DomainError("n_pairs must be positive")
+    if seed < 0:
+        raise DomainError("seed must be nonnegative")
     if not 1 <= workers <= WORKER_CAP:
         raise DomainError(f"workers must lie in [1, {WORKER_CAP}]")
     simulate = _simulate_numpy if "numpy" in sys.modules else _simulate_python

@@ -68,6 +68,20 @@ def _write_entries(entries, fmt: str, stream) -> int:
     return 0
 
 
+def _write_table(group: str, header, rows, fmt: str, stream) -> int:
+    """Write the rows that the iterable `rows` yields, built inside
+    `scen.effect_errors(group)`; a NaN or infinite value fails the group, as
+    `scen.evaluate` fails a report group."""
+    with scen.effect_errors(group):
+        rows = list(rows)
+        for row in rows:
+            for name, x in zip(header, row):
+                if not math.isfinite(x):
+                    raise NumericFailure(f"{name} is {x}")
+    _write_rows(rows, header, fmt, stream)
+    return 0
+
+
 def _require(ok: bool, flag: str, rule: str) -> None:
     if not ok:
         raise ConfigurationError(f"{flag} must be {rule}")
@@ -76,16 +90,6 @@ def _require(ok: bool, flag: str, rule: str) -> None:
 def _load_scenario(args, **flags) -> scen.Scenario:
     s = scen.load_scenario(args.scenario) if args.scenario else scen.Scenario()
     return scen.with_overrides(s, **flags)
-
-
-def _finite(rows, header) -> list:
-    """`rows`, unless a value is NaN or infinite; inside `scen.effect_errors` that fails
-    the group, as `scen.evaluate` fails a report group."""
-    for row in rows:
-        for name, x in zip(header, row):
-            if not math.isfinite(x):
-                raise NumericFailure(f"{name} is {x}")
-    return rows
 
 
 def _parse_effects(raw: str | None):
@@ -141,22 +145,19 @@ def _cmd_orbit(args, stream) -> int:
     s = _load_scenario(args)
     spec = s.orbit_spec()
     header = ["t", "x", "y", "z", "vx", "vy", "vz"]
-    track_station = bool(s.stations)
-    if track_station:
+    if s.stations:
         header += ["range", "range_rate"]
-    rows = []
-    with scen.effect_errors("orbit"):
+
+    def rows():
         duration = args.duration if args.duration is not None else spec.period()
         for t in _linspace(0.0, duration, args.samples):
             state = orbits.propagate(spec, t)
-            row = [state.time, *state.position, *state.velocity]
-            if track_station:
-                gs = orbits.station_state(s.stations[0], t)
-                row += orbits.relative_geometry(state, gs)
-            rows.append(tuple(row))
-        _finite(rows, header)
-    _write_rows(rows, header, args.format, stream)
-    return 0
+            row = (state.time, *state.position, *state.velocity)
+            if s.stations:
+                row += orbits.relative_geometry(state, orbits.station_state(s.stations[0], t))
+            yield row
+
+    return _write_table("orbit", header, rows(), args.format, stream)
 
 
 def _cmd_curves(args, stream) -> int:
@@ -166,24 +167,18 @@ def _cmd_curves(args, stream) -> int:
         from . import bell
         _require(args.v_min > bell.V_MIN, "--v-min", "> 1/sqrt(2)")
         _require(args.v_min <= args.v_max <= 1.0, "--v-max", "in [--v-min, 1]")
-        header = ("V", "N")
-        with scen.effect_errors("bell"):
-            rows = _finite([(v, bell.required_photons(v))
-                            for v in _linspace(args.v_min, args.v_max, args.points)], header)
-        _write_rows(rows, header, args.format, stream)
-        return 0
+        return _write_table("bell", ("V", "N"), (
+            (v, bell.required_photons(v)) for v in _linspace(args.v_min, args.v_max, args.points)),
+            args.format, stream)
     # Ralph correlation vs proper-time differential
     from . import qft_effects
     if args.delta_max is not None:
         _require(0.0 < args.delta_max < math.inf, "--delta-max", "finite and > 0")
     model = qft_effects.EventOperatorModel(detector_resolution=s.detector_resolution)
     d_max = args.delta_max if args.delta_max is not None else 6.0 * s.detector_resolution
-    header = ("delta", "C")
-    with scen.effect_errors("qft"):
-        rows = _finite([(delta, qft_effects.ralph_correlation(model, delta))
-                        for delta in _linspace(0.0, d_max, args.points)], header)
-    _write_rows(rows, header, args.format, stream)
-    return 0
+    return _write_table("qft", ("delta", "C"), (
+        (delta, qft_effects.ralph_correlation(model, delta))
+        for delta in _linspace(0.0, d_max, args.points)), args.format, stream)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -165,22 +165,36 @@ class BlochTensorModel(Record):
             if len(params) != 1:
                 raise DomainError(f"{name} must take exactly one polar-angle argument")
         for th in np.linspace(0.05, math.pi - 0.05, 17):
-            k = np.asarray(self.k_tensor(float(th)), dtype=float)
-            if (k.shape != (2, 2) or not np.isfinite(k).all()
-                    or np.max(np.abs(k - k.T)) > 1e-12):
+            k = _sampled(self.k_tensor(float(th)), (2, 2),
+                         "k_tensor must return a finite symmetric 2x2 tensor")
+            if np.max(np.abs(k - k.T)) > 1e-12:
                 raise DomainError("k_tensor must return a finite symmetric 2x2 tensor")
             if np.linalg.eigvalsh(k).min() < -1e-12:
                 raise DomainError("k_tensor must be positive semidefinite")
-            u = np.asarray(self.u_vector(float(th)), dtype=float)
-            if u.shape != (2,) or not np.isfinite(u).all():
-                raise DomainError("u_vector must return a finite 2-vector")
-            check_positive("density_of_states", self.density_of_states(float(th)))
+            _sampled(self.u_vector(float(th)), (2,), "u_vector must return a finite 2-vector")
+            n = self.density_of_states(float(th))
+            try:
+                check_positive("density_of_states", n)
+            except TypeError:  # None, a list, text: no order against floats
+                raise DomainError("density_of_states must be positive and finite") from None
 
     def equator_params(self) -> DiffusionParams:
         """Constant equator coefficients: c = K^{bb}(pi/2), d = u^b(pi/2)."""
         th = 0.5 * math.pi
         return DiffusionParams(c_diff=float(self.k_tensor(th)[1][1]),
                                d_drift=float(self.u_vector(th)[1]))
+
+
+def _sampled(value, shape: tuple, message: str):
+    """A sampler's output as a finite float array of `shape`, or DomainError(message)."""
+    import numpy as np
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):  # ragged, text or complex entries
+        raise DomainError(message) from None
+    if a.shape != shape or not np.isfinite(a).all():
+        raise DomainError(message)
+    return a
 
 
 def _rk4_rfft(spec: np.ndarray, c_diff: float, d_drift: float, lambda_span: float,

@@ -12,8 +12,7 @@ import math
 from typing import NamedTuple
 
 from .constants import C_LIGHT
-from .errors import (DomainError, Record, check_nonnegative, check_positive, check_vector,
-                     set_finite_fields)
+from .errors import DomainError, Record, check_nonnegative, check_vector, set_finite_fields
 
 INTERVAL_EPS = 1e-12
 
@@ -82,7 +81,8 @@ def timing_shift_per_distance(v0: float) -> float:
 
 def min_separation_for_switching(v0: float, switch_time: float) -> float:
     """Baseline (m) at which the v0/c^2 offset reaches switch_time seconds."""
-    check_positive("v0", v0)
+    if not 0.0 < v0 < C_LIGHT:
+        raise DomainError("v0 must satisfy 0 < v0 < c")
     return check_nonnegative("switch_time", switch_time) * C_LIGHT * C_LIGHT / v0
 
 
@@ -100,16 +100,11 @@ def causally_connected(e1: Event, e2: Event, kappa: float = 1.0) -> bool:
 
 
 def boost_event(e: Event, beta_vec) -> Event:
-    """Apply a pure boost with velocity beta_vec (fractions of c) to an event."""
+    """The event seen from a frame moving with velocity beta_vec (fractions of c): the
+    passive boost, `wigner.LorentzMatrix.boost(-beta_vec)` applied to (c t, x, y, z)."""
+    from . import wigner
     b1, b2, b3 = check_vector("beta_vec", beta_vec)
-    beta2 = b1 * b1 + b2 * b2 + b3 * b3
-    if not beta2 < 1.0:
-        raise DomainError("|beta| must be < 1")
-    if beta2 == 0.0:
-        return e
-    gamma = 1.0 / math.sqrt(1.0 - beta2)
-    bx = b1 * e.x + b2 * e.y + b3 * e.z
     ct = C_LIGHT * e.t
-    ct_new = gamma * (ct - bx)
-    k = (gamma - 1.0) * bx / beta2 - gamma * ct
-    return Event(ct_new / C_LIGHT, e.x + k * b1, e.y + k * b2, e.z + k * b3)
+    ct_new, x, y, z = [r0 * ct + r1 * e.x + r2 * e.y + r3 * e.z
+                       for r0, r1, r2, r3 in wigner.LorentzMatrix.boost((-b1, -b2, -b3)).matrix]
+    return Event(e.t + (ct_new - ct) / C_LIGHT, x, y, z)  # not ct_new / c: exact at beta = 0

@@ -297,13 +297,12 @@ def _text(where: str, raw: str) -> str:
 # the built-in types come first because an isinstance check on an ABC is ~10x slower
 _KINDS = {_float: ((float, int, numbers.Real), "a number"), _bool: (bool, "on/off"),
           _int: ((int, numbers.Integral), "an integer"), _text: (str, "text")}
-Key = namedtuple("Key", "section name default parse rule tests")
+Key = namedtuple("Key", "section name default parse rule")
 
 
 def _key(section: str, name: str, default, *rule, parse=_float) -> Key:
-    """The `Key` of one `Scenario` field: `rule` is (op, bound) pairs that must all
-    hold (the default obeys it), `tests` the same rule as (test, bound) pairs."""
-    return Key(section, name, default, parse, rule, tuple((_OPS[op], b) for op, b in rule))
+    """One `Scenario` field; `rule` holds (op in `_OPS`, bound) pairs, all true of the default."""
+    return Key(section, name, default, parse, rule)
 
 
 def _rule_text(rule) -> str:
@@ -348,7 +347,7 @@ class Scenario(Record):
     __slots__ = (*(key.name for key in KEYS), "orbit", "stations", "effects")
 
     def __init__(self, *, orbit=None, stations=(), effects=frozenset(EFFECT_GROUPS), **values):
-        for section, name, default, parse, rule, tests in KEYS:
+        for section, name, default, parse, rule in KEYS:
             x = values.pop(name, default)
             if x is not default:  # a default obeys its rule; tests hold it to that
                 kind, what = _KINDS[parse]
@@ -356,8 +355,8 @@ class Scenario(Record):
                     raise ConfigurationError(f"[{section}] {name} must be {what}")
                 if parse is _float and not abs(x) <= _FLOAT_MAX:  # NaN, inf or an int past it
                     raise ConfigurationError(f"[{section}] {name} must be finite")
-                for test, bound in tests:
-                    if not test(x, bound):
+                for op, bound in rule:
+                    if not _OPS[op](x, bound):
                         raise ConfigurationError(f"[{section}] {name} must be {_rule_text(rule)}")
             object.__setattr__(self, name, x)
         if values:
@@ -368,10 +367,9 @@ class Scenario(Record):
             raise ConfigurationError("[stations] stations must be a tuple of GroundStations")
         if len(stations) > 2:
             raise ConfigurationError("[stations] at most 2 stations are supported")
-        _known_groups(effects)
         object.__setattr__(self, "orbit", orbit)
         object.__setattr__(self, "stations", stations)
-        object.__setattr__(self, "effects", effects)
+        object.__setattr__(self, "effects", _known_groups(effects))
 
     def replace(self, **changes) -> Scenario:
         """A new Scenario with `changes` applied, validated like any other."""
@@ -561,7 +559,7 @@ def evaluate(s: Scenario, groups) -> EffectReport:
 
 def run_report(s: Scenario, effects=None) -> EffectReport:
     """Evaluate every enabled effect group for the scenario."""
-    enabled = _known_groups(s.effects if effects is None else effects)
+    enabled = s.effects if effects is None else _known_groups(effects)
     return evaluate(s, [(g, fn) for g, fn in GROUPS.items() if g in enabled])
 
 

@@ -36,6 +36,20 @@ MUTANTS = [
     ("integer_check_accepts_bool", "src/relqopt/errors.py",
      "if isinstance(v, bool) or not isinstance(v, numbers.Integral):",
      "if not isinstance(v, numbers.Integral):"),
+    ("transport_k4_from_k2", "src/relqopt/gravitomagnetism.py",
+     "k4 = deriv(shift(y, h, k3))", "k4 = deriv(shift(y, h, k2))"),
+    ("wigner_photon_energy_dropped", "src/relqopt/wigner.py",
+     "_standard_matrix(p.khat, p.energy)", "_standard_matrix(p.khat, 1.0)"),
+    ("first_order_half_restored", "src/relqopt/wigner.py",
+     "return -math.tan(0.5 * theta)", "return -0.5 * math.tan(0.5 * theta)"),
+    ("philox_nine_rounds", "src/relqopt/_philox.py",
+     "for i in range(10)]", "for i in range(9)]"),
+    ("btpe_squeeze_sign_flipped", "src/relqopt/_philox.py",
+     "t = -k * k / (2 * nrq)", "t = k * k / (2 * nrq)"),
+    ("boost_event_active", "src/relqopt/kinematics.py",
+     "boost((-b1, -b2, -b3))", "boost((b1, b2, b3))"),
+    ("table_without_finite_check", "src/relqopt/cli.py",
+     "if not math.isfinite(x):", "if False:"),
 ]
 
 

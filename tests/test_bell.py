@@ -267,3 +267,14 @@ def test_photon_curve_csv(capsys):
     assert main(argv) == 0
     table = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
     assert table == [[format(float(v), ".9g"), format(float(n), ".9g")] for v, n in rows]
+
+
+def test_negative_seed_is_a_domain_error_naming_seed():
+    # refused before either stream is chosen, so both give the same error
+    with pytest.raises(DomainError, match=r"^seed must be nonnegative$"):
+        simulate_coincidences(0.9, 1000, seed=-1)
+
+
+def test_negative_count_is_refused():
+    with pytest.raises(DomainError, match=r"^counts must be finite and nonnegative$"):
+        CoincidenceCounts([[1.0, 2.0, 3.0, 4.0]] * 3 + [[1.0, -1.0, 3.0, 4.0]])

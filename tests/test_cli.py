@@ -128,6 +128,11 @@ def test_unknown_effect_group_exits_2(capsys):
     assert code == 2
 
 
+def test_empty_effects_list_exits_2(capsys):
+    code, out, err = _run(capsys, "report", "--effects", ",")
+    assert (code, out, err) == (2, "", "error: --effects list is empty\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["orbit", "--seed", "1"], ["curves", "--workers", "2"],
     ["wigner", "--seed", "1"], ["diffusion", "--seed", "1"],

@@ -45,6 +45,15 @@ def test_uniform_density_is_stationary():
         assert np.allclose(out.coefficients, rho.coefficients, atol=1e-15)
 
 
+def test_density_refuses_empty_coefficients_and_a_coarse_grid():
+    with pytest.raises(DomainError, match=r"^coefficients must be a 1-d array$"):
+        CircleDensity([])
+    rho = _uniform(8)
+    rho.to_grid(18)
+    with pytest.raises(DomainError, match=r"^grid too coarse for the spectral content$"):
+        rho.to_grid(17)
+
+
 def test_density_normalization_enforced():
     bad = np.zeros(5, dtype=complex)
     bad[0] = 1.0  # should be 1/(2 pi)
@@ -297,6 +306,28 @@ def test_model_validation_rejects_bad_tensors():
             u_vector=lambda th: np.zeros(2),
             density_of_states=lambda th: 1.0,
         ).validate()
+
+
+_K_MESSAGE = r"^k_tensor must return a finite symmetric 2x2 tensor$"
+_U_MESSAGE = r"^u_vector must return a finite 2-vector$"
+_N_MESSAGE = r"^density_of_states must be positive and finite$"
+
+
+@pytest.mark.parametrize("k, u, n, message", [
+    ([[1.0, 0.0], [0.0]], [0.0, 0.0], 1.0, _K_MESSAGE),
+    ([["a", 0.0], [0.0, 1.0]], [0.0, 0.0], 1.0, _K_MESSAGE),
+    ([[1j, 0.0], [0.0, 1.0]], [0.0, 0.0], 1.0, _K_MESSAGE),
+    (np.eye(2), [0.0, [1]], 1.0, _U_MESSAGE),
+    (np.eye(2), ("x", 1), 1.0, _U_MESSAGE),
+    (np.eye(2), [0.0, 0.0], None, _N_MESSAGE),
+    (np.eye(2), [0.0, 0.0], [1.0], _N_MESSAGE),
+    (np.eye(2), [0.0, 0.0], "1", _N_MESSAGE),
+], ids=["ragged_k", "text_k", "complex_k", "ragged_u", "text_u", "none_n", "list_n", "text_n"])
+def test_model_validation_names_the_sampler_of_malformed_output(k, u, n, message):
+    model = BlochTensorModel(k_tensor=lambda th: k, u_vector=lambda th: u,
+                             density_of_states=lambda th: n)
+    with pytest.raises(DomainError, match=message):
+        model.validate()
 
 
 def test_equator_params_extraction():

@@ -113,6 +113,11 @@ def test_ray_state_rejects_non_finite_vectors(position, khat, fhat):
         RayState(position=position, khat=khat, fhat=fhat)
 
 
+def test_ray_state_refuses_a_non_unit_khat():
+    with pytest.raises(DomainError, match=r"^khat must be a unit vector$"):
+        RayState(position=(0.0, 0.0, 0.0), khat=(2.0, 0.0, 0.0), fhat=(0.0, 1.0, 0.0))
+
+
 _X_START = RayState(position=(0.0, 0.0, 0.0), khat=(1.0, 0.0, 0.0), fhat=(0.0, 1.0, 0.0))
 
 
@@ -145,6 +150,12 @@ def test_kerr_rotation_zero_cases():
 def test_kerr_rotation_orbit_to_infinity():
     chi = kerr_principal_null_rotation(EARTH_BODY, 12270e3, math.inf, 0.25 * math.pi)
     assert abs(convert_angle(chi, "arcmsec")) == pytest.approx(39.0, rel=0.05)
+
+
+def test_kerr_rotation_refuses_an_arcsin_argument_above_one():
+    # J/(M c) is ~3.3 m for the Earth, so a ray from r1 = 1 m has |x| > 1
+    with pytest.raises(DomainError, match=r"^rotation argument exceeds 1; formula out of range$"):
+        kerr_principal_null_rotation(EARTH_BODY, 1.0, math.inf, 0.0)
 
 
 def test_kerr_rotation_symmetries():

@@ -38,6 +38,17 @@ def test_cow_phase_two_forms_agree():
         assert phase == pytest.approx(alt, rel=1e-10)
 
 
+def test_cow_phase_is_finite_where_the_velocity_form_overflows():
+    # v = h/(m lambda) is ~4e156 m/s here, and v^2 overflows
+    beam = NeutronBeam(wavelength=1e-162)
+    with pytest.raises(OverflowError):
+        beam.speed**2
+    phase = cow_neutron_phase(beam, 1e100, 0.4)
+    expected = -1e-162 * NEUTRON_MASS**2 * G0 * 1e100 * math.sin(0.4) / (
+        2.0 * math.pi * (PLANCK_H / (2.0 * math.pi)) ** 2)
+    assert math.isfinite(phase) and phase == pytest.approx(expected, rel=1e-12)
+
+
 def test_cow_phase_linear_in_area_and_odd_in_g():
     base = cow_neutron_phase(THERMAL, 8e-4, 0.5 * math.pi)
     assert cow_neutron_phase(THERMAL, 16e-4, 0.5 * math.pi) == pytest.approx(2.0 * base, rel=1e-12)

@@ -73,6 +73,13 @@ def test_min_separation_for_switching():
         min_separation_for_switching(0.0, 1e-9)
 
 
+@pytest.mark.parametrize("v0", [C_LIGHT, 4e8])
+def test_min_separation_for_switching_refuses_light_speed_or_more(v0):
+    # timing_shift_per_distance refuses the same speeds
+    with pytest.raises(DomainError, match=r"^v0 must satisfy 0 < v0 < c$"):
+        min_separation_for_switching(v0, 1e-8)
+
+
 def test_shift_and_switching_are_algebraic_inverses():
     rng = np.random.default_rng(5)
     for _ in range(100):
@@ -136,3 +143,21 @@ def test_simultaneity_boost_zeroes_dt_and_preserves_separation():
         dx = math.dist((b1.x, b1.y, b1.z), (b2.x, b2.y, b2.z))
         assert abs(b2.t - b1.t) <= 1e-10 * dx / C_LIGHT
         assert dx == pytest.approx(invariant_interval(e1, e2).magnitude, rel=1e-10)
+
+
+def test_boost_event_at_zero_speed_returns_an_equal_event():
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        e = Event(*rng.uniform(-1e-2, 1e-2, 1), *rng.uniform(-1e6, 1e6, 3))
+        assert boost_event(e, (0.0, 0.0, 0.0)) == e
+
+
+@pytest.mark.parametrize("beta, message", [
+    ((1.0, 0.0, 0.0), r"^\|beta\| must be < 1$"),
+    ((0.6, 0.8, 1e-9), r"^\|beta\| must be < 1$"),
+    ((math.nan, 0.0, 0.0), r"^beta_vec must be a finite 3-vector$"),
+    ((0.1, 0.2), r"^beta_vec must be a finite 3-vector$"),
+], ids=["c", "faster_than_c", "nan", "two_components"])
+def test_boost_event_refusals(beta, message):
+    with pytest.raises(DomainError, match=message):
+        boost_event(LINK[0], beta)

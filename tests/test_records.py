@@ -128,7 +128,7 @@ def test_each_key_default_obeys_its_rule(key):
         assert isinstance(x, int) and not isinstance(x, bool)
     if key.parse is scenario._float:
         assert isinstance(x, float) and math.isfinite(x)
-    assert all(test(x, bound) for test, bound in key.tests)
+    assert all(scenario._OPS[op](x, bound) for op, bound in key.rule)
 
 
 def test_records_pickle_copy_and_deepcopy_to_equal_records(make):

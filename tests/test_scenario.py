@@ -161,6 +161,22 @@ def test_effect_flags(tmp_path):
     assert "geometry" in s.effects
 
 
+@pytest.mark.parametrize("effects", [["bell", "geometry"], {"bell", "geometry"},
+                                     ("bell", "geometry", "bell")], ids=["list", "set", "tuple"])
+def test_any_iterable_of_groups_gives_an_equal_hashable_scenario(effects):
+    s = Scenario(effects=effects)
+    t = Scenario(effects=frozenset({"geometry", "bell"}))
+    assert s == t and hash(s) == hash(t)
+    assert s.effects == frozenset({"geometry", "bell"})
+
+
+def test_at_most_two_stations():
+    gs = orbits.GroundStation(latitude=0.0, longitude=0.0, altitude=0.0)
+    Scenario(stations=(gs, gs))
+    with pytest.raises(ConfigurationError, match=r"^\[stations\] at most 2 stations are supported$"):
+        Scenario(stations=(gs, gs, gs))
+
+
 def test_invalid_bool(tmp_path):
     path = _write(tmp_path, "[effects]\nbell = maybe\n")
     with pytest.raises(ConfigurationError, match="bell"):

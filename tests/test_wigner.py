@@ -113,6 +113,18 @@ def test_each_validator_check_rejects_its_case(matrix, message):
         LorentzMatrix(matrix)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: LorentzMatrix(5.0), r"^Lorentz matrix must be 4x4$"),
+    (lambda: LorentzMatrix.rotation((0.0, 0.0, 0.0), 0.3), r"^rotation axis must be nonzero$"),
+    (lambda: LorentzMatrix.boost((1.0, 0.0, 0.0)), r"^\|beta\| must be < 1$"),
+    (lambda: LorentzMatrix.boost((0.0, 0.8, 0.7)), r"^\|beta\| must be < 1$"),
+    (lambda: FourMomentum(1.0, (0.0, 0.0, 0.5)), r"^momentum is not null$"),
+], ids=["not_iterable", "zero_axis", "boost_at_c", "boost_above_c", "not_null"])
+def test_constructors_refuse_naming_the_rule(make, message):
+    with pytest.raises(DomainError, match=message):
+        make()
+
+
 def _boost_with_gamma(gamma, direction=(1.0, 2.0, -0.5)):
     n = np.asarray(direction) / np.linalg.norm(direction)
     return LorentzMatrix.boost(math.sqrt(1.0 - 1.0 / gamma**2) * n)
@@ -290,6 +302,8 @@ def test_two_photon_phase_requires_photon_index():
     for photon in (None, -1, 2):
         with pytest.raises(DomainError):
             apply_helicity_phase(state, 0.1, photon)
+    with pytest.raises(DomainError, match=r"^state must be a TwoPhotonState$"):
+        apply_helicity_phase(state.amplitudes, 0.1, 0)
 
 
 @pytest.mark.parametrize("amplitudes", [

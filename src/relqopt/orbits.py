@@ -69,7 +69,7 @@ def solve_kepler(mean_anomaly: float, eccentricity: float) -> float:
     """Eccentric anomaly from M = E - e sin E, Newton iteration to 1e-12."""
     m = math.remainder(check_finite("mean_anomaly", mean_anomaly), 2.0 * math.pi)
     e = _check_eccentricity(eccentricity)
-    ecc_anom = m if e < 0.8 else math.pi
+    ecc_anom = m if e < 0.8 else math.copysign(math.pi, m)
     for _ in range(_KEPLER_MAX_ITER):
         delta = (ecc_anom - e * math.sin(ecc_anom) - m) / (1.0 - e * math.cos(ecc_anom))
         ecc_anom -= delta

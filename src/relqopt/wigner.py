@@ -10,7 +10,9 @@ transform is L(k) = R(khat) Bz(u) with rapidity u = ln(energy).
 
 For a transformation Lam, the little-group element W = L(Lam p)^-1 Lam L(p)
 fixes k_R and factors uniquely as a null translation times a z-rotation,
-W = S(a, b) Rz(xi); helicity amplitudes pick up exp(+/- i xi).
+W = S(a, b) Rz(xi); helicity amplitudes pick up exp(+/- i xi).  That
+factorisation sends e_x to (s, cos xi, sin xi, s), so xi is read from one
+column of W, which needs one 3x3 product and the two frames, not W itself.
 
 All boost constructors here are active: boost(beta) maps a particle at rest
 to one moving with velocity beta.  For the passive picture (new frame moving
@@ -133,30 +135,22 @@ def direction_angles(khat) -> tuple[float, float]:
     return theta, (math.atan2(y, x) if theta > 0.0 else 0.0)
 
 
-def _standard_matrix(khat, energy: float) -> tuple:
-    """Raw L(k) = Rz(phi) Ry(theta) Bz(ln energy) for a unit direction khat."""
+def _polar_frame(khat) -> tuple:
+    """Columns 1 and 2 of R(khat) = Rz(phi) Ry(theta): the unit vectors (e_theta, e_phi)."""
     theta, phi = direction_angles(khat)
     ct, st, cp, sp = math.cos(theta), math.sin(theta), math.cos(phi), math.sin(phi)
-    ch, sh = math.cosh(math.log(energy)), math.sinh(math.log(energy))
-    return ((ch, 0.0, 0.0, sh), (cp * st * sh, cp * ct, -sp, cp * st * ch),
-            (sp * st * sh, sp * ct, cp, sp * st * ch), (ct * sh, -st, 0.0, ct * ch))
-
-
-def _little_group_element(a: float, b: float, xi: float) -> tuple:
-    """S(a, b) Rz(xi), where S = exp(a A + b B) for the null generators A, B."""
-    c, s = math.cos(xi), math.sin(xi)
-    z = 0.5 * (a * a + b * b)
-    u, v = a * c + b * s, b * c - a * s
-    return ((1.0 + z, u, v, -z), (a, c, -s, -a), (b, s, c, -b), (z, u, v, 1.0 - z))
+    return (cp * ct, sp * ct, -st), (-sp, cp, 0.0)
 
 
 def wigner_angle(lam: LorentzMatrix, p: FourMomentum) -> float:
     """Little-group angle xi of W = L(Lam p)^-1 Lam L(p), in (-pi, pi].
 
-    W is factored as S(a, b) Rz(xi); the null-translation part S is computed
-    for the consistency check but not returned.  Helicity amplitudes
-    transform as alpha_{+/-} -> exp(+/- i xi) alpha_{+/-}.  Both arguments
-    were validated when they were built, so the products run on raw floats.
+    W = S(a, b) Rz(xi) sends e_x to (s, cos xi, sin xi, s), so one column of W
+    gives xi.  L(p) e_x = (0, e_theta(khat)), and Bz(-u') in L(Lam p)^-1
+    leaves x and y alone, so xi = atan2(e_phi' . a, e_theta' . a) with
+    a = Lam_3x3 e_theta(khat) and e_theta', e_phi' the frame of
+    khat' = dir(Lam p).  The photon energy drops out.  Helicity amplitudes
+    transform as alpha_{+/-} -> exp(+/- i xi) alpha_{+/-}.
     """
     x, y, z = p.k
     energy, *k_out = [r0 * p.energy + r1 * x + r2 * y + r3 * z for r0, r1, r2, r3 in lam.matrix]
@@ -165,19 +159,12 @@ def wigner_angle(lam: LorentzMatrix, p: FourMomentum) -> float:
     norm = math.hypot(*k_out)
     if not (math.isfinite(energy) and abs(energy - norm) <= 1e-12 * energy):
         raise DomainError("transformed momentum is not null")
-    # L^-1 = eta L^T eta: the transpose with row 0 and column 0 negated off the diagonal
-    (a, b, c, d), (e, f, g, h), (i, j, k, l), (m, n, o, q) = _standard_matrix(
-        [x / norm for x in k_out], energy)
-    l_inv = ((a, -e, -i, -m), (-b, f, j, n), (-c, g, k, o), (-d, h, l, q))
-    w = _product(_product(l_inv, lam.matrix), _standard_matrix(p.khat, p.energy))
-    # W k_R, for k_R = (1, 0, 0, 1), is the sum of W's first and last columns
-    if not _within([r[0] + r[3] for r in w], (1.0, 0.0, 0.0, 1.0)):
-        raise DomainError("decomposition is singular: W does not fix k_R")
-    xi = math.atan2(w[2][1], w[1][1])
+    (e1, e2, e3), _ = _polar_frame(p.khat)
+    a1, a2, a3 = [r1 * e1 + r2 * e2 + r3 * e3 for _, r1, r2, r3 in lam.matrix[1:]]
+    (t1, t2, t3), (f1, f2, _) = _polar_frame([c / norm for c in k_out])
+    xi = math.atan2(f1 * a1 + f2 * a2, t1 * a1 + t2 * a2 + t3 * a3)
     if xi <= -math.pi:
         xi = math.pi
-    if not _within(sum(w, ()), sum(_little_group_element(w[1][0], w[2][0], xi), ())):
-        raise DomainError("decomposition is singular: residual too large")
     return xi
 
 

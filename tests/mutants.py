@@ -38,8 +38,8 @@ MUTANTS = [
      "if not isinstance(v, numbers.Integral):"),
     ("transport_k4_from_k2", "src/relqopt/gravitomagnetism.py",
      "k4 = deriv(shift(y, h, k3))", "k4 = deriv(shift(y, h, k2))"),
-    ("wigner_photon_energy_dropped", "src/relqopt/wigner.py",
-     "_standard_matrix(p.khat, p.energy)", "_standard_matrix(p.khat, 1.0)"),
+    ("wigner_a_from_e_phi", "src/relqopt/wigner.py",
+     "(e1, e2, e3), _ = _polar_frame(p.khat)", "_, (e1, e2, e3) = _polar_frame(p.khat)"),
     ("first_order_half_restored", "src/relqopt/wigner.py",
      "return -math.tan(0.5 * theta)", "return -0.5 * math.tan(0.5 * theta)"),
     ("philox_nine_rounds", "src/relqopt/_philox.py",

@@ -74,6 +74,15 @@ def test_report_scenario_file(capsys, tmp_path):
     assert values["geometry.simultaneity_beta"] == pytest.approx(0.994, abs=1e-3)
 
 
+def test_report_on_a_high_eccentricity_orbit_before_perigee(capsys, tmp_path):
+    # perigee at 1e7 m; Kepler's Newton iteration once diverged at this mean anomaly
+    path = _write(tmp_path, "[orbit]\nsemi_major_axis = 1e8\neccentricity = 0.9\n"
+                            "mean_anomaly = -142.185\n")
+    code, out, err = _run(capsys, "report", "--scenario", path)
+    assert code == 0 and err == ""
+    assert any(line.startswith("geometry.") for line in out.splitlines())
+
+
 def test_seed_override_changes_monte_carlo(capsys):
     _, out1, _ = _run(capsys, "report", "--effects", "bell", "--format", "csv", "--seed", "1")
     _, out2, _ = _run(capsys, "report", "--effects", "bell", "--format", "csv", "--seed", "2")
@@ -232,6 +241,16 @@ def test_wigner_subcommand_custom_geometry(capsys):
     expected = 1e-3 / math.tan(math.radians(45.0)) * math.sin(math.radians(90.0)) \
         * math.sin(math.radians(30.0 - 120.0))
     assert values["wigner.exact_angle"] == pytest.approx(expected, abs=3e-5)
+
+
+def test_wigner_subcommand_answers_a_high_gamma_boost(capsys):
+    # gamma ~ 7071: the null-translation entries of W grow with gamma; the
+    # angle does not, and a 50-digit evaluation of W gives -1.7591686040174
+    code, out, err = _run(capsys, "wigner", "--beta", "0.99999999", "--theta", "60",
+                          "--phi", "45", "--theta-b", "90", "--phi-b", "200")
+    assert code == 0 and err == ""
+    values = dict(line.split()[:2] for line in out.splitlines()[1:])
+    assert values["wigner.exact_angle"] == "-1.7591686"
 
 
 def test_orbit_subcommand(capsys, tmp_path):

@@ -43,6 +43,15 @@ def test_kepler_high_eccentricity_near_perigee():
     assert big_e - 0.9 * math.sin(big_e) == pytest.approx(1e-4, abs=1e-12)
 
 
+@pytest.mark.parametrize("e", [0.8, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-12])
+def test_kepler_converges_for_every_mean_anomaly_at_high_eccentricity(e):
+    # Newton from E0 = pi diverges for some m < 0 (m = -142.28 deg at e = 0.9);
+    # E0 = copysign(pi, m) starts on the side of the root
+    for m in np.linspace(-math.pi, math.pi, 36001)[1:-1].tolist():
+        big_e = solve_kepler(m, e)
+        assert abs(big_e - e * math.sin(big_e) - m) < 1e-12, (m, e)
+
+
 # --------------------------------------------------------------- propagate
 
 
@@ -67,6 +76,16 @@ def test_circular_orbit_periodicity():
     a = propagate(orbit, 123.0)
     b = propagate(orbit, 123.0 + period)
     assert np.linalg.norm(np.array(a.position) - np.array(b.position)) < 1.0
+
+
+def test_propagate_counts_time_from_the_epoch():
+    # T + dt - T == dt exactly for these values, so the states agree bit for bit
+    shape = dict(semi_major_axis=2.0e7, eccentricity=0.6, inclination=0.9, raan=0.4,
+                 arg_perigee=2.0, mean_anomaly_epoch=0.3)
+    at_zero, at_epoch = OrbitSpec(**shape), OrbitSpec(**shape, epoch=5000.0)
+    for dt in (-750.0, 0.0, 1234.5, 20000.25):
+        a, b = propagate(at_zero, dt), propagate(at_epoch, 5000.0 + dt)
+        assert (b.position, b.velocity) == (a.position, a.velocity)
 
 
 def test_geo_period():

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
-from reference_kernels import (ETA, K_REF, array, as_array, boost_z, inverse, momentum,
-                               product, rotation_y, rotation_z)
+from reference_kernels import (ETA, K_REF, _standard_transform, array, as_array, boost_z,
+                               inverse, momentum, product, rotation_y, rotation_z)
 from relqopt.constants import C_LIGHT
 from relqopt.errors import DomainError
 from relqopt.wigner import (
@@ -16,8 +17,8 @@ from relqopt.wigner import (
     concurrence,
     diffraction_transform,
     direction_angles,
+    _polar_frame,
     _product,
-    _standard_matrix,
     first_order_boost_phase,
     wigner_angle,
 )
@@ -26,7 +27,7 @@ from relqopt.wigner import (
 def _frame(khat, energy=1.0):
     """The standard transform L(k) = Rz(phi) Ry(theta) Bz(ln energy), validated;
     at energy 1 it is the standard rotation R(khat)."""
-    return LorentzMatrix(_standard_matrix(np.asarray(khat, dtype=float), energy))
+    return _standard_transform(FourMomentum(energy, tuple(energy * np.asarray(khat, dtype=float))))
 
 
 def _transform(p):
@@ -66,6 +67,18 @@ def test_standard_rotation_carries_z_onto_direction():
     theta, phi = direction_angles(k)
     explicit = product(rotation_z(phi), rotation_y(theta))
     assert np.allclose(r.matrix, explicit.matrix, atol=1e-14)
+
+
+@pytest.mark.parametrize("khat", [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0),
+                                  (0.0, -0.6, 0.8), (-0.48, 0.64, -0.6), (1e-9, 0.0, 1.0)],
+                         ids=["north_pole", "south_pole", "x_axis", "yz_plane", "generic",
+                              "near_pole"])
+def test_polar_frame_is_columns_1_and_2_of_the_standard_transform(khat):
+    khat = tuple(np.asarray(khat) / np.linalg.norm(khat))
+    e_theta, e_phi = _polar_frame(khat)
+    columns = array(_frame(khat))[1:, 1:3]
+    assert np.allclose(e_theta, columns[:, 0], rtol=0.0, atol=1e-15)
+    assert np.allclose(e_phi, columns[:, 1], rtol=0.0, atol=1e-15)
 
 
 def test_standard_transform_examples():
@@ -198,6 +211,64 @@ def test_little_group_element_fixes_reference_momentum():
         wigner_angle(lam, p)  # decomposition must not be singular
 
 
+def _mp_standard_transform(k):
+    """L(k) = Rz(phi) Ry(theta) Bz(ln |k|) in mpmath for a 3-vector k; phi = 0 on the axis."""
+    energy = mp.norm(k)
+    theta = mp.atan2(mp.hypot(k[0], k[1]), k[2])
+    phi = mp.atan2(k[1], k[0]) if theta > 0 else mp.mpf(0)
+    ct, st, cp, sp = mp.cos(theta), mp.sin(theta), mp.cos(phi), mp.sin(phi)
+    ch, sh = mp.cosh(mp.log(energy)), mp.sinh(mp.log(energy))
+    return mp.matrix([[ch, 0, 0, sh], [cp * st * sh, cp * ct, -sp, cp * st * ch],
+                      [sp * st * sh, sp * ct, cp, sp * st * ch], [ct * sh, -st, 0, ct * ch]]), st
+
+
+@pytest.mark.parametrize("gamma", [1.0, 10.0, 1e3, 1e4, 1e6])
+def test_wigner_angle_matches_50_digit_little_group_decomposition(gamma):
+    """The angle against W = L(Lam p)^-1 Lam L(p) formed in full at 50 digits.
+
+    The oracle reads the float entries of Lam and p as exact, so the
+    difference is the library's rounding alone.  The bound is its first-order
+    rounding estimate with u = 2^-53, term by term:
+    - frames: a direction off by d turns e_theta and e_phi by d (1 + 1/sin theta);
+      atan2, cos and sin add at most 16u;
+    - a = Lam_3x3 e_theta(khat): 3-term sums over entries of size up to gamma;
+    - khat' = dir(Lam p): the 4-term sums err by 4u max_i sum_j |Lam_ij p_j|, which
+      for a photon nearly opposed to the boost is ~2 gamma^2 times |k'|;
+    - each projection of a onto e_theta', e_phi' carries |a| times the frame error.
+    Dividing by |(W11, W21)| = 1 gives the angle; the worst case is ~gamma^2 u.
+    """
+    u = 2.0**-53
+    rng = np.random.default_rng(int(round(math.log10(gamma))) + 40)
+    with mp.workdps(50):
+        eta = mp.diag([1, -1, -1, -1])
+        for _ in range(200):
+            beta = math.sqrt(1.0 - 1.0 / gamma**2)
+            lam = product(LorentzMatrix.boost(_random_direction(rng) * beta),
+                          _random_rotation(rng))
+            energy = float(np.exp(rng.uniform(-2.3, 2.3)))
+            p = FourMomentum(energy, tuple(energy * _random_direction(rng)))
+            xi = wigner_angle(lam, p)
+
+            m = mp.matrix(lam.matrix)
+            k_out = [sum(m[i, j] * c for j, c in enumerate((p.energy, *p.k))) for i in (1, 2, 3)]
+            l_in, sin_in = _mp_standard_transform([mp.mpf(c) for c in p.k])
+            l_out, sin_out = _mp_standard_transform(k_out)
+            w = eta * l_out.T * eta * m * l_in
+            want = mp.atan2(w[2, 1], w[1, 1])
+            a = [sum(m[i, j] * l_in[j, 1] for j in (1, 2, 3)) for i in (1, 2, 3)]
+
+            rows = [[abs(x) for x in row] for row in lam.matrix[1:]]
+            spread = max(sum(r * abs(c) for r, c in zip(row, (p.energy, *p.k))) for row in rows)
+            d_in = (1.0 + 1.0 / float(sin_in)) * 4.0 * u + 16.0 * u
+            d_a = math.sqrt(3.0) * max(sum(row[1:]) for row in rows) * (3.0 * u + d_in)
+            d_khat = 7.0 * u * spread / float(mp.norm(k_out)) + 4.0 * u
+            d_out = (1.0 + 1.0 / float(sin_out)) * d_khat + 16.0 * u
+            d_t = math.sqrt(2.0) * (float(mp.norm(a)) * (d_out + 3.0 * u) + d_a)
+            bound = d_t / float(mp.hypot(w[1, 1], w[2, 1])) + 7.0 * u
+            err = abs(float((xi - want + mp.pi) % (2 * mp.pi) - mp.pi))
+            assert err <= bound, (gamma, err, bound)
+
+
 def test_rotation_composition_law():
     rng = np.random.default_rng(10)
     for _ in range(40):
@@ -326,6 +397,8 @@ def test_float_products_match_numpy():
 def test_concurrence_values():
     a = 1.0 / math.sqrt(2.0)
     assert concurrence(TwoPhotonState((1.0, 0.0, 0.0, 0.0))) == 0.0
+    # a product state with both products a_pp a_mm and a_pm a_mp nonzero
+    assert concurrence(TwoPhotonState((0.5, 0.5, 0.5, 0.5))) == 0.0
     assert concurrence(TwoPhotonState((0.0, a, -a, 0.0))) == pytest.approx(1.0, rel=1e-12)
     assert concurrence(TwoPhotonState((math.sqrt(0.8), 0.0, 0.0, math.sqrt(0.2)))) == pytest.approx(0.8, rel=1e-12)
 

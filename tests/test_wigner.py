@@ -208,7 +208,7 @@ def test_little_group_element_fixes_reference_momentum():
         w = product(product(inverse(_transform(momentum(array(lam) @ as_array(p)))), lam),
                     _transform(p))
         assert np.max(np.abs(array(w) @ K_REF - K_REF)) < 1e-10
-        wigner_angle(lam, p)  # decomposition must not be singular
+        wigner_angle(lam, p)  # and the library answers the same input
 
 
 def _mp_standard_transform(k):

@@ -20,6 +20,7 @@ products c*lambda and d*lambda are ever used.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import TYPE_CHECKING
 
 from .constants import PLANCK_H
@@ -156,7 +157,6 @@ class BlochTensorModel(Record):
 
     def validate(self) -> None:
         import inspect
-        import numpy as np
         for name, fn in zip(self.__slots__, self._values()):
             params = [
                 p for p in inspect.signature(fn).parameters.values()
@@ -164,15 +164,26 @@ class BlochTensorModel(Record):
             ]
             if len(params) != 1:
                 raise DomainError(f"{name} must take exactly one polar-angle argument")
-        for th in np.linspace(0.05, math.pi - 0.05, 17):
-            k = _sampled(self.k_tensor(float(th)), (2, 2),
-                         "k_tensor must return a finite symmetric 2x2 tensor")
-            if np.max(np.abs(k - k.T)) > 1e-12:
+        for i in range(17):
+            th = 0.05 + i * (math.pi - 0.1) / 16
+            k = self.k_tensor(th)
+            try:
+                (kaa, kab), (kba, kbb) = k
+            except (TypeError, ValueError):  # not iterable, or not 2x2
+                kaa = kab = kba = kbb = None
+            if not (_finite_reals(kaa, kab, kba, kbb) and abs(kab - kba) <= 1e-12):
                 raise DomainError("k_tensor must return a finite symmetric 2x2 tensor")
-            if np.linalg.eigvalsh(k).min() < -1e-12:
+            # the smaller eigenvalue of the symmetric 2x2 tensor
+            if (kaa + kbb) / 2 - math.hypot((kaa - kbb) / 2, kab) < -1e-12:
                 raise DomainError("k_tensor must be positive semidefinite")
-            _sampled(self.u_vector(float(th)), (2,), "u_vector must return a finite 2-vector")
-            n = self.density_of_states(float(th))
+            u = self.u_vector(th)
+            try:
+                ua, ub = u
+            except (TypeError, ValueError):
+                ua = ub = None
+            if not _finite_reals(ua, ub):
+                raise DomainError("u_vector must return a finite 2-vector")
+            n = self.density_of_states(th)
             try:
                 check_positive("density_of_states", n)
             except TypeError:  # None, a list, text: no order against floats
@@ -185,16 +196,9 @@ class BlochTensorModel(Record):
                                d_drift=float(self.u_vector(th)[1]))
 
 
-def _sampled(value, shape: tuple, message: str):
-    """A sampler's output as a finite float array of `shape`, or DomainError(message)."""
-    import numpy as np
-    try:
-        a = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):  # ragged, text or complex entries
-        raise DomainError(message) from None
-    if a.shape != shape or not np.isfinite(a).all():
-        raise DomainError(message)
-    return a
+def _finite_reals(*xs) -> bool:
+    """Every x a finite real number; text, complex and None are not."""
+    return all(isinstance(x, numbers.Real) and math.isfinite(x) for x in xs)
 
 
 def _rk4_rfft(spec: np.ndarray, c_diff: float, d_drift: float, lambda_span: float,

@@ -14,6 +14,11 @@ W = S(a, b) Rz(xi); helicity amplitudes pick up exp(+/- i xi).  That
 factorisation sends e_x to (s, cos xi, sin xi, s), so xi is read from one
 column of W, which needs one 3x3 product and the two frames, not W itself.
 
+Each input is checked once, where it enters.  LorentzMatrix checks the
+metric, M00 >= 1 and the sign of its spatial determinant, which needs no
+tolerance (see the class); FourMomentum checks that p is null.  wigner_angle
+trusts both: it checks only that Lam p has positive energy and is finite.
+
 All boost constructors here are active: boost(beta) maps a particle at rest
 to one moving with velocity beta.  For the passive picture (new frame moving
 with +v nhat) use boost(-v nhat / c).
@@ -22,32 +27,24 @@ with +v nhat) use boost(-v nhat / c).
 from __future__ import annotations
 
 import math
-from operator import le, neg, sub
 
 from .constants import C_LIGHT
 from .errors import (DomainError, Record, check_finite, check_nonnegative, check_positive,
                      check_vector)
 
 _LORENTZ_TOL = 1e-10
-# the metric diag(1, -1, -1, -1), entries row by row
-_ETA = (1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, -1.0)
-
-
-def _product(a, b) -> tuple:
-    """a @ b for 4x4 matrices held as row tuples."""
-    (b00, b01, b02, b03), (b10, b11, b12, b13), (b20, b21, b22, b23), (b30, b31, b32, b33) = b
-    return tuple((p * b00 + q * b10 + r * b20 + s * b30, p * b01 + q * b11 + r * b21 + s * b31,
-                  p * b02 + q * b12 + r * b22 + s * b32, p * b03 + q * b13 + r * b23 + s * b33)
-                 for p, q, r, s in a)
-
-
-def _within(got, want, bounds=(_LORENTZ_TOL,) * 16) -> bool:
-    """|got_i - want_i| <= bounds_i for every entry; a NaN fails."""
-    return all(map(le, map(abs, map(sub, got, want)), bounds))
 
 
 class LorentzMatrix(Record):
-    """A proper orthochronous Lorentz transformation; `matrix` is four row tuples of floats."""
+    """A proper orthochronous Lorentz transformation; `matrix` is four row tuples of floats.
+
+    Three checks, in this order.  The metric: eta(c_i, c_j) = eta_ij for the
+    columns, over the 10 pairs i <= j, within tol * max(1, |c_i| |c_j|), the
+    rounding of the 4-term sum.  Orthochronous: M00 >= 1 - tol.  Proper: a
+    positive spatial 3x3 determinant.  Once the first two hold, M = B(v) diag(1, O)
+    and that determinant is M00 det O = +-M00, at least 1 in size, so its sign
+    needs no tolerance.  The inversion -1 has a negative one too, so M00 goes first.
+    """
 
     __slots__ = ("matrix",)
 
@@ -58,26 +55,23 @@ class LorentzMatrix(Record):
             raise DomainError("Lorentz matrix must be 4x4") from None
         if list(map(len, rows)) != [4, 4, 4, 4]:
             raise DomainError("Lorentz matrix must be 4x4")
-        entries = sum(rows, ())
-        if not all(map(math.isfinite, entries)):
+        if not all(map(math.isfinite, sum(rows, ()))):
             raise DomainError("Lorentz matrix must be finite")
-        # bounds tol * max(1, |M[:, i]| |M[:, j]|) follow the rounding of (M^T eta M)_ij
         cols = tuple(zip(*rows))
-        gram = sum(_product(cols, (rows[0], *(tuple(map(neg, row)) for row in rows[1:]))), ())
-        if not (_within(gram, _ETA) or _within(gram, _ETA, [
-                _LORENTZ_TOL * max(1.0, math.hypot(*ci) * math.hypot(*cj))
-                for ci in cols for cj in cols])):
-            raise DomainError("matrix does not preserve the metric")
-        # det M = M00 det(Schur complement of M00), M00 the pivot once the metric holds;
-        # its rounding grows as max|M_ij|^2 eps (gamma^2 eps for a boost)
-        a0, a1, a2, a3 = rows[0]
-        (p, q, r), (s, t, u), (v, w, x) = [(r1 - r0 * a1 / a0, r2 - r0 * a2 / a0, r3 - r0 * a3 / a0)
-                                           for r0, r1, r2, r3 in rows[1:]]
-        det = a0 * (p * (t * x - u * w) - q * (s * x - u * v) + r * (s * w - t * v))
-        if not abs(det - 1.0) <= _LORENTZ_TOL * max(1.0, max(map(abs, entries)) ** 2):
-            raise DomainError("matrix must have determinant +1")
-        if a0 < 1.0 - _LORENTZ_TOL:
+        norms = [math.hypot(*c) for c in cols]
+        for i, (a0, a1, a2, a3) in enumerate(cols):
+            for j in range(i, 4):
+                b0, b1, b2, b3 = cols[j]
+                eta = (i == j) * (-1.0 if i else 1.0)
+                # divided, so that an overflowed sum (inf / inf) fails too
+                if not (abs(a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3 - eta)
+                        / max(1.0, norms[i] * norms[j]) <= _LORENTZ_TOL):
+                    raise DomainError("matrix does not preserve the metric")
+        if rows[0][0] < 1.0 - _LORENTZ_TOL:
             raise DomainError("matrix must be orthochronous")
+        (_, p, q, r), (_, s, t, u), (_, v, w, x) = rows[1:]
+        if p * (t * x - u * w) - q * (s * x - u * v) + r * (s * w - t * v) < 0.0:
+            raise DomainError("matrix must have determinant +1")
         object.__setattr__(self, "matrix", rows)
 
     @classmethod
@@ -157,8 +151,8 @@ def wigner_angle(lam: LorentzMatrix, p: FourMomentum) -> float:
     if not energy > 0.0:
         raise DomainError("transformed momentum must have positive energy")
     norm = math.hypot(*k_out)
-    if not (math.isfinite(energy) and abs(energy - norm) <= 1e-12 * energy):
-        raise DomainError("transformed momentum is not null")
+    if not norm < math.inf:
+        raise DomainError("transformed momentum must be finite")
     (e1, e2, e3), _ = _polar_frame(p.khat)
     a1, a2, a3 = [r1 * e1 + r2 * e2 + r3 * e3 for _, r1, r2, r3 in lam.matrix[1:]]
     (t1, t2, t3), (f1, f2, _) = _polar_frame([c / norm for c in k_out])

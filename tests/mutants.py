@@ -29,6 +29,8 @@ MUTANTS = [
      "lam[-1] = 0.0", "pass"),
     ("c_d_swapped", "src/relqopt/diffusion.py",
      "lam = -c_diff * m**2 - 1j * d_drift * m", "lam = -d_drift * m**2 - 1j * c_diff * m"),
+    ("psd_without_off_diagonal", "src/relqopt/diffusion.py",
+     "math.hypot((kaa - kbb) / 2, kab)", "abs(kaa - kbb) / 2"),
     ("repeated_key_accepted", "src/relqopt/scenario.py",
      "elif key in section:", "elif False:"),
     ("positive_check_passes_nan", "src/relqopt/errors.py",
@@ -40,6 +42,10 @@ MUTANTS = [
      "k4 = deriv(shift(y, h, k3))", "k4 = deriv(shift(y, h, k2))"),
     ("wigner_a_from_e_phi", "src/relqopt/wigner.py",
      "(e1, e2, e3), _ = _polar_frame(p.khat)", "_, (e1, e2, e3) = _polar_frame(p.khat)"),
+    ("lorentz_determinant_sign_dropped", "src/relqopt/wigner.py",
+     "if p * (t * x - u * w) - q * (s * x - u * v) + r * (s * w - t * v) < 0.0:", "if False:"),
+    ("concurrence_sum", "src/relqopt/wigner.py",
+     "pp * mm - pm * mp", "pp * mm + pm * mp"),
     ("first_order_half_restored", "src/relqopt/wigner.py",
      "return -math.tan(0.5 * theta)", "return -0.5 * math.tan(0.5 * theta)"),
     ("philox_nine_rounds", "src/relqopt/_philox.py",
@@ -48,6 +54,8 @@ MUTANTS = [
      "t = -k * k / (2 * nrq)", "t = k * k / (2 * nrq)"),
     ("boost_event_active", "src/relqopt/kinematics.py",
      "boost((-b1, -b2, -b3))", "boost((b1, b2, b3))"),
+    ("propagate_epoch_sign", "src/relqopt/orbits.py",
+     "t - orbit.epoch", "t + orbit.epoch"),
     ("table_without_finite_check", "src/relqopt/cli.py",
      "if not math.isfinite(x):", "if False:"),
 ]

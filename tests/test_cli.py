@@ -253,6 +253,18 @@ def test_wigner_subcommand_answers_a_high_gamma_boost(capsys):
     assert values["wigner.exact_angle"] == "-1.7591686"
 
 
+def test_wigner_subcommand_answers_a_photon_nearly_opposed_to_the_boost(capsys):
+    # gamma ~ 707 and a photon 0.05 degrees off the direction opposite to the
+    # boost: Lam p has energy ~ E / (2 gamma) with rounding ~ gamma eps E, so a
+    # relative null test on it refused this input
+    code, out, err = _run(capsys, "wigner", "--beta", "0.999999", "--theta", "60",
+                          "--phi", "45", "--theta-b", "120.05", "--phi-b", "225",
+                          "--format", "csv")
+    assert code == 0 and err == ""
+    values = {r[0]: float(r[1]) for r in _csv_rows(out)[1:]}
+    assert abs(values["wigner.exact_angle"]) <= 1e-9  # 50 digits give 2.3e-13
+
+
 def test_orbit_subcommand(capsys, tmp_path):
     path = _write(tmp_path, "[stations]\nstation1 = 0 0 0\n")
     code, out, _ = _run(capsys, "orbit", "--scenario", path, "--samples", "5",

@@ -205,28 +205,6 @@ def test_oracle_itself_handles_pure_drift():
 # ---------------------------------------------------------- reduced forms
 
 
-# Each closed form with valid values of all its float arguments.
-_CLOSED_FORM_CALLS = {
-    affine_parameter: dict(t=1.0, nu=1e14),
-    angle_shift: dict(t=1.0, nu=1e14, d_drift=4e-8),
-    polarization_decay: dict(t=1.0, nu=1e14, c_diff=2e-9),
-    drift_bound_from_angle: dict(chi=0.1, t=1.0, nu=1e14),
-    diffusion_bound_from_decay: dict(mu=0.025, t=1.0, nu=1e14),
-}
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("fn, name", [
-    (fn, name) for fn, kwargs in _CLOSED_FORM_CALLS.items() for name in kwargs
-], ids=lambda v: getattr(v, "__name__", v))
-def test_closed_forms_refuse_non_finite_arguments(fn, name, bad):
-    kwargs = dict(_CLOSED_FORM_CALLS[fn])
-    assert math.isfinite(fn(**kwargs))
-    kwargs[name] = bad
-    with pytest.raises(DomainError):
-        fn(**kwargs)
-
-
 def test_affine_parameter():
     assert affine_parameter(0.0, 1e14) == 0.0
     assert affine_parameter(1.0, 1e14) == pytest.approx(1.0 / (PLANCK_H * 1e14), rel=1e-15)
@@ -300,6 +278,12 @@ def test_model_validation_rejects_bad_tensors():
             u_vector=lambda th: np.zeros(2),
             density_of_states=lambda th: 1.0,
         ).validate()
+    with pytest.raises(DomainError, match="positive semidefinite"):
+        BlochTensorModel(
+            k_tensor=lambda th: [[1, 2], [2, 1]],  # positive diagonal, eigenvalues 3 and -1
+            u_vector=lambda th: np.zeros(2),
+            density_of_states=lambda th: 1.0,
+        ).validate()
     with pytest.raises(DomainError):
         BlochTensorModel(
             k_tensor=lambda th, phi: np.eye(2),  # azimuth argument: not polar-only
@@ -317,12 +301,15 @@ _N_MESSAGE = r"^density_of_states must be positive and finite$"
     ([[1.0, 0.0], [0.0]], [0.0, 0.0], 1.0, _K_MESSAGE),
     ([["a", 0.0], [0.0, 1.0]], [0.0, 0.0], 1.0, _K_MESSAGE),
     ([[1j, 0.0], [0.0, 1.0]], [0.0, 0.0], 1.0, _K_MESSAGE),
+    ([["1", "0"], ["0", "1"]], [0.0, 0.0], 1.0, _K_MESSAGE),
     (np.eye(2), [0.0, [1]], 1.0, _U_MESSAGE),
     (np.eye(2), ("x", 1), 1.0, _U_MESSAGE),
+    (np.eye(2), ("0", "0.5"), 1.0, _U_MESSAGE),
     (np.eye(2), [0.0, 0.0], None, _N_MESSAGE),
     (np.eye(2), [0.0, 0.0], [1.0], _N_MESSAGE),
     (np.eye(2), [0.0, 0.0], "1", _N_MESSAGE),
-], ids=["ragged_k", "text_k", "complex_k", "ragged_u", "text_u", "none_n", "list_n", "text_n"])
+], ids=["ragged_k", "text_k", "complex_k", "numeric_text_k", "ragged_u", "text_u",
+        "numeric_text_u", "none_n", "list_n", "text_n"])
 def test_model_validation_names_the_sampler_of_malformed_output(k, u, n, message):
     model = BlochTensorModel(k_tensor=lambda th: k, u_vector=lambda th: u,
                              density_of_states=lambda th: n)

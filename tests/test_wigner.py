@@ -18,7 +18,6 @@ from relqopt.wigner import (
     diffraction_transform,
     direction_angles,
     _polar_frame,
-    _product,
     first_order_boost_phase,
     wigner_angle,
 )
@@ -119,7 +118,8 @@ def test_non_lorentz_matrix_rejected():
     ([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, math.nan, 0.0], [0.0, 0.0, 1.0, 0.0],
       [0.0, 0.0, 0.0, 1.0]], "finite"),
     (np.eye(3), "4x4"),
-], ids=["parity", "time_reversal", "nan", "3x3"])
+    (np.diag([1e200, 1.0, 1.0, 1.0]), "metric"),
+], ids=["parity", "time_reversal", "nan", "3x3", "overflowing_metric"])
 def test_each_validator_check_rejects_its_case(matrix, message):
     # parity and -1 both preserve the metric, so only the later checks catch them
     with pytest.raises(DomainError, match=message):
@@ -145,11 +145,26 @@ def _boost_with_gamma(gamma, direction=(1.0, 2.0, -0.5)):
 
 @pytest.mark.parametrize("gamma", [1e3, 1e4])
 def test_high_gamma_boosts_are_accepted(gamma):
-    # rounding in M^T eta M and det M grows as gamma^2 eps, past an absolute 1e-10 at gamma ~ 1000;
+    # rounding in M^T eta M grows as gamma^2 eps, past an absolute 1e-10 at gamma ~ 1000;
     # beta^2 itself carries a relative gamma^2 eps, hence the loose check on gamma
     for direction in ((1.0, 0.0, 0.0), (1.0, 2.0, -0.5)):
         m = _boost_with_gamma(gamma, direction).matrix
         assert m[0][0] == pytest.approx(gamma, rel=1e-6)
+
+
+def test_boosts_at_the_largest_float_speed_are_accepted():
+    # gamma of 1e7 and more: the spatial determinant +-M00 keeps its sign with no tolerance
+    rng = np.random.default_rng(22)
+    for _ in range(200):
+        lam = LorentzMatrix.boost(_random_direction(rng) * (1.0 - 2.0**-51))
+        assert lam.matrix[0][0] > 1e7
+
+
+@pytest.mark.parametrize("gamma", [1e3, 1e6])
+def test_improper_high_gamma_boost_is_rejected(gamma):
+    m = array(_boost_with_gamma(gamma)) @ np.diag([1.0, -1.0, 1.0, 1.0])
+    with pytest.raises(DomainError, match="determinant"):
+        LorentzMatrix(m)
 
 
 @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1)])
@@ -199,6 +214,12 @@ def test_pure_rotation_recomposition_oracle():
         assert np.allclose(lhs, rhs, atol=1e-9)
 
 
+def test_wigner_angle_refuses_a_transformed_momentum_that_overflows():
+    p = FourMomentum(1e308, (6e307, 8e307, 0.0))
+    with pytest.raises(DomainError, match="^transformed momentum must be finite$"):
+        wigner_angle(LorentzMatrix.boost((0.9999, 0.0, 0.0)), p)
+
+
 def test_little_group_element_fixes_reference_momentum():
     rng = np.random.default_rng(9)
     for _ in range(50):
@@ -239,14 +260,27 @@ def test_wigner_angle_matches_50_digit_little_group_decomposition(gamma):
     """
     u = 2.0**-53
     rng = np.random.default_rng(int(round(math.log10(gamma))) + 40)
+    beta = math.sqrt(1.0 - 1.0 / gamma**2)
+    cases = []
+    for _ in range(200):
+        lam = product(LorentzMatrix.boost(_random_direction(rng) * beta), _random_rotation(rng))
+        energy = float(np.exp(rng.uniform(-2.3, 2.3)))
+        cases.append((lam, FourMomentum(energy, tuple(energy * _random_direction(rng)))))
+    if gamma >= 1e3:
+        # photons that the rotation turns to -nhat cos(alpha) + ahat sin(alpha), nearly
+        # opposed to the boost nhat: Lam p has energy ~ E / (2 gamma) and rounding ~ gamma eps E
+        for alpha in (1e-4, 1e-3, 1e-2, 1e-1):
+            for _ in range(50):
+                nhat, rot = _random_direction(rng), _random_rotation(rng)
+                ahat = np.cross(nhat, _random_direction(rng))
+                ahat /= np.linalg.norm(ahat)
+                k = array(rot)[1:, 1:].T @ (-nhat * math.cos(alpha) + ahat * math.sin(alpha))
+                energy = float(np.exp(rng.uniform(-2.3, 2.3)))
+                cases.append((product(LorentzMatrix.boost(nhat * beta), rot),
+                              FourMomentum(energy, tuple(energy * k))))
     with mp.workdps(50):
         eta = mp.diag([1, -1, -1, -1])
-        for _ in range(200):
-            beta = math.sqrt(1.0 - 1.0 / gamma**2)
-            lam = product(LorentzMatrix.boost(_random_direction(rng) * beta),
-                          _random_rotation(rng))
-            energy = float(np.exp(rng.uniform(-2.3, 2.3)))
-            p = FourMomentum(energy, tuple(energy * _random_direction(rng)))
+        for lam, p in cases:
             xi = wigner_angle(lam, p)
 
             m = mp.matrix(lam.matrix)
@@ -383,15 +417,6 @@ def test_two_photon_phase_requires_photon_index():
 def test_two_photon_state_rejects_malformed_or_unnormalized_amplitudes(amplitudes):
     with pytest.raises(DomainError):
         TwoPhotonState(amplitudes)
-
-
-def test_float_products_match_numpy():
-    rng = np.random.default_rng(16)
-    for _ in range(20):
-        a, b = product(_random_boost(rng), _random_rotation(rng)), _random_boost(rng)
-        ab = _product(a.matrix, b.matrix)
-        assert np.allclose(ab, array(a) @ array(b), rtol=0.0, atol=1e-14)
-        assert all(type(x) is float for row in ab for x in row)
 
 
 def test_concurrence_values():

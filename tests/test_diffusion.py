@@ -205,6 +205,28 @@ def test_oracle_itself_handles_pure_drift():
 # ---------------------------------------------------------- reduced forms
 
 
+# Each closed form with valid values of all its float arguments.
+_CLOSED_FORM_CALLS = {
+    affine_parameter: dict(t=1.0, nu=1e14),
+    angle_shift: dict(t=1.0, nu=1e14, d_drift=4e-8),
+    polarization_decay: dict(t=1.0, nu=1e14, c_diff=2e-9),
+    drift_bound_from_angle: dict(chi=0.1, t=1.0, nu=1e14),
+    diffusion_bound_from_decay: dict(mu=0.025, t=1.0, nu=1e14),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("fn, name", [
+    (fn, name) for fn, kwargs in _CLOSED_FORM_CALLS.items() for name in kwargs
+], ids=lambda v: getattr(v, "__name__", v))
+def test_closed_forms_refuse_non_finite_arguments(fn, name, bad):
+    kwargs = dict(_CLOSED_FORM_CALLS[fn])
+    assert math.isfinite(fn(**kwargs))
+    kwargs[name] = bad
+    with pytest.raises(DomainError):
+        fn(**kwargs)
+
+
 def test_affine_parameter():
     assert affine_parameter(0.0, 1e14) == 0.0
     assert affine_parameter(1.0, 1e14) == pytest.approx(1.0 / (PLANCK_H * 1e14), rel=1e-15)

@@ -14,7 +14,7 @@ import sys
 from typing import NamedTuple
 
 from .constants import PHOTON_CAP, WORKER_CAP
-from .errors import DomainError, Record, check_finite
+from .errors import DomainError, Record, check_finite, is_finite
 
 V_MIN = 1.0 / math.sqrt(2.0)
 
@@ -38,12 +38,12 @@ class CoincidenceCounts(Record):
     __slots__ = ("counts",)
 
     def __init__(self, counts):
-        rows = tuple(tuple(map(float, row)) for row in counts)
+        rows = tuple(tuple(row) for row in counts)
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise DomainError("counts must have shape (4, 4)")
-        if not all(0.0 <= x < math.inf for r in rows for x in r):
+        if not all(is_finite(x) and x >= 0.0 for r in rows for x in r):
             raise DomainError("counts must be finite and nonnegative")
-        object.__setattr__(self, "counts", rows)
+        object.__setattr__(self, "counts", tuple(tuple(map(float, r)) for r in rows))
 
 
 class ChshResult(NamedTuple):

@@ -20,12 +20,11 @@ products c*lambda and d*lambda are ever used.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import TYPE_CHECKING
 
 from .constants import PLANCK_H
 from .errors import (DomainError, Record, check_finite, check_integer, check_nonnegative,
-                     check_positive)
+                     check_positive, is_finite)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -39,11 +38,12 @@ class CircleDensity:
 
     def __init__(self, coefficients):
         import numpy as np
-        c = np.asarray(coefficients, dtype=complex).copy()
+        c = np.asarray(coefficients)
         if c.ndim != 1 or c.size < 1:
             raise DomainError("coefficients must be a 1-d array")
-        if not np.isfinite(c).all():
+        if c.dtype.kind not in "biufc" or not np.isfinite(c).all():  # no text or object array
             raise DomainError("coefficients must be finite")
+        c = c.astype(complex)
         if not (abs(c[0].imag) <= 1e-12 and abs(2.0 * math.pi * c[0].real - 1.0) <= 1e-9):
             raise DomainError("density must integrate to 1 (rho_0 = 1/2pi)")
         self.coefficients = c
@@ -83,8 +83,8 @@ class DiffusionParams(Record):
     __slots__ = ("c_diff", "d_drift")
 
     def __init__(self, c_diff, d_drift):
-        object.__setattr__(self, "c_diff", check_nonnegative("c_diff", c_diff))
-        object.__setattr__(self, "d_drift", check_finite("d_drift", d_drift))
+        object.__setattr__(self, "c_diff", float(check_nonnegative("c_diff", c_diff)))
+        object.__setattr__(self, "d_drift", float(check_finite("d_drift", d_drift)))
 
 
 def evolve_equator(rho0: CircleDensity, params: DiffusionParams,
@@ -171,7 +171,7 @@ class BlochTensorModel(Record):
                 (kaa, kab), (kba, kbb) = k
             except (TypeError, ValueError):  # not iterable, or not 2x2
                 kaa = kab = kba = kbb = None
-            if not (_finite_reals(kaa, kab, kba, kbb) and abs(kab - kba) <= 1e-12):
+            if not (all(map(is_finite, (kaa, kab, kba, kbb))) and abs(kab - kba) <= 1e-12):
                 raise DomainError("k_tensor must return a finite symmetric 2x2 tensor")
             # the smaller eigenvalue of the symmetric 2x2 tensor
             if (kaa + kbb) / 2 - math.hypot((kaa - kbb) / 2, kab) < -1e-12:
@@ -181,24 +181,14 @@ class BlochTensorModel(Record):
                 ua, ub = u
             except (TypeError, ValueError):
                 ua = ub = None
-            if not _finite_reals(ua, ub):
+            if not (is_finite(ua) and is_finite(ub)):
                 raise DomainError("u_vector must return a finite 2-vector")
-            n = self.density_of_states(th)
-            try:
-                check_positive("density_of_states", n)
-            except TypeError:  # None, a list, text: no order against floats
-                raise DomainError("density_of_states must be positive and finite") from None
+            check_positive("density_of_states", self.density_of_states(th))
 
     def equator_params(self) -> DiffusionParams:
         """Constant equator coefficients: c = K^{bb}(pi/2), d = u^b(pi/2)."""
         th = 0.5 * math.pi
-        return DiffusionParams(c_diff=float(self.k_tensor(th)[1][1]),
-                               d_drift=float(self.u_vector(th)[1]))
-
-
-def _finite_reals(*xs) -> bool:
-    """Every x a finite real number; text, complex and None are not."""
-    return all(isinstance(x, numbers.Real) and math.isfinite(x) for x in xs)
+        return DiffusionParams(c_diff=self.k_tensor(th)[1][1], d_drift=self.u_vector(th)[1])
 
 
 def _rk4_rfft(spec: np.ndarray, c_diff: float, d_drift: float, lambda_span: float,

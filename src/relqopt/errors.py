@@ -3,7 +3,8 @@
 Three failure categories: bad configuration (files, unit tags, schema),
 inputs outside a formula's domain, and numerical breakdown (non-convergence,
 non-finite intermediates).  The `check_*` functions are the argument rules
-every module shares: each returns its value or raises `DomainError` naming it,
+every module shares: each returns its value or raises `DomainError` naming it.
+The numeric ones are built on `is_finite`, the one rule for what a number is,
 and each comparison is written so that NaN fails it.
 """
 
@@ -31,20 +32,30 @@ class EffectError(NumericFailure):
         self.effect = effect
 
 
+def is_finite(x) -> bool:
+    """Whether `x` is a finite real number: `math.isfinite` accepts it and returns True.
+    Text, None and complex numbers (a `TypeError` there) and an int past the float
+    range (an `OverflowError`) are not; text is never parsed as a number."""
+    try:
+        return math.isfinite(x)
+    except (TypeError, OverflowError):
+        return False
+
+
 def check_finite(name: str, x):
-    if not math.isfinite(x):
+    if not is_finite(x):
         raise DomainError(f"{name} must be finite")
     return x
 
 
 def check_positive(name: str, x):
-    if not 0.0 < x < math.inf:
+    if not (is_finite(x) and x > 0.0):
         raise DomainError(f"{name} must be positive and finite")
     return x
 
 
 def check_nonnegative(name: str, x):
-    if not 0.0 <= x < math.inf:
+    if not (is_finite(x) and x >= 0.0):
         raise DomainError(f"{name} must be nonnegative and finite")
     return x
 
@@ -57,14 +68,14 @@ def check_integer(name: str, v) -> int:
 
 
 def check_vector(name: str, v) -> tuple:
-    """The three components of `v` as a tuple of finite floats."""
+    """The three components of `v`, each held to `is_finite`, as a tuple of floats."""
     try:
-        x, y, z = map(float, v)
+        x, y, z = v
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be a finite 3-vector") from None
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+    if not (is_finite(x) and is_finite(y) and is_finite(z)):
         raise DomainError(f"{name} must be a finite 3-vector")
-    return x, y, z
+    return float(x), float(y), float(z)
 
 
 class Record:

@@ -18,14 +18,13 @@ import math
 import numbers
 import operator
 import re
-import sys
 from collections import namedtuple
 from typing import NamedTuple
 
 # each effect group imports its own module where it runs
 from . import orbits
 from .constants import C_LIGHT, EARTH, G0, PHOTON_CAP, ROUNDED_EARTH, WORKER_CAP
-from .errors import ConfigurationError, DomainError, EffectError, Record, check_finite
+from .errors import ConfigurationError, DomainError, EffectError, Record, check_finite, is_finite
 from .orbits import GroundStation, OrbitSpec, preset_orbit
 
 
@@ -247,7 +246,6 @@ _BOOL = {"on": True, "true": True, "yes": True, "1": True,
 _INT_TEXT = re.compile(r"([+-]?)(\d+)(?:\.(\d*))?(?:[eE]([+-]?\d{1,9}))?")
 # Python's own limit on the digits of an int read from text
 _INT_DIGITS = 4300
-_FLOAT_MAX = sys.float_info.max
 _OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le,
         "in": lambda x, choices: x in choices}
 
@@ -353,7 +351,7 @@ class Scenario(Record):
                 kind, what = _KINDS[parse]
                 if not isinstance(x, kind) or (isinstance(x, bool) and kind is not bool):
                     raise ConfigurationError(f"[{section}] {name} must be {what}")
-                if parse is _float and not abs(x) <= _FLOAT_MAX:  # NaN, inf or an int past it
+                if parse is _float and not is_finite(x):  # NaN, inf or an int past the float range
                     raise ConfigurationError(f"[{section}] {name} must be finite")
                 for op, bound in rule:
                     if not _OPS[op](x, bound):

@@ -30,7 +30,7 @@ import math
 
 from .constants import C_LIGHT
 from .errors import (DomainError, Record, check_finite, check_nonnegative, check_positive,
-                     check_vector)
+                     check_vector, is_finite)
 
 _LORENTZ_TOL = 1e-10
 
@@ -50,13 +50,14 @@ class LorentzMatrix(Record):
 
     def __init__(self, matrix):
         try:
-            rows = tuple([tuple(map(float, row)) for row in matrix])
+            rows = tuple([tuple(row) for row in matrix])
         except TypeError:
             raise DomainError("Lorentz matrix must be 4x4") from None
         if list(map(len, rows)) != [4, 4, 4, 4]:
             raise DomainError("Lorentz matrix must be 4x4")
-        if not all(map(math.isfinite, sum(rows, ()))):
+        if not all(map(is_finite, sum(rows, ()))):
             raise DomainError("Lorentz matrix must be finite")
+        rows = tuple([tuple(map(float, row)) for row in rows])
         cols = tuple(zip(*rows))
         norms = [math.hypot(*c) for c in cols]
         for i, (a0, a1, a2, a3) in enumerate(cols):
@@ -208,13 +209,13 @@ class TwoPhotonState(Record):
     __slots__ = ("amplitudes",)
 
     def __init__(self, amplitudes):
-        try:
-            a = tuple(map(complex, amplitudes))
-        except TypeError:
+        try:  # a non-finite amplitude becomes NaN, which the norm test refuses
+            a = tuple([complex(x) if is_finite(abs(x)) else math.nan for x in amplitudes])
+        except TypeError:  # not iterable, or an entry with no abs(): text, None
             raise DomainError("need 4 amplitudes (++, +-, -+, --)") from None
         if len(a) != 4:
             raise DomainError("need 4 amplitudes (++, +-, -+, --)")
-        if not abs(sum(abs(x) ** 2 for x in a) - 1.0) <= 1e-12:
+        if not abs(sum(abs(x) * abs(x) for x in a) - 1.0) <= 1e-12:  # ** 2 can overflow
             raise DomainError("two-photon state must be normalized")
         object.__setattr__(self, "amplitudes", a)
 

@@ -34,12 +34,16 @@ MUTANTS = [
     ("repeated_key_accepted", "src/relqopt/scenario.py",
      "elif key in section:", "elif False:"),
     ("positive_check_passes_nan", "src/relqopt/errors.py",
-     "if not 0.0 < x < math.inf:", "if x <= 0.0:"),
+     "if not (is_finite(x) and x > 0.0):", "if x <= 0.0:"),
+    ("check_vector_parses_text", "src/relqopt/errors.py",
+     "x, y, z = v\n", "x, y, z = map(float, v)\n"),
     ("integer_check_accepts_bool", "src/relqopt/errors.py",
      "if isinstance(v, bool) or not isinstance(v, numbers.Integral):",
      "if not isinstance(v, numbers.Integral):"),
     ("transport_k4_from_k2", "src/relqopt/gravitomagnetism.py",
      "k4 = deriv(shift(y, h, k3))", "k4 = deriv(shift(y, h, k2))"),
+    ("null_tolerance_divided", "src/relqopt/wigner.py",
+     "1e-12 * energy", "1e-12 / energy"),
     ("wigner_a_from_e_phi", "src/relqopt/wigner.py",
      "(e1, e2, e3), _ = _polar_frame(p.khat)", "_, (e1, e2, e3) = _polar_frame(p.khat)"),
     ("lorentz_determinant_sign_dropped", "src/relqopt/wigner.py",
@@ -54,6 +58,10 @@ MUTANTS = [
      "t = -k * k / (2 * nrq)", "t = k * k / (2 * nrq)"),
     ("boost_event_active", "src/relqopt/kinematics.py",
      "boost((-b1, -b2, -b3))", "boost((b1, b2, b3))"),
+    ("perigee_from_apogee", "src/relqopt/orbits.py",
+     "semi_major_axis * (1.0 - eccentricity)", "semi_major_axis * (1.0 + eccentricity)"),
+    ("eccentricity_one_accepted", "src/relqopt/orbits.py",
+     "if not 0.0 <= e < 1.0:", "if not 0.0 <= e <= 1.0:"),
     ("propagate_epoch_sign", "src/relqopt/orbits.py",
      "t - orbit.epoch", "t + orbit.epoch"),
     ("table_without_finite_check", "src/relqopt/cli.py",

@@ -80,6 +80,10 @@ def test_density_rejects_non_finite_coefficients():
     c_bad[0] = math.nan
     with pytest.raises(DomainError):
         CircleDensity(c_bad)
+    # text, None and an int past the float range are not numbers either
+    for coefficients in ([repr(1.0 / (2.0 * math.pi)), "0"], [c[0], None], [c[0], 10**400]):
+        with pytest.raises(DomainError, match=r"^coefficients must be finite$"):
+            CircleDensity(coefficients)
 
 
 @pytest.mark.parametrize("mean, sigma", [
@@ -324,14 +328,16 @@ _N_MESSAGE = r"^density_of_states must be positive and finite$"
     ([["a", 0.0], [0.0, 1.0]], [0.0, 0.0], 1.0, _K_MESSAGE),
     ([[1j, 0.0], [0.0, 1.0]], [0.0, 0.0], 1.0, _K_MESSAGE),
     ([["1", "0"], ["0", "1"]], [0.0, 0.0], 1.0, _K_MESSAGE),
+    ([[10**400, 0], [0, 1]], [0.0, 0.0], 1.0, _K_MESSAGE),
     (np.eye(2), [0.0, [1]], 1.0, _U_MESSAGE),
     (np.eye(2), ("x", 1), 1.0, _U_MESSAGE),
     (np.eye(2), ("0", "0.5"), 1.0, _U_MESSAGE),
+    (np.eye(2), (0, 10**400), 1.0, _U_MESSAGE),
     (np.eye(2), [0.0, 0.0], None, _N_MESSAGE),
     (np.eye(2), [0.0, 0.0], [1.0], _N_MESSAGE),
     (np.eye(2), [0.0, 0.0], "1", _N_MESSAGE),
-], ids=["ragged_k", "text_k", "complex_k", "numeric_text_k", "ragged_u", "text_u",
-        "numeric_text_u", "none_n", "list_n", "text_n"])
+], ids=["ragged_k", "text_k", "complex_k", "numeric_text_k", "huge_int_k", "ragged_u", "text_u",
+        "numeric_text_u", "huge_int_u", "none_n", "list_n", "text_n"])
 def test_model_validation_names_the_sampler_of_malformed_output(k, u, n, message):
     model = BlochTensorModel(k_tensor=lambda th: k, u_vector=lambda th: u,
                              density_of_states=lambda th: n)
@@ -345,6 +351,16 @@ def test_equator_params_extraction():
     assert params.d_drift == -0.2
     with pytest.raises(DomainError):
         DiffusionParams(-1.0, 0.0)
+
+
+def test_equator_params_read_no_text_as_a_number():
+    # equator_params does not run validate; DiffusionParams holds each value to the rule
+    model = BlochTensorModel(k_tensor=lambda th: [["0", "0"], ["0", "0.07"]],
+                             u_vector=lambda th: ["0", "-0.2"], density_of_states=lambda th: 1.0)
+    with pytest.raises(DomainError, match=r"^c_diff must be nonnegative and finite$"):
+        model.equator_params()
+    params = _constant_model(c_diff=0.07, d_drift=-0.2).equator_params()
+    assert type(params.c_diff) is float and type(params.d_drift) is float
 
 
 @pytest.mark.parametrize("c_diff, d_drift", [

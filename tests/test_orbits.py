@@ -60,6 +60,14 @@ def test_orbit_validation():
         OrbitSpec(semi_major_axis=6e6)  # below the surface
     with pytest.raises(DomainError):
         OrbitSpec(semi_major_axis=1e7, eccentricity=1.0)
+    # a > R but the perigee a (1 - e) is below the surface
+    with pytest.raises(DomainError, match="perigee"):
+        OrbitSpec(semi_major_axis=1.5 * EARTH.radius, eccentricity=0.5)
+
+
+def test_kepler_refuses_an_eccentricity_of_one():
+    with pytest.raises(DomainError, match=r"^eccentricity must lie in \[0, 1\)$"):
+        solve_kepler(0.5, 1.0)
 
 
 def test_circular_leo_speed():

@@ -5,11 +5,13 @@ import copy
 import math
 import pickle
 
+import numpy as np
 import pytest
 
 from relqopt import (bell, constants, diffusion, gravitomagnetism, interferometry, kinematics,
                      orbits, qft_effects, scenario, wigner)
-from relqopt.errors import ConfigurationError, DomainError, Record
+from relqopt.errors import (ConfigurationError, DomainError, Record, check_finite,
+                            check_nonnegative, check_positive, check_vector)
 
 
 def _polar(theta):
@@ -81,6 +83,34 @@ def test_records_differ_when_a_field_differs():
     assert kinematics.Event(0.0, 1.0, 2.0) != (0.0, 1.0, 2.0, 0.0)
 
 
+# what `errors.is_finite` refuses, by label: NaN and inf, text (never parsed as a number),
+# None, a complex number and an int past the float range
+NOT_NUMBERS = {"nan": math.nan, "inf": math.inf, "text": "1", "None": None, "complex": 1j,
+               "huge_int": 10**400}
+
+
+@pytest.mark.parametrize("label", sorted(NOT_NUMBERS))
+@pytest.mark.parametrize("check, message", [
+    (check_finite, "x must be finite"),
+    (check_positive, "x must be positive and finite"),
+    (check_nonnegative, "x must be nonnegative and finite"),
+    (lambda name, x: check_vector(name, (0.0, x, 1.0)), "x must be a finite 3-vector"),
+], ids=["finite", "positive", "nonnegative", "vector"])
+def test_shared_checks_refuse_what_is_not_a_number(check, message, label):
+    check("x", 1)
+    with pytest.raises(DomainError, match=rf"^{message}$"):
+        check("x", NOT_NUMBERS[label])
+
+
+def test_check_vector_gives_floats_and_takes_numpy_and_bool_entries():
+    v = check_vector("v", np.array([0.0, 0.6, 0.8]))
+    assert v == (0.0, 0.6, 0.8) and all(type(x) is float for x in v)
+    assert check_vector("v", (True, np.float64(2.0), 3)) == (1.0, 2.0, 3.0)
+    for bad in ("abc", (0.0, 1.0), 5.0):  # three characters are not three numbers
+        with pytest.raises(DomainError, match=r"^v must be a finite 3-vector$"):
+            check_vector("v", bad)
+
+
 # record, valid keyword arguments, and the float fields that must be finite
 FINITE_FIELDS = [
     (orbits.OrbitSpec, {"semi_major_axis": 7.2e6},
@@ -91,17 +121,64 @@ FINITE_FIELDS = [
     (interferometry.NeutronBeam, {"wavelength": 1.4e-10}, ("wavelength",)),
     (interferometry.OpticalLink, {"wavelength": 8e-7, "fibre_length": 4e3, "altitude": 5e5},
      ("wavelength", "fibre_length", "altitude")),
+    (kinematics.Event, {"t": 2e-5, "x": 1e6, "y": 0.0}, ("t", "x", "y", "z")),
+    (diffusion.DiffusionParams, {"c_diff": 2e-9, "d_drift": 4e-8}, ("c_diff", "d_drift")),
+    (wigner.FourMomentum, {"energy": 2.0, "k": (0.0, 0.0, 2.0)}, ("energy",)),
+    (gravitomagnetism.RayState, {"position": (7e6, 0, 0), "khat": (0, 1, 0), "fhat": (0, 0, 1)},
+     ("lam",)),
 ]
 
 
 @pytest.mark.parametrize("cls, kwargs, field, value", [
-    pytest.param(cls, kwargs, field, value, id=f"{cls.__name__}-{field}-{value}")
-    for cls, kwargs, fields in FINITE_FIELDS for field in fields for value in (math.nan, math.inf)
+    pytest.param(cls, kwargs, field, value, id=f"{cls.__name__}-{field}-{label}")
+    for cls, kwargs, fields in FINITE_FIELDS for field in fields
+    for label, value in NOT_NUMBERS.items()
 ])
 def test_non_finite_field_is_refused_naming_it(cls, kwargs, field, value):
     cls(**kwargs)
     with pytest.raises(DomainError, match=rf"\b{field}\b"):
         cls(**{**kwargs, field: value})
+
+
+def _identity_with(x):
+    return [[1, 0, 0, 0], [0, 1, x, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+# a record built with `x` in one entry of a vector or table field, and the message
+# it refuses a non-number with; each is valid at x = 0.0
+ENTRIES = {
+    "FourMomentum-k": (lambda x: wigner.FourMomentum(1.0, (x, 0, 1)),
+                       "k must be a finite 3-vector"),
+    "GravField-omega": (lambda x: gravitomagnetism.GravField((0, 0, x), (0, 0, 0)),
+                        "omega must be a finite 3-vector"),
+    "GravField-eg": (lambda x: gravitomagnetism.GravField((0, 0, 1e-9), (x, 0, 0)),
+                     "eg must be a finite 3-vector"),
+    "RayState-position": (lambda x: gravitomagnetism.RayState((7e6, x, 0), (0, 1, 0), (0, 0, 1)),
+                          "position must be a finite 3-vector"),
+    "RayState-khat": (lambda x: gravitomagnetism.RayState((7e6, 0, 0), (x, 1, 0), (0, 0, 1)),
+                      "khat must be a finite 3-vector"),
+    "RayState-fhat": (lambda x: gravitomagnetism.RayState((7e6, 0, 0), (0, 1, 0), (x, 0, 1)),
+                      "fhat must be a finite 3-vector"),
+    "LorentzMatrix": (lambda x: wigner.LorentzMatrix(_identity_with(x)),
+                      "Lorentz matrix must be finite"),
+    "CoincidenceCounts": (lambda x: bell.CoincidenceCounts([(x, 1, 2, 3)] + [(250.0,) * 4] * 3),
+                          "counts must be finite and nonnegative"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(NOT_NUMBERS))
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_non_number_entry_is_refused(entry, label):
+    make, message = ENTRIES[entry]
+    with pytest.raises(DomainError, match=rf"^{message}$"):
+        make(NOT_NUMBERS[label])
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_numpy_float_entries_are_accepted(entry):
+    make, _ = ENTRIES[entry]
+    record = make(np.float64(0.0))
+    assert record == make(0.0)
 
 
 def test_scenario_replace_validates_and_keeps_the_other_fields():

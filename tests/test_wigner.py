@@ -132,7 +132,10 @@ def test_each_validator_check_rejects_its_case(matrix, message):
     (lambda: LorentzMatrix.boost((1.0, 0.0, 0.0)), r"^\|beta\| must be < 1$"),
     (lambda: LorentzMatrix.boost((0.0, 0.8, 0.7)), r"^\|beta\| must be < 1$"),
     (lambda: FourMomentum(1.0, (0.0, 0.0, 0.5)), r"^momentum is not null$"),
-], ids=["not_iterable", "zero_axis", "boost_at_c", "boost_above_c", "not_null"])
+    # the null tolerance is relative, 1e-12 * energy, at any energy
+    (lambda: FourMomentum(1e-6, (0.0, 0.0, 1e-6 * (1 + 1e-11))), r"^momentum is not null$"),
+], ids=["not_iterable", "zero_axis", "boost_at_c", "boost_above_c", "not_null",
+        "not_null_at_low_energy"])
 def test_constructors_refuse_naming_the_rule(make, message):
     with pytest.raises(DomainError, match=message):
         make()
@@ -189,6 +192,11 @@ def test_perturbed_transverse_entry_of_high_gamma_boost_is_rejected():
 def test_four_momentum_rejects_non_finite_or_malformed_k(k):
     with pytest.raises(DomainError):
         FourMomentum(1.0, k)
+
+
+def test_four_momentum_null_tolerance_scales_with_energy():
+    p = FourMomentum(1e6, (0.0, 0.0, 1e6 * (1 + 1e-14)))
+    assert p.energy == 1e6
 
 
 # ------------------------------------------------------------- wigner angle
@@ -411,12 +419,22 @@ def test_two_photon_phase_requires_photon_index():
         apply_helicity_phase(state.amplitudes, 0.1, 0)
 
 
-@pytest.mark.parametrize("amplitudes", [
-    (1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0), 1.0, (0.6, 0.6, 0.0, 0.0), (math.nan, 0.0, 0.0, 0.0),
-], ids=["three", "five", "scalar", "unnormalized", "nan"])
-def test_two_photon_state_rejects_malformed_or_unnormalized_amplitudes(amplitudes):
-    with pytest.raises(DomainError):
+@pytest.mark.parametrize("amplitudes, message", [
+    ((1.0, 0.0, 0.0), "need 4"), ((1.0, 0.0, 0.0, 0.0, 0.0), "need 4"), (1.0, "need 4"),
+    ((0.6, 0.6, 0.0, 0.0), "normalized"), ((math.nan, 0.0, 0.0, 0.0), "normalized"),
+    (("1", 0.0, 0.0, 0.0), "need 4"), ((None, 0.0, 0.0, 0.0), "need 4"),
+    ((10**400, 0.0, 0.0, 0.0), "normalized"), ((1e200, 0.0, 0.0, 0.0), "normalized"),
+], ids=["three", "five", "scalar", "unnormalized", "nan", "text", "none", "huge_int",
+        "overflowing_square"])
+def test_two_photon_state_rejects_malformed_or_unnormalized_amplitudes(amplitudes, message):
+    with pytest.raises(DomainError, match=message):
         TwoPhotonState(amplitudes)
+
+
+def test_two_photon_state_takes_complex_and_numpy_amplitudes():
+    state = TwoPhotonState((1j, 0, np.float64(0.0), np.complex128(0.0)))
+    assert state.amplitudes == (1j, 0j, 0j, 0j)
+    assert all(type(a) is complex for a in state.amplitudes)
 
 
 def test_concurrence_values():

@@ -8,6 +8,7 @@ from relqopt.constants import C_LIGHT, EARTH, ROUNDED_EARTH
 from relqopt.errors import ConfigurationError, EffectError
 from relqopt.scenario import (
     EFFECT_GROUPS,
+    KEYS,
     SECTIONS,
     Scenario,
     _read_sections,
@@ -292,6 +293,77 @@ def test_report_values_equal_direct_library_calls():
     assert by["bell.simulated_s"].value == result.s_value
     assert by["bell.sigma"].value == result.sigma
     assert by["bell.required_photons"].value == float(bell.required_photons(s.visibility))
+
+
+# rows that several keys move together
+_PAIR = ("geometry.invariant_spacelike_separation", "geometry.simultaneity_beta",
+         "geometry.simultaneity_gamma")
+_LINK = ("diffusion.affine_parameter", "diffusion.angle_shift", "diffusion.polarization_decay")
+_CLOCKS = ("qft.proper_time_delta", "qft.ralph_correlation")
+_CHSH = ("bell.simulated_s", "bell.sigma", "bell.n_sigma_violation")
+
+# each scalar key: a valid value other than its default, and every report row that value
+# moves; `[mission] source` has no reader, so it moves none
+KEY_MOVES = {
+    "preset": ("geo", {*_PAIR, *_LINK, *_CLOCKS, "geometry.light_time",
+                       "wigner.first_order_phase", "gravitomagnetic.kerr_rotation",
+                       "gravitomagnetic.closed_path_rotation", "interferometry.optical_cow_phase",
+                       "interferometry.grav_redshift", "interferometry.displacement",
+                       "qft.spacelike_window"}),
+    "source": ("satellite", set()),
+    "wavelength": (1550e-9, {*_LINK, "interferometry.optical_cow_phase"}),
+    "fibre_delay": (30e-6, {*_PAIR, "interferometry.optical_cow_phase",
+                            "interferometry.displacement"}),
+    "fibre_index": (1.5, {"interferometry.optical_cow_phase"}),
+    "detector_resolution": (1e-13, {"qft.ralph_correlation"}),
+    "analyzer_switch_time": (20e-9, {"geometry.min_switch_separation"}),
+    "visibility": (0.9, {*_CHSH, "bell.visibility", "bell.required_photons"}),
+    "photon_budget": (2_000_000, {*_CHSH, "bell.photon_budget"}),
+    "seed": (2, {*_CHSH, "bell.seed"}),
+    "workers": (2, {*_CHSH, "bell.workers"}),
+    "separation": (2e6, {*_PAIR, *_LINK, *_CLOCKS, "geometry.light_time",
+                         "qft.spacelike_window"}),
+    "delay": (30e-6, set(_PAIR)),
+    "relative_speed": (20e3, {"geometry.timing_shift", "geometry.min_switch_separation",
+                              "wigner.diffraction_ratio"}),
+    "kappa": (2.0, {"geometry.causally_connected"}),
+    "drift_d": (5e-8, {"diffusion.angle_shift"}),
+    "diffusion_c": (3e-9, {"diffusion.polarization_decay"}),
+    "cmb_time": (4e17, {"diffusion.cmb_drift_bound", "diffusion.cmb_diffusion_bound"}),
+    "cmb_frequency": (2e11, {"diffusion.cmb_drift_bound", "diffusion.cmb_diffusion_bound"}),
+    "cmb_chi": (0.2, {"diffusion.cmb_drift_bound"}),
+    "cmb_mu": (0.05, {"diffusion.cmb_diffusion_bound"}),
+    # the default acceleration follows the gap, and the Berry phase only their ratio
+    "berry_gap": (2e6, {"qft.required_acceleration"}),
+    "berry_acceleration": (1e19, {"qft.berry_phase"}),
+    "berry_g": (0.5, {"qft.berry_phase"}),
+    "overlap_time": (1e-3, set(_CLOCKS)),
+    "retroreflector": (True, set(_CLOCKS)),
+    "interaction_time": (1e-3, {"qft.negativity_bound"}),
+}
+
+
+def _rows(s):
+    """Each report row's bytes by name; a float's repr round-trips, -0.0 included."""
+    return {e.effect: repr(e) for e in run_report(s).entries}
+
+
+@pytest.fixture(scope="module")
+def default_rows():
+    return _rows(Scenario())
+
+
+def test_key_moves_names_every_scalar_key():
+    assert sorted(KEY_MOVES) == sorted(key.name for key in KEYS)
+
+
+@pytest.mark.parametrize("key", KEYS, ids=lambda key: key.name)
+def test_each_key_moves_exactly_its_rows(key, default_rows):
+    value, rows = KEY_MOVES[key.name]
+    assert value != key.default
+    moved = _rows(Scenario(**{key.name: value}))
+    assert {name for name in default_rows.keys() | moved.keys()
+            if default_rows.get(name) != moved.get(name)} == rows
 
 
 def test_scenario_validation_errors_name_fields():

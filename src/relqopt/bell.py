@@ -38,8 +38,11 @@ class CoincidenceCounts(Record):
     __slots__ = ("counts",)
 
     def __init__(self, counts):
-        rows = tuple(tuple(row) for row in counts)
-        if len(rows) != 4 or any(len(r) != 4 for r in rows):
+        try:
+            rows = tuple(tuple(row) for row in counts)
+        except TypeError:  # counts, or one of its rows, is not iterable
+            rows = None
+        if rows is None or len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise DomainError("counts must have shape (4, 4)")
         if not all(is_finite(x) and x >= 0.0 for r in rows for x in r):
             raise DomainError("counts must be finite and nonnegative")

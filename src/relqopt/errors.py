@@ -106,9 +106,10 @@ class Record:
 
 
 def set_finite_fields(record: Record, *values) -> None:
-    """Set `record`'s fields in `__slots__` order, each through `check_finite`."""
+    """Set `record`'s fields in `__slots__` order, each through `check_finite`, as floats
+    (an int field would keep the kernels in int arithmetic that overflows on the way back)."""
     for name, x in zip(record.__slots__, values):
-        object.__setattr__(record, name, check_finite(name, x))
+        object.__setattr__(record, name, float(check_finite(name, x)))
 
 
 def _rebuild(cls, values):

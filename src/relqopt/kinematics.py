@@ -12,7 +12,8 @@ import math
 from typing import NamedTuple
 
 from .constants import C_LIGHT
-from .errors import DomainError, Record, check_nonnegative, check_vector, set_finite_fields
+from .errors import (DomainError, NumericFailure, Record, check_nonnegative, check_vector,
+                     set_finite_fields)
 
 INTERVAL_EPS = 1e-12
 
@@ -39,11 +40,14 @@ class SimultaneityBoost(NamedTuple):
 
 
 def _quadratic_form(e1: Event, e2: Event) -> tuple[float, float, float]:
-    # float arithmetic: an overflow gives inf without a numpy RuntimeWarning
+    # float arithmetic: an overflow gives inf without a numpy RuntimeWarning, refused here
     dx, dy, dz = e2.x - e1.x, e2.y - e1.y, e2.z - e1.z
     dx2 = dx * dx + dy * dy + dz * dz
     cdt = C_LIGHT * (e2.t - e1.t)
-    return dx2 - cdt * cdt, dx2, cdt
+    cdt2 = cdt * cdt
+    if not (math.isfinite(dx2) and math.isfinite(cdt2)):
+        raise NumericFailure("the interval overflows: dx^2 or (c dt)^2 is not finite")
+    return dx2 - cdt2, dx2, cdt
 
 
 def invariant_interval(e1: Event, e2: Event) -> IntervalResult:

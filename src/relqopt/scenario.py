@@ -47,7 +47,8 @@ class EffectReport(NamedTuple):
 def _geometry(s: Scenario, sat) -> list:
     from . import kinematics
     light_time = s.light_time_s()
-    ground = kinematics.Event(t=s.delay_s(), x=0.0, y=0.0, z=0.0)
+    delay = s.delay if s.delay is not None else s.fibre_delay
+    ground = kinematics.Event(t=delay, x=0.0, y=0.0, z=0.0)
     remote = kinematics.Event(t=light_time, x=s.separation_m(), y=0.0, z=0.0)
     interval = kinematics.invariant_interval(ground, remote)
     kind_unit = "s" if interval.kind == "timelike" else "m"
@@ -134,14 +135,11 @@ def _gravitomagnetic(s: Scenario, sat) -> list:
 def _interferometry(s: Scenario, sat) -> list:
     from . import interferometry
     altitude = s.orbit_spec().semi_major_axis - EARTH.radius
-    link = interferometry.OpticalLink(
-        wavelength=s.wavelength,
-        fibre_length=C_LIGHT * s.fibre_delay / s.fibre_index,
-        altitude=altitude,
-    )
+    fibre_length = C_LIGHT * s.fibre_delay / s.fibre_index
     return [
         ReportEntry("interferometry.optical_cow_phase",
-                    interferometry.optical_cow_phase(link), "rad", "§3.5 Eq. (21)"),
+                    interferometry.optical_cow_phase(s.wavelength, fibre_length, altitude),
+                    "rad", "§3.5 Eq. (21)"),
         ReportEntry("interferometry.grav_redshift",
                     interferometry.grav_redshift_weak_field(altitude),
                     "dimensionless", "§3.5 Eq. (20)"),
@@ -155,24 +153,26 @@ def _qft(s: Scenario, sat) -> list:
     from . import qft_effects
     phi_low = orbits.newtonian_potential(EARTH.radius)
     phi_high = orbits.newtonian_potential(sat.radius)
+    separation = s.separation_m()
+    window = qft_effects.spacelike_window(separation)
+    required = qft_effects.required_acceleration(s.berry_gap)
+    overlap = s.overlap_time if s.overlap_time is not None else s.light_time_s()
+    interaction = s.interaction_time if s.interaction_time is not None else window
+    a = s.berry_acceleration if s.berry_acceleration is not None else required
     delta = qft_effects.proper_time_differential(
-        phi_low, phi_high, s.overlap_s(), retroreflector=s.retroreflector)
+        phi_low, phi_high, overlap, retroreflector=s.retroreflector)
     model = qft_effects.EventOperatorModel(detector_resolution=s.detector_resolution)
     return [
         ReportEntry("qft.unruh_temperature", qft_effects.unruh_temperature(G0),
                     "K", "§4.1 Eq. (22)"),
-        ReportEntry("qft.required_acceleration",
-                    qft_effects.required_acceleration(s.berry_gap),
-                    "m/s^2", "§4.1 Eq. (23)"),
+        ReportEntry("qft.required_acceleration", required, "m/s^2", "§4.1 Eq. (23)"),
         ReportEntry("qft.berry_phase",
-                    qft_effects.berry_phase_difference(s.berry_gap, s.berry_a(), s.berry_g),
+                    qft_effects.berry_phase_difference(s.berry_gap, a, s.berry_g),
                     "rad", "§4.1 Eq. (24)"),
-        ReportEntry("qft.negativity_bound", qft_effects.negativity_bound(
-                        s.separation_m(), s.interaction_s()),
+        ReportEntry("qft.negativity_bound",
+                    qft_effects.negativity_bound(separation, interaction),
                     "dimensionless", "§3.3"),
-        ReportEntry("qft.spacelike_window",
-                    qft_effects.spacelike_window(s.separation_m()),
-                    "s", "§3.3 Table 2"),
+        ReportEntry("qft.spacelike_window", window, "s", "§3.3 Table 2"),
         ReportEntry("qft.proper_time_delta", delta, "s", "§4.2"),
         ReportEntry("qft.ralph_correlation",
                     qft_effects.ralph_correlation(model, delta),
@@ -182,7 +182,7 @@ def _qft(s: Scenario, sat) -> list:
 
 def _diffusion(s: Scenario, sat) -> list:
     from . import diffusion
-    t, nu = s.light_time_s(), s.frequency_hz()
+    t, nu = s.light_time_s(), C_LIGHT / s.wavelength
     return [
         ReportEntry("diffusion.affine_parameter", diffusion.affine_parameter(t, nu),
                     "s/J", "§5.2"),
@@ -386,25 +386,6 @@ class Scenario(Record):
     def light_time_s(self) -> float:
         from . import kinematics
         return kinematics.light_travel_time(self.separation_m())
-
-    def frequency_hz(self) -> float:
-        return C_LIGHT / self.wavelength
-
-    def delay_s(self) -> float:
-        return self.delay if self.delay is not None else self.fibre_delay
-
-    def overlap_s(self) -> float:
-        return self.overlap_time if self.overlap_time is not None else self.light_time_s()
-
-    def interaction_s(self) -> float:
-        from . import qft_effects
-        t = self.interaction_time
-        return t if t is not None else qft_effects.spacelike_window(self.separation_m())
-
-    def berry_a(self) -> float:
-        from . import qft_effects
-        a = self.berry_acceleration
-        return a if a is not None else qft_effects.required_acceleration(self.berry_gap)
 
 
 def _known_groups(groups) -> frozenset:

@@ -33,6 +33,16 @@ MUTANTS = [
      "math.hypot((kaa - kbb) / 2, kab)", "abs(kaa - kbb) / 2"),
     ("repeated_key_accepted", "src/relqopt/scenario.py",
      "elif key in section:", "elif False:"),
+    ("delay_ignored", "src/relqopt/scenario.py",
+     "delay = s.delay if s.delay is not None else s.fibre_delay", "delay = s.fibre_delay"),
+    ("overlap_time_ignored", "src/relqopt/scenario.py",
+     "overlap = s.overlap_time if s.overlap_time is not None else s.light_time_s()",
+     "overlap = s.light_time_s()"),
+    ("berry_acceleration_ignored", "src/relqopt/scenario.py",
+     "a = s.berry_acceleration if s.berry_acceleration is not None else required",
+     "a = required"),
+    ("report_without_finite_check", "src/relqopt/scenario.py",
+     "if not math.isfinite(e.value):", "if False:"),
     ("positive_check_passes_nan", "src/relqopt/errors.py",
      "if not (is_finite(x) and x > 0.0):", "if x <= 0.0:"),
     ("check_vector_parses_text", "src/relqopt/errors.py",

@@ -14,8 +14,8 @@ from acceptance_reporting import criterion
 from fd_oracle import gaussian_l1_difference
 from relqopt import (bell, diffusion, gravitomagnetism, interferometry,
                      kinematics, orbits, qft_effects, wigner)
-from relqopt.constants import (ASTRONOMICAL_UNIT, C_LIGHT, EARTH, G0,
-                               LUNAR_DISTANCE, ROUNDED_EARTH, convert_angle)
+from relqopt.constants import (ASTRONOMICAL_UNIT, C_LIGHT, EARTH, G0, LUNAR_DISTANCE,
+                               NEUTRON_MASS, PLANCK_H, ROUNDED_EARTH, convert_angle)
 from relqopt.errors import DomainError
 
 EARTH_BODY = ROUNDED_EARTH
@@ -124,16 +124,16 @@ def test_criterion_05_frame_dragging():
 
 def test_criterion_06_interferometry():
     with criterion(6, "optical COW 2.05 rad; 0.16 m drift during storage; neutron two-form identity"):
-        link = interferometry.OpticalLink(wavelength=800e-9, fibre_length=6e3,
-                                          altitude=400e3)
-        assert interferometry.optical_cow_phase(link) == pytest.approx(2.05, rel=0.05)
+        phase = interferometry.optical_cow_phase(wavelength=800e-9, fibre_length=6e3,
+                                                 altitude=400e3)
+        assert phase == pytest.approx(2.05, rel=0.05)
         drift = interferometry.displacement_during_delay(8e3, 20e-6)
         assert drift == pytest.approx(0.16, abs=1e-3)
-        beam = interferometry.NeutronBeam(wavelength=1.8e-10)
-        area, tilt = 8e-4, 0.4
-        phase = interferometry.cow_neutron_phase(beam, area, tilt)
+        wavelength, area, tilt = 1.8e-10, 8e-4, 0.4
+        speed = PLANCK_H / (NEUTRON_MASS * wavelength)
+        phase = interferometry.cow_neutron_phase(wavelength, area, tilt)
         velocity_form = (-2.0 * math.pi * G0 * area * math.sin(tilt)
-                         / (beam.wavelength * beam.speed**2))
+                         / (wavelength * speed**2))
         assert phase == pytest.approx(velocity_form, rel=1e-10)
 
 

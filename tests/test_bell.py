@@ -101,6 +101,13 @@ def test_counts_must_be_one_row_of_four_per_chsh_setting(shape):
         CoincidenceCounts(np.full(shape, 25.0))
 
 
+@pytest.mark.parametrize("counts", [None, [1, 2, 3, 4], 25.0, [(25.0,) * 4] * 3 + [None]],
+                         ids=["None", "flat", "scalar", "row_None"])
+def test_counts_that_are_not_a_table_are_refused_by_shape(counts):
+    with pytest.raises(DomainError, match=r"^counts must have shape \(4, 4\)$"):
+        CoincidenceCounts(counts)
+
+
 # -------------------------------------------------------- required photons
 
 

@@ -368,6 +368,14 @@ def test_non_finite_result_exits_3_naming_the_group(capsys, tmp_path):
     assert "'geometry'" in err and err.count("\n") == 1
 
 
+def test_non_finite_row_exits_3_naming_the_group_and_the_row(capsys, tmp_path):
+    # the switching baseline t c^2 / v0 is past the float range; no check in the formula stops it
+    path = _write(tmp_path, "[link]\nanalyzer_switch_time = 1e300\n")
+    code, out, err = _run(capsys, "report", "--scenario", path)
+    assert code == 3 and out == ""
+    assert err == "error: effect 'geometry' failed: geometry.min_switch_separation is inf\n"
+
+
 def test_satellite_state_overflow_exits_3_naming_the_orbit(capsys, tmp_path):
     path = _write(tmp_path, "[orbit]\nsemi_major_axis = 1e300\n")
     for command in ("report", "orbit"):

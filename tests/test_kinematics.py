@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from relqopt.constants import C_LIGHT
-from relqopt.errors import DomainError
+from relqopt.errors import DomainError, NumericFailure
 from relqopt.kinematics import (
     Event,
     boost_event,
@@ -103,6 +103,23 @@ def test_causal_connection_against_interval_kind():
     for e1, e2 in _random_events(rng, 200):
         kind = invariant_interval(e1, e2).kind
         assert causally_connected(e1, e2, kappa=1.0) == (kind in ("timelike", "lightlike"))
+
+
+# finite events whose dx^2 or (c dt)^2 is past the float range; 10**300 is stored as 1e300
+@pytest.mark.parametrize("far", [Event(0.0, 1e300, 0.0), Event(0, 10**300, 0),
+                                 Event(1e300, 0.0, 0.0), Event(0.0, 1.7e308, 0.0, -1.7e308)],
+                         ids=["dx", "int_dx", "dt", "dz"])
+@pytest.mark.parametrize("fn", [invariant_interval, simultaneity_boost_speed, causally_connected])
+def test_overflowing_pair_is_a_numeric_failure(fn, far):
+    with pytest.raises(NumericFailure, match=r"^the interval overflows"):
+        fn(Event(0.0, 0.0, 0.0), far)
+    with pytest.raises(NumericFailure):
+        fn(far, Event(0.0, 0.0, 0.0))
+
+
+def test_int_coordinates_are_stored_as_floats():
+    e = Event(1, 2, 3)
+    assert e == Event(1.0, 2.0, 3.0, 0.0) and all(type(x) is float for x in e._values())
 
 
 def test_benchmark_pair_with_speed_budget():

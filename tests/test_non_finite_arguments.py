@@ -22,7 +22,6 @@ from relqopt.constants import EARTH, ROUNDED_EARTH
 from relqopt.diffusion import BlochTensorModel, CircleDensity, DiffusionParams
 from relqopt.errors import DomainError
 from relqopt.gravitomagnetism import GravField, RayState, kerr_principal_null_rotation
-from relqopt.interferometry import NeutronBeam
 from relqopt.kinematics import Event
 from relqopt.orbits import PRESETS, GroundStation, propagate
 from relqopt.qft_effects import EventOperatorModel
@@ -80,8 +79,9 @@ CALLS = {
     "gravitomagnetism.axial_impact_rotation": dict(body=ROUNDED_EARTH, s=EARTH.radius),
     "gravitomagnetism.closed_path_rotation": dict(body=ROUNDED_EARTH, s1=EARTH.radius,
                                                   s2=2.0 * EARTH.radius),
-    "interferometry.cow_neutron_phase": dict(beam=NeutronBeam(1.4e-10), area=1e-3, tilt=0.5),
+    "interferometry.cow_neutron_phase": dict(wavelength=1.4e-10, area=1e-3, tilt=0.5),
     "interferometry.grav_redshift_weak_field": dict(height=1e6),
+    "interferometry.optical_cow_phase": dict(wavelength=8e-7, fibre_length=4e3, altitude=5e5),
     "interferometry.displacement_during_delay": dict(speed=7e3, delay=20e-6),
     "kinematics.timing_shift_per_distance": dict(v0=15e3),
     "kinematics.min_separation_for_switching": dict(v0=15e3, switch_time=10e-9),

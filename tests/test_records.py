@@ -8,8 +8,8 @@ import pickle
 import numpy as np
 import pytest
 
-from relqopt import (bell, constants, diffusion, gravitomagnetism, interferometry, kinematics,
-                     orbits, qft_effects, scenario, wigner)
+from relqopt import (bell, constants, diffusion, gravitomagnetism, kinematics, orbits,
+                     qft_effects, scenario, wigner)
 from relqopt.errors import (ConfigurationError, DomainError, Record, check_finite,
                             check_nonnegative, check_positive, check_vector)
 
@@ -30,8 +30,6 @@ RECORDS = {
     "EventOperatorModel": lambda: qft_effects.EventOperatorModel(5e-13),
     "GravField": lambda: gravitomagnetism.GravField((0.0, 0.0, 1e-9), [1e-7, 0.0, 0.0]),
     "RayState": lambda: gravitomagnetism.RayState((7e6, 0, 0), (0.0, 1.0, 0.0), (0, 0, 1), 2.0),
-    "NeutronBeam": lambda: interferometry.NeutronBeam(1.4e-10),
-    "OpticalLink": lambda: interferometry.OpticalLink(8e-7, 4e3, 5e5),
     "Event": lambda: kinematics.Event(2e-5, 1e6, 0.0),
     "Scenario": lambda: scenario.Scenario(seed=7, stations=(orbits.GroundStation(0.8, 0.2),)),
     "FourMomentum": lambda: wigner.FourMomentum(2.0, (0.0, 0.0, 2.0)),
@@ -118,9 +116,6 @@ FINITE_FIELDS = [
     (orbits.GroundStation, {"latitude": 0.8, "longitude": 0.2, "altitude": 500.0},
      ("latitude", "longitude", "altitude")),
     (qft_effects.EventOperatorModel, {"detector_resolution": 5e-13}, ("detector_resolution",)),
-    (interferometry.NeutronBeam, {"wavelength": 1.4e-10}, ("wavelength",)),
-    (interferometry.OpticalLink, {"wavelength": 8e-7, "fibre_length": 4e3, "altitude": 5e5},
-     ("wavelength", "fibre_length", "altitude")),
     (kinematics.Event, {"t": 2e-5, "x": 1e6, "y": 0.0}, ("t", "x", "y", "z")),
     (diffusion.DiffusionParams, {"c_diff": 2e-9, "d_drift": 4e-8}, ("c_diff", "d_drift")),
     (wigner.FourMomentum, {"energy": 2.0, "k": (0.0, 0.0, 2.0)}, ("energy",)),

@@ -8,8 +8,10 @@ from relqopt.constants import C_LIGHT, EARTH, ROUNDED_EARTH
 from relqopt.errors import ConfigurationError, EffectError
 from relqopt.scenario import (
     EFFECT_GROUPS,
+    GROUPS,
     KEYS,
     SECTIONS,
+    ReportEntry,
     Scenario,
     _read_sections,
     load_scenario,
@@ -467,10 +469,17 @@ def test_overrides_are_checked_by_the_key_table():
 
 
 @pytest.mark.filterwarnings("error")
-def test_non_finite_report_value_fails_naming_the_group():
-    with pytest.raises(EffectError) as err:
+def test_overflowing_interval_fails_naming_the_group():
+    with pytest.raises(EffectError, match=r"^effect 'geometry' failed: the interval overflows"):
         run_report(Scenario(separation=1e300), effects={"geometry"})
-    assert err.value.effect == "geometry"
+
+
+def test_non_finite_report_value_fails_naming_the_group(monkeypatch):
+    for bad in (math.nan, math.inf, -math.inf):
+        monkeypatch.setitem(GROUPS, "qft", lambda s, sat: [ReportEntry("qft.x", bad, "s", "§")])
+        with pytest.raises(EffectError, match=rf"^effect 'qft' failed: qft.x is {bad}$") as err:
+            run_report(Scenario(), effects={"geometry", "qft"})
+        assert err.value.effect == "qft"
 
 
 def test_readme_scenario_block_matches_the_key_table():

@@ -335,7 +335,7 @@ KEY_MOVES = {
     "cmb_frequency": (2e11, {"diffusion.cmb_drift_bound", "diffusion.cmb_diffusion_bound"}),
     "cmb_chi": (0.2, {"diffusion.cmb_drift_bound"}),
     "cmb_mu": (0.05, {"diffusion.cmb_diffusion_bound"}),
-    # the default acceleration follows the gap, and the Berry phase only their ratio
+    # the default acceleration follows the gap, and the Berry phase depends on their ratio only
     "berry_gap": (2e6, {"qft.required_acceleration"}),
     "berry_acceleration": (1e19, {"qft.berry_phase"}),
     "berry_g": (0.5, {"qft.berry_phase"}),

@@ -218,6 +218,30 @@ def test_python_stream_matches_numpy_generator(monkeypatch):
     assert all(calls.values()), calls
 
 
+# (v, n_pairs, seed, workers) -> counts, fixed so that a fault that both streams
+# share (the split into shares, or the sum over workers) fails a test
+PINNED_COUNTS = {
+    (0.95, 1_000_003, 2**64 - 1, 64): [[20504, 104452, 104536, 20509],
+                                        [103952, 20555, 20773, 104721],
+                                        [20562, 104325, 104404, 20710],
+                                        [20472, 104084, 104731, 20713]],
+    (0.9, 10_000, 42, 7): [[237, 1003, 1040, 220], [970, 224, 241, 1065],
+                           [243, 1061, 983, 213], [228, 1025, 1029, 218]],
+    # fewer pairs than 4 x workers: some streams draw nothing for some settings
+    (0.8, 37, 5, 12): [[1, 4, 5, 0], [4, 0, 0, 5], [2, 5, 1, 1], [1, 2, 6, 0]],
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_COUNTS))
+@pytest.mark.parametrize("simulate", ["_simulate_numpy", "_simulate_python"])
+def test_stream_counts_are_pinned(simulate, case, monkeypatch):
+    expected = PINNED_COUNTS[case]
+    assert getattr(bell, simulate)(*case) == expected
+    # simulate_coincidences takes the numpy path while numpy is loaded
+    monkeypatch.setattr(bell, "_simulate_numpy", getattr(bell, simulate))
+    assert simulate_coincidences(*case) == CoincidenceCounts(expected)
+
+
 def test_invalid_simulation_inputs():
     with pytest.raises(DomainError):
         simulate_coincidences(0.9, 0)

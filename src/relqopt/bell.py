@@ -114,14 +114,13 @@ def simulate_coincidences(
     """Sample coincidence counts for n_pairs total pairs at the `CHSH_SETTINGS`.
 
     Pairs are split as evenly as possible across the four setting pairs, then
-    across worker streams (SeedSequence spawn of `seed`); each worker's outcome
-    draws are multinomial in its own stream, and worker results are summed,
-    so counts are bitwise reproducible for a given (seed, workers) no matter
-    how the workers are scheduled.  The draws are numpy's
-    Generator(Philox(child)).multinomial; they run in numpy when a caller has
-    already imported it, and otherwise in `_philox`, which gives the same
-    counts without numpy's import.  `n_pairs`, `seed` and `workers` must be
-    integers (numpy integers too); a float is a TypeError on both paths.
+    across worker streams (SeedSequence spawn of `seed`).  Each stream draws
+    its shares with numpy's Generator(Philox(child)).multinomial, and each row
+    sums its streams' draws, so counts are bitwise reproducible for a given
+    (seed, workers).  The draws run in numpy when a caller has already imported
+    it, and otherwise in `_philox`, which gives the same counts without numpy's
+    import.  `n_pairs`, `seed` and `workers` must be integers (numpy integers
+    too); a float is a TypeError on both paths.
     """
     n_pairs, seed, workers = map(operator.index, (n_pairs, seed, workers))
     if n_pairs <= 0:
@@ -134,29 +133,29 @@ def simulate_coincidences(
     return CoincidenceCounts(simulate(v, n_pairs, seed, workers))
 
 
-def _draw(multinomials, v, n_pairs, workers) -> list:
-    """Integer counts per setting pair; worker w draws its shares with the w-th multinomial."""
+def _draw(multinomials, probs, n_pairs, workers) -> list:
+    """Counts per setting pair: the column sums of the int lists its workers' multinomials draw."""
     per_setting = [n_pairs // 4 + (1 if i < n_pairs % 4 else 0) for i in range(4)]
-    probs = [joint_probabilities(v, alpha, beta) for alpha, beta in CHSH_SETTINGS]
-    rows = [[0, 0, 0, 0] for _ in range(4)]
+    draws = [[[0, 0, 0, 0]] for _ in range(4)]
     for w, multinomial in enumerate(multinomials):
-        for row, p, n_i in zip(rows, probs, per_setting):
+        for d, p, n_i in zip(draws, probs, per_setting):
             share = n_i // workers + (1 if w < n_i % workers else 0)
             if share:
-                for k, x in enumerate(multinomial(share, p)):
-                    row[k] += int(x)
-    return rows
+                d.append(multinomial(share, p))
+    return [[sum(c) for c in zip(*d)] for d in draws]
 
 
 def _simulate_numpy(v, n_pairs, seed, workers) -> list:
     """Counts per setting pair from numpy's spawned Philox generators."""
     import numpy as np
-    streams = np.random.SeedSequence(seed).spawn(workers)
-    return _draw((np.random.Generator(np.random.Philox(s)).multinomial for s in streams),
-                 v, n_pairs, workers)
+    probs = [np.array(joint_probabilities(v, a, b)) for a, b in CHSH_SETTINGS]
+    draws = (lambda n, p, m=np.random.Generator(np.random.Philox(s)).multinomial: m(n, p).tolist()
+             for s in np.random.SeedSequence(seed).spawn(workers))
+    return _draw(draws, probs, n_pairs, workers)
 
 
 def _simulate_python(v, n_pairs, seed, workers) -> list:
     """`_simulate_numpy`'s counts, bit for bit, from `_philox` without numpy."""
     from . import _philox
-    return _draw(_philox.spawned_multinomials(seed, workers), v, n_pairs, workers)
+    probs = [joint_probabilities(v, a, b) for a, b in CHSH_SETTINGS]
+    return _draw(_philox.spawned_multinomials(seed, workers), probs, n_pairs, workers)

@@ -13,7 +13,6 @@ is one function in `GROUPS`, the one source of every row the report, `bell-sim`,
 
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
 import operator
@@ -504,16 +503,21 @@ def load_scenario(path: str) -> Scenario:
 # -- reports ------------------------------------------------------------------
 
 
-@contextlib.contextmanager
-def effect_errors(group: str):
+class effect_errors:
     """Raise an ArithmeticError or ValueError inside the block as EffectError(group)."""
-    try:
-        yield
-    except OverflowError as exc:
-        # math and float ** raise OverflowError(errno, text), whose str() is the tuple
-        raise EffectError(group, f"numeric overflow: {exc.args[-1] if exc.args else exc}") from exc
-    except (ArithmeticError, ValueError) as exc:
-        raise EffectError(group, str(exc)) from exc
+
+    def __init__(self, group: str):
+        self.group = group
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, OverflowError):
+            # math and float ** raise OverflowError(errno, text), whose str() is the tuple
+            raise EffectError(self.group, f"numeric overflow: {(exc.args or [exc])[-1]}") from exc
+        if isinstance(exc, (ArithmeticError, ValueError)):
+            raise EffectError(self.group, str(exc)) from exc
 
 
 def evaluate(s: Scenario, groups) -> EffectReport:

@@ -66,6 +66,8 @@ MUTANTS = [
      "for i in range(10)]", "for i in range(9)]"),
     ("btpe_squeeze_sign_flipped", "src/relqopt/_philox.py",
      "t = -k * k / (2 * nrq)", "t = k * k / (2 * nrq)"),
+    ("share_without_remainder", "src/relqopt/bell.py",
+     "share = n_i // workers + (1 if w < n_i % workers else 0)", "share = n_i // workers"),
     ("boost_event_active", "src/relqopt/kinematics.py",
      "boost((-b1, -b2, -b3))", "boost((b1, b2, b3))"),
     ("perigee_from_apogee", "src/relqopt/orbits.py",

@@ -5,7 +5,7 @@ import pytest
 
 from relqopt import bell, diffusion, gravitomagnetism, kinematics, orbits, qft_effects, wigner
 from relqopt.constants import C_LIGHT, EARTH, ROUNDED_EARTH
-from relqopt.errors import ConfigurationError, EffectError
+from relqopt.errors import ConfigurationError, DomainError, EffectError, NumericFailure
 from relqopt.scenario import (
     EFFECT_GROUPS,
     GROUPS,
@@ -14,6 +14,7 @@ from relqopt.scenario import (
     ReportEntry,
     Scenario,
     _read_sections,
+    effect_errors,
     load_scenario,
     run_report,
     with_overrides,
@@ -261,6 +262,42 @@ def test_low_visibility_fails_identifying_the_effect():
     with pytest.raises(EffectError) as err:
         run_report(Scenario(visibility=0.6), effects={"bell"})
     assert err.value.effect == "bell"
+
+
+@pytest.mark.parametrize("raised, message", [
+    # math and float ** raise OverflowError(errno, text)
+    (OverflowError(34, "Numerical result out of range"),
+     "numeric overflow: Numerical result out of range"),
+    (OverflowError("int too large to convert to float"),
+     "numeric overflow: int too large to convert to float"),
+    (OverflowError(), "numeric overflow: "),
+    (ZeroDivisionError("float division by zero"), "float division by zero"),
+    (ValueError("math domain error"), "math domain error"),
+    (DomainError("visibility must lie in [0, 1]"), "visibility must lie in [0, 1]"),
+    (NumericFailure("did not converge"), "did not converge"),
+    (EffectError("orbit", "numeric overflow"), "effect 'orbit' failed: numeric overflow"),
+])
+def test_effect_errors_names_the_group(raised, message):
+    with pytest.raises(EffectError) as err:
+        with effect_errors("qft"):
+            raise raised
+    assert err.value.effect == "qft"
+    assert str(err.value) == f"effect 'qft' failed: {message}"
+    assert err.value.__cause__ is raised
+
+
+@pytest.mark.parametrize("raised", [TypeError("t"), KeyError("k"), RuntimeError("r")])
+def test_effect_errors_passes_other_exceptions_through(raised):
+    with pytest.raises(type(raised)) as err:
+        with effect_errors("qft"):
+            raise raised
+    assert err.value is raised
+
+
+def test_effect_errors_leaves_a_block_that_raises_nothing_alone():
+    with effect_errors("qft"):
+        ran = True
+    assert ran
 
 
 def test_report_values_equal_direct_library_calls():

@@ -136,6 +136,7 @@ def simulate_coincidences(
 def _draw(multinomials, probs, n_pairs, workers) -> list:
     """Counts per setting pair: the column sums of the int lists its workers' multinomials draw."""
     per_setting = [n_pairs // 4 + (1 if i < n_pairs % 4 else 0) for i in range(4)]
+    # a zero row keeps four columns for a setting that no stream draws (n_pairs < 4)
     draws = [[[0, 0, 0, 0]] for _ in range(4)]
     for w, multinomial in enumerate(multinomials):
         for d, p, n_i in zip(draws, probs, per_setting):

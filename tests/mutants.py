@@ -68,6 +68,8 @@ MUTANTS = [
      "t = -k * k / (2 * nrq)", "t = k * k / (2 * nrq)"),
     ("share_without_remainder", "src/relqopt/bell.py",
      "share = n_i // workers + (1 if w < n_i % workers else 0)", "share = n_i // workers"),
+    ("undrawn_setting_without_zero_row", "src/relqopt/bell.py",
+     "draws = [[[0, 0, 0, 0]] for _ in range(4)]", "draws = [[] for _ in range(4)]"),
     ("boost_event_active", "src/relqopt/kinematics.py",
      "boost((-b1, -b2, -b3))", "boost((b1, b2, b3))"),
     ("perigee_from_apogee", "src/relqopt/orbits.py",

@@ -229,6 +229,8 @@ PINNED_COUNTS = {
                            [243, 1061, 983, 213], [228, 1025, 1029, 218]],
     # fewer pairs than 4 x workers: some streams draw nothing for some settings
     (0.8, 37, 5, 12): [[1, 4, 5, 0], [4, 0, 0, 5], [2, 5, 1, 1], [1, 2, 6, 0]],
+    # fewer pairs than settings: the last setting keeps a row of zeros
+    (0.9, 3, 7, 2): [[0, 1, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 0, 0]],
 }
 
 

@@ -120,8 +120,10 @@ def simulate_coincidences(
     (seed, workers).  The draws run in numpy when a caller has already imported
     it, and otherwise in `_philox`, which gives the same counts without numpy's
     import.  `n_pairs`, `seed` and `workers` must be integers (numpy integers
-    too); a float is a TypeError on both paths.
+    too); a float or a bool is a TypeError on both paths.
     """
+    if any(isinstance(x, bool) for x in (n_pairs, seed, workers)):
+        raise TypeError("n_pairs, seed and workers must be integers, not bool")
     n_pairs, seed, workers = map(operator.index, (n_pairs, seed, workers))
     if n_pairs <= 0:
         raise DomainError("n_pairs must be positive")

@@ -31,11 +31,6 @@ from .errors import ConfigurationError, DomainError, EffectError, NumericFailure
 ROW_CAP = 100_000
 
 
-def _fmt_full(x) -> str:
-    # an int (seed, count) prints exactly; a float prints its 17 digits
-    return str(x) if isinstance(x, int) else format(float(x), ".17g")
-
-
 def _linspace(start: float, stop: float, num: int) -> list:
     """numpy.linspace(start, stop, num) as floats, equal bit for bit (num >= 2)."""
     div, delta = num - 1, stop - start
@@ -48,15 +43,13 @@ def _linspace(start: float, stop: float, num: int) -> list:
 
 def _write_rows(rows, header, fmt: str, stream) -> None:
     if fmt == "csv":
-        import csv
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([c if isinstance(c, str) else _fmt_full(c) for c in row])
+        # unquoted: no text cell holds a comma, a quote or a line break (test_cli checks)
+        for row in [header, *rows]:
+            cells = (str(c) if isinstance(c, (str, int)) else format(c, ".17g") for c in row)
+            stream.write(",".join(cells) + "\n")
         return
-    cells = [list(header)]
-    for row in rows:
-        cells.append([c if isinstance(c, str) else format(float(c), ".9g") for c in row])
+    cells = [[c if isinstance(c, str) else format(float(c), ".9g") for c in row]
+             for row in [header, *rows]]
     widths = [max(len(r[j]) for r in cells) for j in range(len(header))]
     for r in cells:
         stream.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())

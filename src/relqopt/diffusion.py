@@ -34,7 +34,9 @@ _GRID_FLOOR = -1e-9
 
 
 class CircleDensity:
-    """Probability density on the circle, stored spectrally (m = 0..modes)."""
+    """Probability density on the circle, stored spectrally (m = 0..modes), read-only."""
+
+    __setattr__ = __delattr__ = Record.__setattr__
 
     def __init__(self, coefficients):
         import numpy as np
@@ -46,7 +48,8 @@ class CircleDensity:
         c = c.astype(complex)
         if not (abs(c[0].imag) <= 1e-12 and abs(2.0 * math.pi * c[0].real - 1.0) <= 1e-9):
             raise DomainError("density must integrate to 1 (rho_0 = 1/2pi)")
-        self.coefficients = c
+        c.flags.writeable = False
+        object.__setattr__(self, "coefficients", c)
         grid = self.to_grid(max(8, 4 * (c.size - 1)))
         if not grid.min() >= _GRID_FLOOR:
             raise DomainError("density is negative beyond tolerance")
@@ -231,9 +234,7 @@ def equivariance_check(
     coefficients and commutes with rotations, so the deviation is numerical
     noise.  Both paths stay in one (2, grid_n // 2 + 1) rfft state: the
     rotation is the phase exp(-i m rotation), applied before the evolution on
-    one path and after it on the other, and one batched irfft gives the two
-    grids.  Azimuth-dependent coefficients, which break the symmetry, are taken
-    only by the reference copy in tests/reference_kernels.py.
+    one path and after it on the other, and one batched irfft gives the two grids.
     """
     import numpy as np
     check_nonnegative("lambda_span", lambda_span)
@@ -241,8 +242,6 @@ def equivariance_check(
     grid_n = check_integer("grid_n", grid_n)
     model.validate()
     v0 = np.fft.rfft(rho0.to_grid(grid_n))
-    if lambda_span == 0.0:
-        return 0.0
     params = model.equator_params()
     shift = np.exp(-1j * rotation * np.arange(v0.size))
     spec, _ = _rk4_rfft(np.stack([v0, v0 * shift]), params.c_diff, params.d_drift,

@@ -123,9 +123,7 @@ def kerr_principal_null_rotation(
     if not 0.0 < r2:  # r2 = inf is a ray that runs out to infinity
         raise DomainError("r2 must be positive")
     check_finite("theta", theta)
-    inv1 = 1.0 / r1
-    inv2 = 0.0 if math.isinf(r2) else 1.0 / r2
-    x = -(body.angular_momentum / (body.mass * C_LIGHT)) * (inv1 - inv2) * math.cos(theta)
+    x = -(body.angular_momentum / (body.mass * C_LIGHT)) * (1.0 / r1 - 1.0 / r2) * math.cos(theta)
     if abs(x) > 1.0:
         raise DomainError("rotation argument exceeds 1; formula out of range")
     return math.asin(x)

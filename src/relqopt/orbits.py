@@ -30,7 +30,13 @@ class OrbitSpec(Record):
             raise DomainError("semi_major_axis must put the perigee above the Earth's surface")
 
     def period(self) -> float:
-        return 2.0 * math.pi * math.sqrt(self.semi_major_axis**3 / EARTH.mu)
+        return 2.0 * math.pi * math.sqrt(self._axis_cubed() / EARTH.mu)
+
+    def _axis_cubed(self) -> float:
+        try:  # the constructor accepts any finite semi-major axis
+            return self.semi_major_axis**3
+        except OverflowError:
+            raise NumericFailure("numeric overflow: semi_major_axis cubed is not finite") from None
 
 
 class StateVector(Record):
@@ -83,7 +89,7 @@ def propagate(orbit: OrbitSpec, t: float) -> StateVector:
     check_finite("t", t)
     a, e = orbit.semi_major_axis, orbit.eccentricity
     mu = EARTH.mu
-    n = math.sqrt(mu / a**3)
+    n = math.sqrt(mu / orbit._axis_cubed())
     m_anom = orbit.mean_anomaly_epoch + n * (t - orbit.epoch)
     big_e = solve_kepler(m_anom, e)
     cos_e, sin_e = math.cos(big_e), math.sin(big_e)

@@ -5,7 +5,7 @@ units throughout; angles are degrees in files and radians internally.
 Each scalar key is one `Key` record in `KEYS` (section, name, default, parser,
 domain rule) and one `Scenario` field; the known-key check, parsing,
 validation, `[section] key` error text and `Scenario.replace` all read it.
-`Scenario(...)` also holds each value to the type its key's parser gives.
+`Scenario(...)` also checks and stores each value as the type its key's parser gives.
 `[orbit]`, `[stations]` and `[effects]` are special cases.  Each effect group
 is one function in `GROUPS`, the one source of every row the report, `bell-sim`,
 `diffusion` and `wigner` print; every value is the result of a library call.
@@ -352,6 +352,7 @@ class Scenario(Record):
                     raise ConfigurationError(f"[{section}] {name} must be {what}")
                 if parse is _float and not is_finite(x):  # NaN, inf or an int past the float range
                     raise ConfigurationError(f"[{section}] {name} must be finite")
+                x = float(x) if parse is _float else int(x) if parse is _int else x
                 for op, bound in rule:
                     if not _OPS[op](x, bound):
                         raise ConfigurationError(f"[{section}] {name} must be {_rule_text(rule)}")

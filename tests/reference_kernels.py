@@ -1,17 +1,16 @@
-"""Reference copies of the Wigner-angle, transport and equivariance kernels.
+"""Reference copies of the Wigner-angle and transport kernels.
 
 These are the straightforward formulations the library kernels were first
 written in: the little-group decomposition as a product of validated
-`LorentzMatrix` objects, the RK4 transport on a numpy state vector with
-`np.cross`, and the diffusion equivariance witness as two separate RK4 solves
-on the grid.  The library now computes the angle and the transport on raw
+`LorentzMatrix` objects, and the RK4 transport on a numpy state vector with
+`np.cross`.  The library now computes the angle and the transport on raw
 arrays and floats; `test_reference_equivalence.py` holds the two pairs to
-agreement.  The witness copy here is the only one that takes azimuth-dependent
-coefficients, with which the deviation must become finite.  The Lorentz
-helpers below build each transform as a validated `LorentzMatrix` and form
-every product and matrix-vector product in numpy, apart from the library's
-float path.  The metric `ETA`, the reference null vector `K_REF` and
-`as_array` are the numpy forms the tests use.
+agreement.  The diffusion witness has no copy here: that file holds its RK4
+to the exact solution instead.  The Lorentz helpers below build each
+transform as a validated `LorentzMatrix` and form every product and
+matrix-vector product in numpy, apart from the library's float path.  The
+metric `ETA`, the reference null vector `K_REF` and `as_array` are the numpy
+forms the tests use.
 """
 
 import math
@@ -108,62 +107,3 @@ def transport_ray(state: RayState, sampler, lam_end: float, steps: int) -> RaySt
         y[3:6] /= np.linalg.norm(y[3:6])
         y[6:9] /= np.linalg.norm(y[6:9])
     return RayState(tuple(y[0:3]), tuple(y[3:6]), tuple(y[6:9]), lam_end)
-
-
-def _rotate_grid(values, angle):
-    n = values.size
-    spec = np.fft.rfft(values)
-    m = np.arange(spec.size)
-    return np.fft.irfft(spec * np.exp(-1j * m * angle), n=n)
-
-
-def equivariance_check(model, rho0, rotation, lambda_span, grid_n=256,
-                       coefficient_samplers=None):
-    """Evolve-then-rotate against rotate-then-evolve, one grid RK4 solve each.
-
-    `coefficient_samplers`, a pair of callables (c(beta), d(beta)), replaces the
-    model's constant equator coefficients with azimuth-dependent ones, which
-    break the rotation symmetry.  The library's `diffusion.equivariance_check`
-    takes constant coefficients only, so this hook exists only here.
-    """
-    model.validate()
-    v0 = rho0.to_grid(grid_n)
-    h = 2.0 * math.pi / grid_n
-    if lambda_span == 0.0:
-        return 0.0
-    beta = np.arange(grid_n) * h
-    if coefficient_samplers is None:
-        params = model.equator_params()
-        c_arr = np.full(grid_n, params.c_diff)
-        d_arr = np.full(grid_n, params.d_drift)
-    else:
-        c_fn, d_fn = coefficient_samplers
-        c_arr = np.asarray([float(c_fn(b)) for b in beta])
-        d_arr = np.asarray([float(d_fn(b)) for b in beta])
-
-    m_max = grid_n // 2
-    ik = 1j * np.arange(m_max + 1)
-
-    def d_beta(v):
-        return np.fft.irfft(ik * np.fft.rfft(v), n=grid_n)
-
-    def rhs(v):
-        return d_beta(c_arr * d_beta(v) - d_arr * v)
-
-    stiff = float(c_arr.max()) * m_max**2 + abs(d_arr).max() * m_max
-    n_steps = max(64, int(lambda_span * stiff / 2.0) + 1)
-    dt = lambda_span / n_steps
-
-    def evolve(v):
-        v = v.copy()
-        for _ in range(n_steps):
-            k1 = rhs(v)
-            k2 = rhs(v + 0.5 * dt * k1)
-            k3 = rhs(v + 0.5 * dt * k2)
-            k4 = rhs(v + dt * k3)
-            v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return v
-
-    path_a = _rotate_grid(evolve(v0), rotation)
-    path_b = evolve(_rotate_grid(v0, rotation))
-    return float(np.sum(np.abs(path_a - path_b)) * h)

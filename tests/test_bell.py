@@ -261,6 +261,10 @@ def test_invalid_simulation_inputs():
     for kwargs in ({"seed": 1.0}, {"seed": 3.5}, {"workers": 2.0}):
         with pytest.raises(TypeError):
             simulate_coincidences(0.9, 1000, **kwargs)
+    # and a bool, which operator.index would read as 0 or 1
+    for kwargs in ({"n_pairs": True}, {"seed": False}, {"workers": True}):
+        with pytest.raises(TypeError, match="not bool"):
+            simulate_coincidences(0.9, **{"n_pairs": 1000, **kwargs})
     assert simulate_coincidences(0.9, 1000, seed=np.uint64(3), workers=np.int64(2)) == (
         simulate_coincidences(0.9, 1000, seed=3, workers=2))
 

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from relqopt import bell, orbits
+from relqopt import bell, cli, orbits
 from relqopt.cli import _linspace, main
 
 
@@ -447,6 +447,34 @@ def test_integer_rows_print_exactly_in_csv(capsys):
     assert code == 0
     row = next(line.split() for line in out.splitlines() if line.startswith("bell.seed"))
     assert row[1] == format(float(seed), ".9g")
+
+
+def test_no_text_cell_needs_csv_quoting(capsys, tmp_path, monkeypatch):
+    # CSV joins cells with "," unquoted, so no row name, unit, paper ref or header may
+    # hold a comma, a quote or a line break
+    cells = set()
+    write_rows = cli._write_rows
+
+    def spy(rows, header, fmt, stream):
+        rows = list(rows)
+        cells.update(header)
+        cells.update(c for row in rows for c in row if isinstance(c, str))
+        write_rows(rows, header, fmt, stream)
+
+    monkeypatch.setattr(cli, "_write_rows", spy)
+    stations = _write(tmp_path, "[stations]\nstation1 = 0 0 0\n", "stations.ini")
+    runs = [["report"], ["bell-sim", "--counts-out", str(tmp_path / "counts.csv")],
+            ["diffusion"], ["wigner"], ["orbit"], ["orbit", "--scenario", stations],
+            ["curves", "--which", "photons"], ["curves", "--which", "ralph"]]
+    # the geometry row names the interval's kind: lightlike at delay 0, timelike at 1 s
+    for delay in ("0", "1"):
+        runs.append(["report", "--scenario", _write(tmp_path, f"[geometry]\ndelay = {delay}\n",
+                                                       f"delay_{delay}.ini")])
+    for argv in runs:
+        assert _run(capsys, *argv, "--format", "csv")[0] == 0, argv
+    assert {f"geometry.invariant_{kind}_separation" for kind in
+            ("spacelike", "timelike", "lightlike")} | {"range_rate", "n_mm", "delta"} <= cells
+    assert sorted(c for c in cells if set(c) & set(',"\r\n')) == []
 
 
 # ------------------------------------------------------------------ sampling

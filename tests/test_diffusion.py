@@ -86,6 +86,22 @@ def test_density_rejects_non_finite_coefficients():
             CircleDensity(coefficients)
 
 
+def test_a_validated_density_cannot_be_changed():
+    given = CircleDensity.wrapped_gaussian(mean=0.3, sigma=0.5, modes=16).coefficients.copy()
+    rho = CircleDensity(given)
+    with pytest.raises(ValueError, match="read-only"):
+        rho.coefficients[0] = 5.0
+    for change in (lambda: setattr(rho, "coefficients", "text"),
+                   lambda: delattr(rho, "coefficients"), lambda: setattr(rho, "modes", 3)):
+        with pytest.raises(AttributeError, match="^CircleDensity is immutable"):
+            change()
+    assert np.array_equal(rho.coefficients, given) and rho.modes == 16
+    # densities compare by identity; the caller's array is copied, not frozen
+    assert rho == rho and rho != CircleDensity(given)
+    given[0] = 5.0
+    assert rho.coefficients[0] != 5.0
+
+
 @pytest.mark.parametrize("mean, sigma", [
     (math.nan, 0.5), (math.inf, 0.5), (0.0, math.nan), (0.0, math.inf), (0.0, 0.0),
 ])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from relqopt.constants import C_LIGHT, EARTH, G0
-from relqopt.errors import DomainError
+from relqopt.errors import DomainError, NumericFailure
 from relqopt.orbits import (
     GroundStation,
     OrbitSpec,
@@ -63,6 +63,16 @@ def test_orbit_validation():
     # a > R but the perigee a (1 - e) is below the surface
     with pytest.raises(DomainError, match="perigee"):
         OrbitSpec(semi_major_axis=1.5 * EARTH.radius, eccentricity=0.5)
+
+
+def test_an_axis_whose_cube_overflows_raises_numeric_failure():
+    for orbit in (OrbitSpec(5.7e102), OrbitSpec(1e200), OrbitSpec(10**200)):
+        for call in (orbit.period, lambda: propagate(orbit, 0.0)):
+            with pytest.raises(NumericFailure, match=r"^numeric overflow: semi_major_axis "):
+                call()
+    # 5.6e102 cubed is still finite
+    assert math.isfinite(OrbitSpec(5.6e102).period())
+    assert math.isfinite(propagate(OrbitSpec(5.6e102), 0.0).radius)
 
 
 def test_kepler_refuses_an_eccentricity_of_one():

@@ -194,23 +194,3 @@ def test_witness_rk4_meets_exact_solution_with_top_mode_excited(grid_n):
     assert abs(v0[-1]) >= 1.0
     assert _rk4_error_over_bound(v0, params.c_diff, params.d_drift,
                                  lambda_span, grid_n) <= 1.0
-
-
-def _c_of_beta(beta):
-    return 0.05 * (1.0 + 0.5 * math.cos(beta))
-
-
-def _d_of_beta(beta):
-    return 0.3 + 0.1 * math.sin(2.0 * beta)
-
-
-@pytest.mark.parametrize("grid_n, d_of_beta", [
-    (256, _d_of_beta), (255, _d_of_beta), (130, _d_of_beta), (256, lambda beta: 0.3),
-], ids=["256", "255", "130", "256-c_only"])
-def test_reference_witness_breaks_on_azimuth_dependence(grid_n, d_of_beta):
-    """Azimuth-dependent coefficients make the deviation finite; constant ones do not."""
-    model, _, _, _ = next(_witness_cases(1))
-    rho0 = CircleDensity.wrapped_gaussian(mean=1.0, sigma=0.5, modes=60)
-    assert ref.equivariance_check(model, rho0, 0.9, 0.5, grid_n=grid_n) <= 1e-9
-    assert ref.equivariance_check(model, rho0, 0.9, 0.5, grid_n=grid_n,
-                                  coefficient_samplers=(_c_of_beta, d_of_beta)) > 1e-4

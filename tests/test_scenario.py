@@ -1,9 +1,11 @@
 import math
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from relqopt import bell, diffusion, gravitomagnetism, kinematics, orbits, qft_effects, wigner
+from relqopt import bell, cli, diffusion, gravitomagnetism, kinematics, orbits, qft_effects, wigner
 from relqopt.constants import C_LIGHT, EARTH, ROUNDED_EARTH
 from relqopt.errors import ConfigurationError, DomainError, EffectError, NumericFailure
 from relqopt.scenario import (
@@ -503,6 +505,26 @@ def test_overrides_are_checked_by_the_key_table():
     with pytest.raises(ConfigurationError, match=r"\[bell\] seed must be an integer"):
         with_overrides(Scenario(), seed=1.0)
     assert with_overrides(Scenario(), seed=2**64 - 1).seed == 2**64 - 1
+
+
+def test_a_numpy_float_is_stored_as_a_float():
+    s = Scenario(wavelength=np.float32(8e-7))
+    assert type(s.wavelength) is float and s.wavelength == float(np.float32(8e-7))
+    # the report computes in float64, not in the float32 it was given
+    row = run_report(s, effects={"diffusion"}).entries[0]
+    assert type(row.value) is float
+    assert row.value == diffusion.affine_parameter(s.light_time_s(), C_LIGHT / s.wavelength)
+
+
+def test_a_numpy_integer_is_stored_as_an_int(capsys):
+    s = Scenario(seed=np.uint64(2**64 - 1), workers=np.int8(3))
+    assert (type(s.seed), type(s.workers)) == (int, int)
+    assert (s.seed, s.workers) == (2**64 - 1, 3)
+    # CSV prints an int seed exactly, not as 1.8446744073709552e+19
+    seed_row = next(e for e in run_report(s, effects={"bell"}).entries if e.effect == "bell.seed")
+    cli._write_entries([seed_row], "csv", sys.stdout)
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "bell.seed,18446744073709551615,dimensionless,§8.1")
 
 
 @pytest.mark.filterwarnings("error")

@@ -18,10 +18,10 @@ default report.  A child with no bytecode to read compiles only those.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import sys
+import types
 
 from . import scenario as scen
 from .errors import ConfigurationError, DomainError, EffectError, NumericFailure
@@ -56,12 +56,7 @@ def _write_rows(rows, header, fmt: str, stream) -> None:
         stream.write("\n")
 
 
-def _write_entries(entries, fmt: str, stream) -> int:
-    _write_rows(entries, scen.ReportEntry._fields, fmt, stream)
-    return 0
-
-
-def _write_table(group: str, header, rows, fmt: str, stream) -> int:
+def _write_table(group: str, header, rows, fmt: str, stream) -> None:
     """Write the rows that the iterable `rows` yields, built inside
     `scen.effect_errors(group)`; a NaN or infinite value fails the group, as
     `scen.evaluate` fails a report group."""
@@ -72,7 +67,6 @@ def _write_table(group: str, header, rows, fmt: str, stream) -> int:
                 if not math.isfinite(x):
                     raise NumericFailure(f"{name} is {x}")
     _write_rows(rows, header, fmt, stream)
-    return 0
 
 
 def _require(ok: bool, flag: str, rule: str) -> None:
@@ -94,13 +88,13 @@ def _parse_effects(raw: str | None):
     return frozenset(groups)
 
 
-def _cmd_report(args, stream) -> int:
+def _cmd_report(args, stream) -> None:
     s = _load_scenario(args, seed=args.seed, workers=args.workers)
     report = scen.run_report(s, effects=_parse_effects(args.effects))
-    return _write_entries(report.entries, args.format, stream)
+    _write_rows(report.entries, scen.ReportEntry._fields, args.format, stream)
 
 
-def _cmd_bell_sim(args, stream) -> int:
+def _cmd_bell_sim(args, stream) -> None:
     from . import bell
     s = _load_scenario(args, seed=args.seed, workers=args.workers, photon_budget=args.photons)
     with scen.effect_errors("bell"):
@@ -113,10 +107,10 @@ def _cmd_bell_sim(args, stream) -> int:
                             ("alpha", "beta", "n_pp", "n_pm", "n_mp", "n_mm"), "csv", fh)
         except OSError as exc:
             raise ConfigurationError(f"cannot write --counts-out file: {exc}") from None
-    return _write_entries(report.entries, args.format, stream)
+    _write_rows(report.entries, scen.ReportEntry._fields, args.format, stream)
 
 
-def _cmd_wigner(args, stream) -> int:
+def _cmd_wigner(args, stream) -> None:
     _require(0.0 <= args.theta <= 90.0, "--theta", "in [0, 90]")
     for flag, x in (("--phi", args.phi), ("--theta-b", args.theta_b), ("--phi-b", args.phi_b)):
         _require(math.isfinite(x), flag, "finite")
@@ -127,10 +121,10 @@ def _cmd_wigner(args, stream) -> int:
     geometry = dict(theta=theta, phi=phi, theta_b=theta_b, phi_b=phi_b, beta=args.beta)
     report = scen.evaluate(s, [("wigner", functools.partial(fn, **geometry))
                                for fn in (scen.wigner_exact, scen.GROUPS["wigner"])])
-    return _write_entries(report.entries, args.format, stream)
+    _write_rows(report.entries, scen.ReportEntry._fields, args.format, stream)
 
 
-def _cmd_orbit(args, stream) -> int:
+def _cmd_orbit(args, stream) -> None:
     from . import orbits
     _require(2 <= args.samples <= ROW_CAP, "--samples", f"in [2, {ROW_CAP}]")
     if args.duration is not None:
@@ -150,10 +144,10 @@ def _cmd_orbit(args, stream) -> int:
                 row += orbits.relative_geometry(state, orbits.station_state(s.stations[0], t))
             yield row
 
-    return _write_table("orbit", header, rows(), args.format, stream)
+    _write_table("orbit", header, rows(), args.format, stream)
 
 
-def _cmd_curves(args, stream) -> int:
+def _cmd_curves(args, stream) -> None:
     _require(2 <= args.points <= ROW_CAP, "--points", f"in [2, {ROW_CAP}]")
     s = _load_scenario(args)
     if args.which == "photons":
@@ -169,93 +163,95 @@ def _cmd_curves(args, stream) -> int:
         _require(0.0 < args.delta_max < math.inf, "--delta-max", "finite and > 0")
     model = qft_effects.EventOperatorModel(detector_resolution=s.detector_resolution)
     d_max = args.delta_max if args.delta_max is not None else 6.0 * s.detector_resolution
-    return _write_table("qft", ("delta", "C"), (
+    _write_table("qft", ("delta", "C"), (
         (delta, qft_effects.ralph_correlation(model, delta))
         for delta in _linspace(0.0, d_max, args.points)), args.format, stream)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scenario", metavar="PATH", default=None,
-                        help="scenario file (defaults apply when omitted)")
-    common.add_argument("--format", choices=("table", "csv"), default="table")
-    # the two subcommands that run the Monte Carlo
-    monte_carlo = argparse.ArgumentParser(add_help=False, parents=[common])
-    monte_carlo.add_argument("--seed", type=int, default=None,
-                             help="override the Monte Carlo seed (unsigned 64-bit)")
-    monte_carlo.add_argument("--workers", type=int, default=None,
-                             help="override the number of Monte Carlo streams")
+# flag: (type, default, choices, help); every subcommand takes _COMMON
+_COMMON = {"--scenario": (str, None, None, "scenario file (defaults apply when omitted)"),
+           "--format": (str, "table", ("table", "csv"), "aligned table or CSV")}
+_MONTE_CARLO = {**_COMMON,  # the two subcommands that run the Monte Carlo
+                "--seed": (int, None, None, "override the Monte Carlo seed (unsigned 64-bit)"),
+                "--workers": (int, None, None, "override the number of Monte Carlo streams")}
+# subcommand: (runner, help, flags, fixed attributes of the namespace that the runner reads)
+COMMANDS = {
+    "report": (_cmd_report, "evaluate every enabled effect group", {
+        **_MONTE_CARLO, "--effects": (str, None, None, "comma-separated group filter")}, {}),
+    "bell-sim": (_cmd_bell_sim, "CHSH Monte Carlo with Poisson error propagation", {
+        **_MONTE_CARLO, "--photons": (int, None, None, "total pair budget (default: scenario's)"),
+        "--counts-out": (str, None, None, "also write the per-setting counts table as CSV")}, {}),
+    "diffusion": (_cmd_report, "polarization-diffusion forecasts", _COMMON,
+                  {"effects": "diffusion", "seed": None, "workers": None}),
+    "wigner": (_cmd_wigner, "exact and first-order little-group angles", {
+        **_COMMON, "--theta": (float, 90.0, None, "photon polar angle, degrees"),
+        "--phi": (float, 90.0, None, "photon azimuth, degrees"),
+        "--theta-b": (float, 90.0, None, "boost polar angle, degrees"),
+        "--phi-b": (float, 0.0, None, "boost azimuth, degrees"),
+        "--beta": (float, None, None, "boost speed v/c (default: orbital speed at epoch)")}, {}),
+    "orbit": (_cmd_orbit, "sampled satellite ephemeris (and station range)", {
+        **_COMMON, "--duration": (float, None, None, "time span in seconds (default: one period)"),
+        "--samples": (int, 101, None, "number of sample times")}, {}),
+    "curves": (_cmd_curves, "plot-ready data tables", {
+        **_COMMON, "--which": (str, "photons", ("photons", "ralph"), "N(V) or C(delta) table"),
+        "--points": (int, 57, None, "number of rows"),
+        "--v-min": (float, 0.72, None, "smallest visibility (photons)"),
+        "--v-max": (float, 1.0, None, "largest visibility (photons)"),
+        "--delta-max": (float, None, None, "largest proper-time differential, s (ralph)")}, {})}
 
-    parser = argparse.ArgumentParser(
-        prog="relqopt",
-        description="Quantitative effect estimates for satellite quantum links.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("report", parents=[monte_carlo],
-                       help="evaluate every enabled effect group")
-    p.add_argument("--effects", default=None,
-                   help="comma-separated group filter (e.g. geometry,bell)")
-    p.set_defaults(func=_cmd_report)
+def _help(name=None) -> str:
+    rows = [(n, entry[1]) for n, entry in COMMANDS.items()] if name is None else [
+        (f"{flag} {'{' + ','.join(choices) + '}' if choices else kind.__name__.upper()}",
+         text if default is None else f"{text} (default {default})")
+        for flag, (kind, default, choices, text) in COMMANDS[name][2].items()]
+    return "\n".join([f"usage: relqopt {name or 'COMMAND'} [--FLAG VALUE | --FLAG=VALUE ...]",
+                      COMMANDS[name][1] if name else "relqopt COMMAND --help lists its flags",
+                      *(f"  {a:<25}{b}" for a, b in rows)])
 
-    p = sub.add_parser("bell-sim", parents=[monte_carlo],
-                       help="CHSH Monte Carlo with Poisson error propagation")
-    p.add_argument("--photons", type=int, default=None,
-                   help="total pair budget (default: scenario photon_budget)")
-    p.add_argument("--counts-out", metavar="PATH", default=None,
-                   help="also write the per-setting counts table as CSV")
-    p.set_defaults(func=_cmd_bell_sim)
 
-    p = sub.add_parser("diffusion", parents=[common],
-                       help="polarization-diffusion forecasts")
-    p.set_defaults(func=_cmd_report, effects="diffusion", seed=None, workers=None)
-
-    p = sub.add_parser("wigner", parents=[common],
-                       help="exact and first-order little-group angles")
-    p.add_argument("--theta", type=float, default=90.0,
-                   help="photon polar angle, degrees (default 90)")
-    p.add_argument("--phi", type=float, default=90.0,
-                   help="photon azimuth, degrees (default 90)")
-    p.add_argument("--theta-b", type=float, default=90.0,
-                   help="boost polar angle, degrees (default 90)")
-    p.add_argument("--phi-b", type=float, default=0.0,
-                   help="boost azimuth, degrees (default 0)")
-    p.add_argument("--beta", type=float, default=None,
-                   help="boost speed v/c (default: orbital speed at epoch)")
-    p.set_defaults(func=_cmd_wigner)
-
-    p = sub.add_parser("orbit", parents=[common],
-                       help="sampled satellite ephemeris (and station range)")
-    p.add_argument("--duration", type=float, default=None,
-                   help="time span in seconds (default: one period)")
-    p.add_argument("--samples", type=int, default=101)
-    p.set_defaults(func=_cmd_orbit)
-
-    p = sub.add_parser("curves", parents=[common], help="plot-ready data tables")
-    p.add_argument("--which", choices=("photons", "ralph"), default="photons")
-    p.add_argument("--points", type=int, default=57)
-    p.add_argument("--v-min", type=float, default=0.72)
-    p.add_argument("--v-max", type=float, default=1.0)
-    p.add_argument("--delta-max", type=float, default=None,
-                   help="largest proper-time differential, seconds")
-    p.set_defaults(func=_cmd_curves)
-    return parser
+def _parse_args(argv):
+    """The namespace that the subcommand's runner `func` reads, or None after help."""
+    name = argv[0] if argv else None
+    if name in ("-h", "--help"):
+        return print(_help())
+    if name not in COMMANDS:
+        raise ConfigurationError(f"unknown subcommand {name!r}; choose from {', '.join(COMMANDS)}"
+                                 if argv else f"a subcommand is required: {', '.join(COMMANDS)}")
+    func, _, flags, fixed = COMMANDS[name]
+    values, extras, rest = {flag: spec[1] for flag, spec in flags.items()}, [], iter(argv[1:])
+    for arg in rest:
+        if arg in ("-h", "--help"):
+            return print(_help(name))
+        flag, eq, value = arg.partition("=")
+        if flag not in flags:
+            extras.append(arg)
+            continue
+        if not eq:  # a negative number is a value; a missing one reads as "--"
+            value = next(rest, "--")
+            _require(value[:1] != "-" or value[1:2] in "0123456789.", flag, "followed by a value")
+        kind, _, choices, _ = flags[flag]
+        try:
+            values[flag] = kind(value)
+        except ValueError:
+            raise ConfigurationError(f"{flag} must be {kind.__name__}, not {value!r}") from None
+        _require(not choices or values[flag] in choices, flag,
+                 f"one of {', '.join(choices or ())}, not {value!r}")
+    if extras:
+        raise ConfigurationError("unrecognized arguments: " + " ".join(extras))
+    return types.SimpleNamespace(**{flag[2:].replace("-", "_"): x for flag, x in values.items()},
+                                 **fixed, func=func)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    try:
-        return args.func(args, sys.stdout)
-    except EffectError as exc:
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+        if args:
+            args.func(args, sys.stdout)
+        return 0
+    except (EffectError, ConfigurationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ConfigurationError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, EffectError) else 2
 
 
 def run() -> None:

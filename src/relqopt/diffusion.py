@@ -54,6 +54,9 @@ class CircleDensity:
         if not grid.min() >= _GRID_FLOOR:
             raise DomainError("density is negative beyond tolerance")
 
+    def __reduce__(self):  # a copy or an unpickled density is validated and frozen again
+        return CircleDensity, (self.coefficients,)
+
     @property
     def modes(self) -> int:
         return self.coefficients.size - 1

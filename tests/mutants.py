@@ -132,6 +132,15 @@ MUTANTS = [
     ("density_attribute_assignable", "src/relqopt/diffusion.py",
      "__setattr__ = __delattr__ = Record.__setattr__", "pass",
      "tests/test_diffusion.py::test_a_validated_density_cannot_be_changed"),
+    ("density_copy_writeable", "src/relqopt/diffusion.py",
+     "def __reduce__(self):", "def _reduce_unused(self):",
+     "tests/test_diffusion.py::test_a_validated_density_cannot_be_changed"),
+    ("flag_choices_unchecked", "src/relqopt/cli.py",
+     "_require(not choices or values[flag] in choices, flag,", "_require(True, flag,",
+     "tests/test_cli.py::test_usage_error_exits_2_with_one_line_naming_the_flag[bad_choice]"),
+    ("int_flag_read_as_float", "src/relqopt/cli.py",
+     "values[flag] = kind(value)", "values[flag] = (float if kind is int else kind)(value)",
+     "tests/test_cli.py::test_usage_error_exits_2_with_one_line_naming_the_flag[bad_int]"),
 ]
 
 

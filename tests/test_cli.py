@@ -2,6 +2,8 @@ import csv
 import io
 import math
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +152,73 @@ def test_monte_carlo_flags_exist_only_where_the_monte_carlo_runs(capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert code == 2 and out == ""
     assert "unrecognized arguments: " + " ".join(argv[1:]) in err
+
+
+# ----------------------------------------------------------------- parsing
+
+
+@pytest.mark.parametrize("argv, name, value", [
+    (["wigner", "--phi", "-30"], "phi", -30.0),
+    (["wigner", "--phi=-30"], "phi", -30.0),
+    (["wigner", "--theta-b", "-.5"], "theta_b", -0.5),
+    (["orbit", "--samples=5"], "samples", 5),
+    (["orbit", "--samples", "3", "--samples", "5"], "samples", 5),
+    (["report", "--seed", "-1"], "seed", -1),
+    (["curves", "--which=ralph"], "which", "ralph"),
+    (["bell-sim", "--counts-out", "-"], "counts_out", "-"),
+    (["orbit"], "samples", 101),
+    (["diffusion"], "effects", "diffusion"),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+def test_flag_forms_parse_to_the_value_and_type_of_the_table(argv, name, value):
+    got = getattr(cli._parse_args(argv), name)
+    assert got == value and type(got) is type(value)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["orbit", "--samples"], "--samples"),
+    (["orbit", "--samples", "--format", "csv"], "--samples"),
+    (["orbit", "--samples", "2.5"], "--samples"),
+    (["wigner", "--theta", "ninety"], "--theta"),
+    (["report", "--format", "xml"], "--format"),
+    (["curves", "--which=both"], "--which"),
+    (["report", "extra"], "unrecognized arguments: extra"),
+    (["report", "--effect", "bell"], "unrecognized arguments: --effect bell"),
+    (["orbit", "--sample=5"], "unrecognized arguments: --sample=5"),
+    ([], "subcommand"),
+    (["frobnicate"], "'frobnicate'"),
+    (["--format", "csv"], "'--format'"),
+], ids=["missing_value", "flag_for_value", "bad_int", "bad_float", "bad_choice",
+        "bad_choice_with_equals", "stray_positional", "unknown_flag", "abbreviation",
+        "no_subcommand", "unknown_subcommand", "flag_before_subcommand"])
+def test_usage_error_exits_2_with_one_line_naming_the_flag(capsys, argv, named):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], *([name, "--help"] for name in cli.COMMANDS),
+                                  ["orbit", "--samples", "5", "-h"]],
+                         ids=" ".join)
+def test_help_lists_every_subcommand_or_flag_of_the_table(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 0 and err == ""
+    if argv[0] in cli.COMMANDS:
+        _, about, flags, _ = cli.COMMANDS[argv[0]]
+        assert about in out and all(flag in out and flags[flag][3] in out for flag in flags)
+    else:
+        assert all(name in out and entry[1] in out for name, entry in cli.COMMANDS.items())
+
+
+def test_readme_names_the_flags_of_each_subcommand():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Subcommands\n")[1].split("\n## ")[0]
+    common = set(re.findall(r"--[a-z][a-z-]*", re.search(r"All subcommands accept ([^.]*)\.",
+                                                          section)[1]))
+    rows = {m[1]: set(re.findall(r"--[a-z][a-z-]*", m[2]))
+            for m in re.finditer(r"^\| `([a-z-]+)` \|.*\| (.*) \|$", section, re.M)}
+    assert rows.keys() == cli.COMMANDS.keys()
+    for name, (_, _, flags, _) in cli.COMMANDS.items():
+        assert common | rows[name] == flags.keys(), name
 
 
 # -------------------------------------------------------------- subcommands

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -96,6 +98,11 @@ def test_a_validated_density_cannot_be_changed():
         with pytest.raises(AttributeError, match="^CircleDensity is immutable"):
             change()
     assert np.array_equal(rho.coefficients, given) and rho.modes == 16
+    # a copy and an unpickled density are rebuilt through the constructor, so frozen again
+    for copied in (copy.copy(rho), copy.deepcopy(rho), pickle.loads(pickle.dumps(rho))):
+        assert type(copied) is CircleDensity and np.array_equal(copied.coefficients, given)
+        with pytest.raises(ValueError, match="read-only"):
+            copied.coefficients[0] = 5.0
     # densities compare by identity; the caller's array is copied, not frozen
     assert rho == rho and rho != CircleDensity(given)
     given[0] = 5.0

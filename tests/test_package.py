@@ -100,6 +100,20 @@ def test_each_subcommand_loads_only_the_modules_it_runs(command):
         f"assert loaded == {sorted(_CORE | _LOADS[command])!r}, loaded\n")
 
 
+@pytest.mark.parametrize("command", _LOADS)
+def test_start_up_skips_argparse_gettext_and_locale(command):
+    # the flags are read from cli.COMMANDS; modules that the bare interpreter had
+    # already loaded (from a host .pth file, say) do not count
+    _run_fresh(
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "from relqopt.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({command.split()!r}) == 0\n"
+        "loaded = sorted({'argparse', 'gettext', 'locale'} & (set(sys.modules) - before))\n"
+        "assert not loaded, f'loaded {loaded}'\n")
+
+
 # library code that runs without numpy, by test id
 _SCALAR_CODE = {
     "import relqopt.wigner": "import relqopt.wigner\n",

@@ -522,7 +522,7 @@ def test_a_numpy_integer_is_stored_as_an_int(capsys):
     assert (s.seed, s.workers) == (2**64 - 1, 3)
     # CSV prints an int seed exactly, not as 1.8446744073709552e+19
     seed_row = next(e for e in run_report(s, effects={"bell"}).entries if e.effect == "bell.seed")
-    cli._write_entries([seed_row], "csv", sys.stdout)
+    cli._write_rows([seed_row], ReportEntry._fields, "csv", sys.stdout)
     assert capsys.readouterr().out.splitlines()[1] == (
         "bell.seed,18446744073709551615,dimensionless,§8.1")
 

@@ -23,8 +23,11 @@ times more there than with bytecode.  The tree is compiled again afterwards.
 
 --quick is for the tier-1 shape test: one seed, 0.5 s perfbench --quick
 runs, traced only on pass_sweep (every traced run reports every per-layer
-metric, because the probes run in each).  Its numbers mean nothing, so it
-prints the document to stdout and writes no file.
+metric, because the probes run in each).  Its compiled-state runs go two at
+a time; the run from source still goes alone, after them, because it
+removes __pycache__ and counts the .pyc files.  Its numbers mean nothing, so
+it prints the document to stdout and writes no file.  Without --quick every
+run goes alone.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from importlib.util import cache_from_source
 from pathlib import Path
 
@@ -47,6 +51,7 @@ WORKLOADS = ("cli_mix", "pass_sweep", "scenario_scan", "diffusion_witness")
 SEEDS = (8101, 8102, 8103, 8104, 8105)
 SECONDS = 20.0
 QUICK_TRACED = "pass_sweep"
+QUICK_CONCURRENT = 2
 _FLOOR_LINE = re.compile(r"# (cli\.floor_\w+_ms) (\S+) ms$")
 
 
@@ -90,7 +95,10 @@ def git_sha() -> str:
 
 def run_once(workload: str, seed: int, seconds: float, trace: int, quick: bool,
              env=None) -> dict:
-    """One perfbench run: its result line, provenance and any floor lines."""
+    """One perfbench run: its result line, provenance, any floor lines and the run's
+    workload, seed and trace."""
+    print(f"# {workload} seed={seed} trace={trace}{' from source' if env else ''}",
+          file=sys.stderr, flush=True)
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
     if quick:
@@ -103,6 +111,7 @@ def run_once(workload: str, seed: int, seconds: float, trace: int, quick: bool,
     out["provenance"] = next(json.loads(ln[len("# provenance "):]) for ln in lines
                              if ln.startswith("# provenance "))
     out["floors"] = {m[1]: float(m[2]) for m in map(_FLOOR_LINE.match, lines) if m}
+    out.update(workload=workload, seed=seed, trace=trace)
     return out
 
 
@@ -157,20 +166,14 @@ def main(argv=None) -> int:
     seeds, seconds = (SEEDS[:1], 0.5) if args.quick else (SEEDS, SECONDS)
     runs, source_runs, pyc_during = [], [], []
     for seed in seeds:
-        for workload in WORKLOADS:
-            for trace in (0, 1):
-                if args.quick and trace and workload != QUICK_TRACED:
-                    continue
-                print(f"# {workload} seed={seed} trace={trace}", file=sys.stderr, flush=True)
-                r = run_once(workload, seed, seconds, trace, args.quick)
-                r.update(workload=workload, seed=seed, trace=trace)
-                runs.append(r)
-        print(f"# cli_mix seed={seed} trace=0 from source", file=sys.stderr, flush=True)
+        jobs = [(workload, seed, seconds, trace, args.quick)
+                for workload in WORKLOADS for trace in (0, 1)
+                if not (args.quick and trace and workload != QUICK_TRACED)]
+        with ThreadPoolExecutor(max_workers=QUICK_CONCURRENT if args.quick else 1) as pool:
+            runs.extend(pool.map(lambda job: run_once(*job), jobs))
         with from_source() as env:
-            r = run_once("cli_mix", seed, seconds, 0, args.quick, env)
+            source_runs.append(run_once("cli_mix", seed, seconds, 0, args.quick, env))
             pyc_during.append(len(list((ROOT / "src" / "relqopt").glob("__pycache__/*.pyc"))))
-        r.update(workload="cli_mix", seed=seed, trace=0)
-        source_runs.append(r)
 
     prov = runs[0]["provenance"]
     sha = git_sha()

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import sys
 import types
 
@@ -255,4 +256,10 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+    except BrokenPipeError:  # the reader stopped early, as `| head -1` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -32,13 +32,16 @@ class EffectError(NumericFailure):
         self.effect = effect
 
 
+_NOT_A_NUMBER = (TypeError, ValueError, OverflowError)
+
+
 def is_finite(x) -> bool:
     """Whether `x` is a finite real number: `math.isfinite` accepts it and returns True.
-    Text, None and complex numbers (a `TypeError` there) and an int past the float
-    range (an `OverflowError`) are not; text is never parsed as a number."""
+    Text, None, complex numbers (a `TypeError` there), a signaling-NaN `Decimal` (a
+    `ValueError`) and an int past the float range (an `OverflowError`) are not."""
     try:
         return math.isfinite(x)
-    except (TypeError, OverflowError):
+    except _NOT_A_NUMBER:
         return False
 
 
@@ -68,14 +71,14 @@ def check_integer(name: str, v) -> int:
 
 
 def check_vector(name: str, v) -> tuple:
-    """The three components of `v`, each held to `is_finite`, as a tuple of floats."""
+    """The three components of `v`, held to `is_finite`'s rule in this one frame, as floats."""
     try:
         x, y, z = v
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a finite 3-vector") from None
-    if not (is_finite(x) and is_finite(y) and is_finite(z)):
-        raise DomainError(f"{name} must be a finite 3-vector")
-    return float(x), float(y), float(z)
+        if math.isfinite(x) and math.isfinite(y) and math.isfinite(z):
+            return float(x), float(y), float(z)
+    except _NOT_A_NUMBER:  # also a `v` that does not unpack into three
+        pass
+    raise DomainError(f"{name} must be a finite 3-vector")
 
 
 class Record:

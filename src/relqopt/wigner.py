@@ -147,16 +147,22 @@ def wigner_angle(lam: LorentzMatrix, p: FourMomentum) -> float:
     khat' = dir(Lam p).  The photon energy drops out.  Helicity amplitudes
     transform as alpha_{+/-} -> exp(+/- i xi) alpha_{+/-}.
     """
-    x, y, z = p.k
-    energy, *k_out = [r0 * p.energy + r1 * x + r2 * y + r3 * z for r0, r1, r2, r3 in lam.matrix]
-    if not energy > 0.0:
+    (m00, m01, m02, m03), *rest = lam.matrix
+    (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33) = rest
+    e, (x, y, z) = p.energy, p.k
+    if not m00 * e + m01 * x + m02 * y + m03 * z > 0.0:
         raise DomainError("transformed momentum must have positive energy")
-    norm = math.hypot(*k_out)
+    kx = m10 * e + m11 * x + m12 * y + m13 * z
+    ky = m20 * e + m21 * x + m22 * y + m23 * z
+    kz = m30 * e + m31 * x + m32 * y + m33 * z
+    norm = math.hypot(kx, ky, kz)
     if not norm < math.inf:
         raise DomainError("transformed momentum must be finite")
     (e1, e2, e3), _ = _polar_frame(p.khat)
-    a1, a2, a3 = [r1 * e1 + r2 * e2 + r3 * e3 for _, r1, r2, r3 in lam.matrix[1:]]
-    (t1, t2, t3), (f1, f2, _) = _polar_frame([c / norm for c in k_out])
+    a1 = m11 * e1 + m12 * e2 + m13 * e3
+    a2 = m21 * e1 + m22 * e2 + m23 * e3
+    a3 = m31 * e1 + m32 * e2 + m33 * e3
+    (t1, t2, t3), (f1, f2, _) = _polar_frame((kx / norm, ky / norm, kz / norm))
     xi = math.atan2(f1 * a1 + f2 * a2, t1 * a1 + t2 * a2 + t3 * a3)
     if xi <= -math.pi:
         xi = math.pi

@@ -66,14 +66,24 @@ MUTANTS = [
      "if isinstance(v, bool) or not isinstance(v, numbers.Integral):",
      "if not isinstance(v, numbers.Integral):",
      "tests/test_gravitomagnetism.py -k 'positive_integer_step_count and bool'"),
+    ("check_vector_third_isfinite_dropped", "src/relqopt/errors.py",
+     "math.isfinite(y) and math.isfinite(z):", "math.isfinite(y):",
+     "tests/test_records.py -k refuses_a_non_number_in_every_position"),
     ("transport_k4_from_k2", "src/relqopt/gravitomagnetism.py",
-     "k4 = deriv(shift(y, h, k3))", "k4 = deriv(shift(y, h, k2))",
+     "px + h * c0, py + h * c1, pz + h * c2, kx + h * c3, ky + h * c4, kz + h * c5,",
+     "px + h * b0, py + h * b1, pz + h * b2, kx + h * b3, ky + h * b4, kz + h * b5,",
+     "tests/test_reference_equivalence.py::test_transport_ray_matches_reference[strong_field]"),
+    ("transport_fhat_by_khat_norm", "src/relqopt/gravitomagnetism.py",
+     "fx / nf, fy / nf, fz / nf", "fx / nk, fy / nk, fz / nk",
      "tests/test_reference_equivalence.py::test_transport_ray_matches_reference[strong_field]"),
     ("null_tolerance_divided", "src/relqopt/wigner.py",
      "1e-12 * energy", "1e-12 / energy",
      "tests/test_wigner.py::test_four_momentum_null_tolerance_scales_with_energy"),
     ("wigner_a_from_e_phi", "src/relqopt/wigner.py",
      "(e1, e2, e3), _ = _polar_frame(p.khat)", "_, (e1, e2, e3) = _polar_frame(p.khat)",
+     "tests/test_wigner.py::test_wigner_angle_matches_50_digit_little_group_decomposition[10.0]"),
+    ("wigner_a3_from_row_2", "src/relqopt/wigner.py",
+     "a3 = m31 * e1 + m32 * e2 + m33 * e3", "a3 = m21 * e1 + m22 * e2 + m23 * e3",
      "tests/test_wigner.py::test_wigner_angle_matches_50_digit_little_group_decomposition[10.0]"),
     ("lorentz_determinant_sign_dropped", "src/relqopt/wigner.py",
      "if p * (t * x - u * w) - q * (s * x - u * v) + r * (s * w - t * v) < 0.0:", "if False:",

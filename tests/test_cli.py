@@ -1,8 +1,11 @@
 import csv
 import io
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -395,6 +398,19 @@ def test_orbit_non_finite_row_exits_3_naming_the_orbit(capsys, tmp_path, monkeyp
 def test_console_entry_point():
     import relqopt.cli as cli
     assert callable(cli.run)
+
+
+def test_reader_that_stops_early_ends_the_run_quietly():
+    # 5,000 rows are ~345 kB, more than a pipe holds, so the child is still writing
+    # when the pipe closes after one line, as it is under `| head -1`
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    with subprocess.Popen([sys.executable, "-m", "relqopt", "orbit", "--samples", "5000"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline().split()[:2] == [b"t", b"x"]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_non_finite_scenario_number_exits_2_naming_the_key(capsys, tmp_path):

@@ -4,6 +4,7 @@ pickle and copy to equal records."""
 import copy
 import math
 import pickle
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -82,9 +83,10 @@ def test_records_differ_when_a_field_differs():
 
 
 # what `errors.is_finite` refuses, by label: NaN and inf, text (never parsed as a number),
-# None, a complex number and an int past the float range
+# None, a complex number, an int past the float range and a signaling NaN, which
+# `math.isfinite` answers with a `ValueError`
 NOT_NUMBERS = {"nan": math.nan, "inf": math.inf, "text": "1", "None": None, "complex": 1j,
-               "huge_int": 10**400}
+               "huge_int": 10**400, "signaling_nan": Decimal("sNaN")}
 
 
 @pytest.mark.parametrize("label", sorted(NOT_NUMBERS))
@@ -98,6 +100,19 @@ def test_shared_checks_refuse_what_is_not_a_number(check, message, label):
     check("x", 1)
     with pytest.raises(DomainError, match=rf"^{message}$"):
         check("x", NOT_NUMBERS[label])
+
+
+@pytest.mark.parametrize("position", range(3))
+@pytest.mark.parametrize("label", sorted(NOT_NUMBERS))
+def test_check_vector_refuses_a_non_number_in_every_position(label, position):
+    v = [0.5, -2.0, 3.0]
+    v[position] = NOT_NUMBERS[label]
+    with pytest.raises(DomainError, match=r"^v must be a finite 3-vector$"):
+        check_vector("v", v)
+    for number in (np.float64(0.25), np.int64(-3), 7, True):
+        v[position] = number
+        got = check_vector("v", v)
+        assert got == tuple(map(float, v)) and all(type(x) is float for x in got)
 
 
 def test_check_vector_gives_floats_and_takes_numpy_and_bool_entries():

@@ -52,20 +52,6 @@ class RayState(Record):
         object.__setattr__(self, "lam", check_finite("lam", lam))
 
 
-def _rotation_rate(omega, eg, khat, k) -> tuple:
-    """Omega = 2 omega - (omega . khat) khat - E_g x k on float 3-tuples."""
-    wx, wy, wz = omega
-    ex, ey, ez = eg
-    nx, ny, nz = khat
-    kx, ky, kz = k
-    d = wx * nx + wy * ny + wz * nz
-    return (
-        2.0 * wx - d * nx - (ey * kz - ez * ky),
-        2.0 * wy - d * ny - (ez * kx - ex * kz),
-        2.0 * wz - d * nz - (ex * ky - ey * kx),
-    )
-
-
 def transport_ray(
     state: RayState,
     sampler: Callable[[tuple], GravField],
@@ -77,7 +63,8 @@ def transport_ray(
     The position advances with dx/dlambda = khat so the sampler sees the
     spatial point, a tuple of three floats; khat and fhat are renormalized
     after every step.  The state y is a tuple of nine floats; each RK4 stage's
-    argument is written out, as a list or a helper per stage cost ~15% more.
+    argument and the update are written out, as a list or a helper per stage
+    cost ~15% more, and a `zip` over the four stages ~10%.
     """
     steps = check_integer("steps", steps)
     if steps < 1:
@@ -86,8 +73,14 @@ def transport_ray(
 
     def deriv(px, py, pz, kx, ky, kz, fx, fy, fz):
         field = sampler((px, py, pz))
+        wx, wy, wz = field.omega
+        ex, ey, ez = field.eg
         n = math.sqrt(kx * kx + ky * ky + kz * kz)
-        ox, oy, oz = _rotation_rate(field.omega, field.eg, (kx / n, ky / n, kz / n), (kx, ky, kz))
+        nx, ny, nz = kx / n, ky / n, kz / n
+        d = wx * nx + wy * ny + wz * nz  # Omega = 2 omega - (omega . khat) khat - E_g x k
+        ox = 2.0 * wx - d * nx - (ey * kz - ez * ky)
+        oy = 2.0 * wy - d * ny - (ez * kx - ex * kz)
+        oz = 2.0 * wz - d * nz - (ex * ky - ey * kx)
         return (
             kx, ky, kz,
             oy * kz - oz * ky, oz * kx - ox * kz, ox * ky - oy * kx,
@@ -98,18 +91,25 @@ def transport_ray(
     half, sixth = 0.5 * h, h / 6.0
     for _ in range(steps):
         px, py, pz, kx, ky, kz, fx, fy, fz = y
-        k1 = a0, a1, a2, a3, a4, a5, a6, a7, a8 = deriv(*y)
-        k2 = b0, b1, b2, b3, b4, b5, b6, b7, b8 = deriv(
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = deriv(*y)
+        b0, b1, b2, b3, b4, b5, b6, b7, b8 = deriv(
             px + half * a0, py + half * a1, pz + half * a2, kx + half * a3, ky + half * a4,
             kz + half * a5, fx + half * a6, fy + half * a7, fz + half * a8)
-        k3 = c0, c1, c2, c3, c4, c5, c6, c7, c8 = deriv(
+        c0, c1, c2, c3, c4, c5, c6, c7, c8 = deriv(
             px + half * b0, py + half * b1, pz + half * b2, kx + half * b3, ky + half * b4,
             kz + half * b5, fx + half * b6, fy + half * b7, fz + half * b8)
-        k4 = deriv(
+        d0, d1, d2, d3, d4, d5, d6, d7, d8 = deriv(
             px + h * c0, py + h * c1, pz + h * c2, kx + h * c3, ky + h * c4, kz + h * c5,
             fx + h * c6, fy + h * c7, fz + h * c8)
-        px, py, pz, kx, ky, kz, fx, fy, fz = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                                              for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        px += sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
+        py += sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+        pz += sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+        kx += sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
+        ky += sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4)
+        kz += sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5)
+        fx += sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6)
+        fy += sixth * (a7 + 2.0 * b7 + 2.0 * c7 + d7)
+        fz += sixth * (a8 + 2.0 * b8 + 2.0 * c8 + d8)
         nk = math.sqrt(kx * kx + ky * ky + kz * kz)
         nf = math.sqrt(fx * fx + fy * fy + fz * fz)
         y = (px, py, pz, kx / nk, ky / nk, kz / nk, fx / nf, fy / nf, fz / nf)

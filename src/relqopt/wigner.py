@@ -50,30 +50,33 @@ class LorentzMatrix(Record):
 
     def __init__(self, matrix):
         try:
-            rows = tuple([tuple(row) for row in matrix])
-        except TypeError:
+            (a, b, c, d), (e, f, g, h), (i, j, k, l), (m, n, o, p) = matrix
+        except (TypeError, ValueError):  # not iterable, or not four rows of four
             raise DomainError("Lorentz matrix must be 4x4") from None
-        if list(map(len, rows)) != [4, 4, 4, 4]:
-            raise DomainError("Lorentz matrix must be 4x4")
-        if not all(map(is_finite, sum(rows, ()))):
+        entries = (a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p)
+        if not all(map(is_finite, entries)):
             raise DomainError("Lorentz matrix must be finite")
-        rows = tuple([tuple(map(float, row)) for row in rows])
-        cols = tuple(zip(*rows))
-        norms = [math.hypot(*c) for c in cols]
-        for i, (a0, a1, a2, a3) in enumerate(cols):
-            for j in range(i, 4):
-                b0, b1, b2, b3 = cols[j]
-                eta = (i == j) * (-1.0 if i else 1.0)
-                # divided, so that an overflowed sum (inf / inf) fails too
-                if not (abs(a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3 - eta)
-                        / max(1.0, norms[i] * norms[j]) <= _LORENTZ_TOL):
-                    raise DomainError("matrix does not preserve the metric")
-        if rows[0][0] < 1.0 - _LORENTZ_TOL:
+        a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p = map(float, entries)
+        n0, n1 = math.hypot(a, e, i, m), math.hypot(b, f, j, n)
+        n2, n3 = math.hypot(c, g, k, o), math.hypot(d, h, l, p)
+        # eta(c_i, c_j) - eta_ij over the column norms; divided, so that an
+        # overflowed sum (inf / inf) fails too
+        if not (abs(a * a - e * e - i * i - m * m - 1.0) / max(1.0, n0 * n0) <= _LORENTZ_TOL
+                and abs(a * b - e * f - i * j - m * n) / max(1.0, n0 * n1) <= _LORENTZ_TOL
+                and abs(a * c - e * g - i * k - m * o) / max(1.0, n0 * n2) <= _LORENTZ_TOL
+                and abs(a * d - e * h - i * l - m * p) / max(1.0, n0 * n3) <= _LORENTZ_TOL
+                and abs(b * b - f * f - j * j - n * n + 1.0) / max(1.0, n1 * n1) <= _LORENTZ_TOL
+                and abs(b * c - f * g - j * k - n * o) / max(1.0, n1 * n2) <= _LORENTZ_TOL
+                and abs(b * d - f * h - j * l - n * p) / max(1.0, n1 * n3) <= _LORENTZ_TOL
+                and abs(c * c - g * g - k * k - o * o + 1.0) / max(1.0, n2 * n2) <= _LORENTZ_TOL
+                and abs(c * d - g * h - k * l - o * p) / max(1.0, n2 * n3) <= _LORENTZ_TOL
+                and abs(d * d - h * h - l * l - p * p + 1.0) / max(1.0, n3 * n3) <= _LORENTZ_TOL):
+            raise DomainError("matrix does not preserve the metric")
+        if a < 1.0 - _LORENTZ_TOL:
             raise DomainError("matrix must be orthochronous")
-        (_, p, q, r), (_, s, t, u), (_, v, w, x) = rows[1:]
-        if p * (t * x - u * w) - q * (s * x - u * v) + r * (s * w - t * v) < 0.0:
+        if f * (k * p - l * o) - g * (j * p - l * n) + h * (j * o - k * n) < 0.0:
             raise DomainError("matrix must have determinant +1")
-        object.__setattr__(self, "matrix", rows)
+        object.__setattr__(self, "matrix", ((a, b, c, d), (e, f, g, h), (i, j, k, l), (m, n, o, p)))
 
     @classmethod
     def rotation(cls, axis, angle: float) -> "LorentzMatrix":
@@ -119,8 +122,9 @@ class FourMomentum(Record):
 
     @property
     def khat(self) -> tuple:
-        norm = math.hypot(*self.k)
-        return tuple(x / norm for x in self.k)
+        x, y, z = self.k
+        norm = math.hypot(x, y, z)
+        return x / norm, y / norm, z / norm
 
 
 def direction_angles(khat) -> tuple[float, float]:

@@ -75,7 +75,19 @@ MUTANTS = [
      "tests/test_reference_equivalence.py::test_transport_ray_matches_reference[strong_field]"),
     ("transport_fhat_by_khat_norm", "src/relqopt/gravitomagnetism.py",
      "fx / nf, fy / nf, fz / nf", "fx / nk, fy / nk, fz / nk",
+     "tests/test_gravitomagnetism.py::test_transport_renormalizes_khat_and_fhat_every_step"),
+    ("transport_fhat_not_renormalized", "src/relqopt/gravitomagnetism.py",
+     "fx / nf, fy / nf, fz / nf", "fx, fy, fz",
+     "tests/test_gravitomagnetism.py::test_transport_renormalizes_khat_and_fhat_every_step"),
+    ("rk4_update_weight_dropped", "src/relqopt/gravitomagnetism.py",
+     "2.0 * c4 + d4", "c4 + d4",
      "tests/test_reference_equivalence.py::test_transport_ray_matches_reference[strong_field]"),
+    ("omega_khat_term_dropped", "src/relqopt/gravitomagnetism.py",
+     "ox = 2.0 * wx - d * nx - (ey * kz - ez * ky)", "ox = 2.0 * wx - (ey * kz - ez * ky)",
+     "tests/test_gravitomagnetism.py::test_transport_with_omega_along_khat_turns_fhat_about_khat"),
+    ("eg_cross_product_sign", "src/relqopt/gravitomagnetism.py",
+     "(ez * kx - ex * kz)", "(ez * kx + ex * kz)",
+     "tests/test_gravitomagnetism.py::test_transport_with_eg_along_k_does_not_rotate"),
     ("null_tolerance_divided", "src/relqopt/wigner.py",
      "1e-12 * energy", "1e-12 / energy",
      "tests/test_wigner.py::test_four_momentum_null_tolerance_scales_with_energy"),
@@ -86,8 +98,11 @@ MUTANTS = [
      "a3 = m31 * e1 + m32 * e2 + m33 * e3", "a3 = m21 * e1 + m22 * e2 + m23 * e3",
      "tests/test_wigner.py::test_wigner_angle_matches_50_digit_little_group_decomposition[10.0]"),
     ("lorentz_determinant_sign_dropped", "src/relqopt/wigner.py",
-     "if p * (t * x - u * w) - q * (s * x - u * v) + r * (s * w - t * v) < 0.0:", "if False:",
+     "if f * (k * p - l * o) - g * (j * p - l * n) + h * (j * o - k * n) < 0.0:", "if False:",
      "tests/test_wigner.py::test_each_validator_check_rejects_its_case[parity]"),
+    ("lorentz_pair_0_3_dropped", "src/relqopt/wigner.py",
+     "                and abs(a * d - e * h - i * l - m * p) / max(1.0, n0 * n3) <= _LORENTZ_TOL\n",
+     "", "tests/test_wigner.py::test_each_metric_pair_is_checked[0-3]"),
     ("concurrence_sum", "src/relqopt/wigner.py",
      "pp * mm - pm * mp", "pp * mm + pm * mp",
      "tests/test_wigner.py::test_concurrence_values"),

@@ -11,41 +11,69 @@ from relqopt.gravitomagnetism import (
     axial_impact_rotation,
     closed_path_rotation,
     kerr_principal_null_rotation,
-    _rotation_rate,
     transport_ray,
 )
 
 EARTH_BODY = ROUNDED_EARTH
 
 
-# ------------------------------------------------------------ local rates
-
-
-def test_rotation_rate_vanishes_without_field():
-    field = GravField(omega=(0.0, 0.0, 0.0), eg=(0.0, 0.0, 0.0))
-    out = _rotation_rate(field.omega, field.eg, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
-    assert np.allclose(out, 0.0)
-
-
-def test_rotation_rate_along_khat():
-    w = 0.37
-    field = GravField(omega=(0.0, 0.0, w), eg=(0.0, 0.0, 0.0))
-    out = _rotation_rate(field.omega, field.eg, (0.0, 0.0, 1.0), (0.0, 0.0, 2.0))
-    assert np.allclose(out, [0.0, 0.0, w])
-
-
-def test_rotation_rate_transverse_with_parallel_eg():
-    w, e = 0.2, 0.5
-    field = GravField(omega=(0.0, 0.0, w), eg=(e, 0.0, 0.0))
-    out = _rotation_rate(field.omega, field.eg, (1.0, 0.0, 0.0), (3.0, 0.0, 0.0))
-    assert np.allclose(out, [0.0, 0.0, 2.0 * w])
-
-
 # --------------------------------------------------------------- transport
 
 
-def _uniform_field(omega):
-    return lambda pos: GravField(omega=omega, eg=(0.0, 0.0, 0.0))
+def _uniform_field(omega, eg=(0.0, 0.0, 0.0)):
+    return lambda pos: GravField(omega=omega, eg=eg)
+
+
+# an oblique unit khat and a unit fhat normal to it
+_KHAT = (2.0 / 3.0, -1.0 / 3.0, 2.0 / 3.0)
+_FHAT = (-1.0 / math.sqrt(5.0), -2.0 / math.sqrt(5.0), 0.0)
+
+
+def test_transport_without_field_advances_the_position_along_khat():
+    # Omega = 0: khat and fhat keep their values, and x moves by (lam_end - lam) khat
+    start = RayState(position=(1.0, 2.0, 3.0), khat=_KHAT, fhat=_FHAT, lam=2.5)
+    out = transport_ray(start, _uniform_field((0.0, 0.0, 0.0)), lam_end=12.5, steps=16)
+    assert np.max(np.abs(np.subtract(out.khat, _KHAT))) <= 1e-15
+    assert np.max(np.abs(np.subtract(out.fhat, _FHAT))) <= 1e-15
+    want = np.add((1.0, 2.0, 3.0), 10.0 * np.array(_KHAT))
+    assert np.max(np.abs(np.subtract(out.position, want))) <= 1e-13
+    assert out.lam == 12.5
+
+
+def test_transport_with_omega_along_khat_turns_fhat_about_khat():
+    # omega = w khat: Omega = 2 omega - (omega . khat) khat = omega, so khat stays put and
+    # fhat turns about it by w L.  RK4 advances the phase by arg(T4(i h w)), T4 the
+    # exponential's Taylor polynomial to 4th order, off from e^(i h w) by at most
+    # (h w)^5 / 5! e^(h w) a step; fhat is normal to khat, so renormalizing keeps its direction.
+    w, length, steps = 0.3, 10.0, 40
+    k, f = np.array(_KHAT), np.array(_FHAT)
+    start = RayState(position=(0.0, 0.0, 0.0), khat=_KHAT, fhat=_FHAT)
+    out = transport_ray(start, _uniform_field(tuple(w * k)), lam_end=length, steps=steps)
+    assert np.max(np.abs(np.subtract(out.khat, _KHAT))) <= 1e-15
+    angle, hw = w * length, w * length / steps
+    want = math.cos(angle) * f + math.sin(angle) * np.cross(k, f)
+    bound = steps * hw**5 / math.factorial(5) * math.exp(hw)
+    assert np.linalg.norm(np.subtract(out.fhat, want)) <= bound + 1e-14
+
+
+def test_transport_with_eg_along_k_does_not_rotate():
+    # omega = 0 and E_g parallel to k: Omega = -E_g x k = 0
+    start = RayState(position=(0.0, 0.0, 0.0), khat=_KHAT, fhat=_FHAT)
+    out = transport_ray(start, _uniform_field((0.0, 0.0, 0.0), tuple(0.5 * np.array(_KHAT))),
+                        lam_end=10.0, steps=10)
+    assert np.max(np.abs(np.subtract(out.khat, _KHAT))) <= 1e-15
+    assert np.max(np.abs(np.subtract(out.fhat, _FHAT))) <= 1e-15
+
+
+def test_transport_renormalizes_khat_and_fhat_every_step():
+    # h |Omega| ~ 0.5: an RK4 step of a rotation shrinks the part of a vector normal to
+    # Omega by ~(h |Omega|)^6 / 144, ~1e-4 here, and khat and fhat make different angles
+    # with Omega (cosines ~0.2 and ~0.9), so each needs its own norm
+    omega = (0.01, 0.02, 0.015)  # Omega = (0.01, 0.04, 0.03) at the start, |Omega| h = 0.51
+    start = RayState(position=(0.0, 0.0, 0.0), khat=(1.0, 0.0, 0.0), fhat=(0.0, 0.6, 0.8))
+    out = transport_ray(start, _uniform_field(omega), lam_end=40.0, steps=4)
+    assert abs(math.hypot(*out.khat) - 1.0) <= 1e-15
+    assert abs(math.hypot(*out.fhat) - 1.0) <= 1e-15
 
 
 def test_transport_in_zero_field_keeps_orientations():

@@ -126,6 +126,20 @@ def test_each_validator_check_rejects_its_case(matrix, message):
         LorentzMatrix(matrix)
 
 
+@pytest.mark.parametrize("i, j", [(i, j) for i in range(4) for j in range(i, 4)])
+def test_each_metric_pair_is_checked(i, j):
+    # identity with one entry off by 1e-6: eta(c_i, c_j) moves by ~1e-6, every other
+    # pair by 0 or 1e-12, so only the condition on the pair (i, j) can refuse it
+    m = np.eye(4)
+    if i == j:
+        m[i, i] *= 1.0 + 1e-6
+    else:
+        m[i, j] = 1e-6
+    assert np.argwhere(np.triu(np.abs(m.T @ ETA @ m - ETA) > 1e-10)).tolist() == [[i, j]]
+    with pytest.raises(DomainError, match=r"^matrix does not preserve the metric$"):
+        LorentzMatrix(m)
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda: LorentzMatrix(5.0), r"^Lorentz matrix must be 4x4$"),
     (lambda: LorentzMatrix.rotation((0.0, 0.0, 0.0), 0.3), r"^rotation axis must be nonzero$"),

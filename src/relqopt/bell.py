@@ -152,8 +152,9 @@ def _simulate_numpy(v, n_pairs, seed, workers) -> list:
     """Counts per setting pair from numpy's spawned Philox generators."""
     import numpy as np
     probs = [np.array(joint_probabilities(v, a, b)) for a, b in CHSH_SETTINGS]
+    # stream i's seed is SeedSequence(seed).spawn(workers)[i], without the parent's pool
     draws = (lambda n, p, m=np.random.Generator(np.random.Philox(s)).multinomial: m(n, p).tolist()
-             for s in np.random.SeedSequence(seed).spawn(workers))
+             for s in (np.random.SeedSequence(seed, spawn_key=(i,)) for i in range(workers)))
     return _draw(draws, probs, n_pairs, workers)
 
 

@@ -23,8 +23,8 @@ ASTRONOMICAL_UNIT = 1.496e11     # m
 LUNAR_DISTANCE = 3.84e8          # m
 
 # largest Bell pair budget, and the most Monte Carlo streams: each one is a
-# SeedSequence child and a Philox generator built in a Python loop, ~40 us with
-# numpy and ~100 us without, so the count is bounded
+# SeedSequence child and a Philox generator built in a Python loop, ~20 us with
+# numpy and ~40 us without (64 streams, 2-core x86-64), so the count is bounded
 PHOTON_CAP = 1.0e12
 WORKER_CAP = 1024
 
@@ -52,9 +52,9 @@ class EarthParams(Record):
     rotation_rate = 7.2921159e-5  # sidereal, rad/s
 
     def __init__(self, mass=5.972e24, angular_momentum=5.86e33):
-        object.__setattr__(self, "mass", check_positive("mass", mass))
+        object.__setattr__(self, "mass", float(check_positive("mass", mass)))
         object.__setattr__(self, "angular_momentum",
-                           check_positive("angular_momentum", angular_momentum))
+                           float(check_positive("angular_momentum", angular_momentum)))
 
     @property
     def mu(self) -> float:

@@ -49,7 +49,7 @@ class RayState(Record):
         object.__setattr__(self, "position", check_vector("position", position))
         object.__setattr__(self, "khat", _unit_vector("khat", khat))
         object.__setattr__(self, "fhat", _unit_vector("fhat", fhat))
-        object.__setattr__(self, "lam", check_finite("lam", lam))
+        object.__setattr__(self, "lam", float(check_finite("lam", lam)))
 
 
 def transport_ray(

@@ -22,7 +22,7 @@ class EventOperatorModel(Record):
 
     def __init__(self, detector_resolution):
         object.__setattr__(self, "detector_resolution",
-                           check_positive("detector_resolution", detector_resolution))
+                           float(check_positive("detector_resolution", detector_resolution)))
 
 
 def unruh_temperature(a: float) -> float:

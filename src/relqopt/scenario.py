@@ -444,7 +444,7 @@ def _read_sections(lines) -> dict:
     parse error naming its line."""
     sections, section = {}, None
     for n, line in enumerate(lines, 1):
-        text = _COMMENT.split(line, 1)[0].strip()
+        text = (_COMMENT.split(line, 1)[0] if "#" in line or ";" in line else line).strip()
         if not text:
             continue
         if line[0].isspace():
@@ -474,10 +474,12 @@ def _read_sections(lines) -> dict:
 def load_scenario(path: str) -> Scenario:
     """Parse and validate a scenario file (strict: unknown keys are errors)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            sections = _read_sections(fh)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read scenario file: {exc}") from None
+    # text mode's line ends, `\r\n`, `\r` and `\n`; str.splitlines would also break at `\v`
+    sections = _read_sections(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"))
 
     kwargs = {}
     for name, section in sections.items():

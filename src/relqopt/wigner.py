@@ -114,7 +114,7 @@ class FourMomentum(Record):
 
     def __init__(self, energy, k):
         x, y, z = check_vector("k", k)
-        check_positive("energy", energy)
+        energy = float(check_positive("energy", energy))
         if not abs(energy - math.hypot(x, y, z)) <= 1e-12 * energy:
             raise DomainError("momentum is not null")
         object.__setattr__(self, "energy", energy)

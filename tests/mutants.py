@@ -166,6 +166,15 @@ MUTANTS = [
     ("int_flag_read_as_float", "src/relqopt/cli.py",
      "values[flag] = kind(value)", "values[flag] = (float if kind is int else kind)(value)",
      "tests/test_cli.py::test_usage_error_exits_2_with_one_line_naming_the_flag[bad_int]"),
+    ("comment_scan_without_semicolon", "src/relqopt/scenario.py",
+     'if "#" in line or ";" in line else', 'if "#" in line else',
+     "tests/test_scenario.py::test_a_comment_with_one_prefix_kind_is_cut[semicolon]"),
+    ("lines_split_by_splitlines", "src/relqopt/scenario.py",
+     '.split("\\n"))', ".splitlines())",
+     "tests/test_scenario_properties.py -k other_line_separators_stay_in_the_value"),
+    ("bell_spawn_key_shifted", "src/relqopt/bell.py",
+     "spawn_key=(i,)", "spawn_key=(i + 1,)",
+     "tests/test_bell.py -k numpy_streams_are_the_spawned_children"),
 ]
 
 

@@ -218,6 +218,20 @@ def test_python_stream_matches_numpy_generator(monkeypatch):
     assert all(calls.values()), calls
 
 
+@pytest.mark.parametrize("workers", [1, 2, 8, 64])
+@pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 - 1])
+def test_numpy_streams_are_the_spawned_children(seed, workers):
+    # each stream is built from its spawn key alone, without the parent's pool
+    def spawned(v, n_pairs, seed, workers):
+        draws = (lambda n, p, m=np.random.Generator(np.random.Philox(s)).multinomial:
+                 m(n, p).tolist() for s in np.random.SeedSequence(seed).spawn(workers))
+        probs = [np.array(joint_probabilities(v, a, b)) for a, b in CHSH_SETTINGS]
+        return bell._draw(draws, probs, n_pairs, workers)
+
+    for v, n_pairs in ((0.9, 1_000_003), (0.5, 37)):
+        assert bell._simulate_numpy(v, n_pairs, seed, workers) == spawned(v, n_pairs, seed, workers)
+
+
 # (v, n_pairs, seed, workers) -> counts, fixed so that a fault that both streams
 # share (the split into shares, or the sum over workers) fails a test
 PINNED_COUNTS = {

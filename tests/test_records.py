@@ -5,6 +5,7 @@ import copy
 import math
 import pickle
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -148,6 +149,59 @@ def test_non_finite_field_is_refused_naming_it(cls, kwargs, field, value):
     cls(**kwargs)
     with pytest.raises(DomainError, match=rf"\b{field}\b"):
         cls(**{**kwargs, field: value})
+
+
+def _flat(pos):
+    return gravitomagnetism.GravField((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+
+
+# a record built with `x` in one scalar field, and a computation that reads the field
+SCALAR_FIELDS = {
+    "FourMomentum-energy": (
+        lambda x: wigner.FourMomentum(x, (0.0, 0.0, 1.0)),
+        lambda r: wigner.wigner_angle(wigner.LorentzMatrix.boost((0.6, 0.0, 0.0)), r)),
+    "RayState-lam": (
+        lambda x: gravitomagnetism.RayState((7e6, 0, 0), (0, 1, 0), (0, 0, 1), x),
+        lambda r: gravitomagnetism.transport_ray(r, _flat, 10.0, 8)),
+    "EarthParams-mass": (
+        lambda x: constants.EarthParams(mass=x),
+        lambda r: (r.mu, gravitomagnetism.axial_impact_rotation(r, 7e6))),
+    "EarthParams-angular_momentum": (
+        lambda x: constants.EarthParams(angular_momentum=x),
+        lambda r: gravitomagnetism.axial_impact_rotation(r, 7e6)),
+    "EventOperatorModel-detector_resolution": (
+        lambda x: qft_effects.EventOperatorModel(x),
+        lambda r: qft_effects.ralph_correlation(r, 1e-13)),
+}
+# exact numbers: in each record's domain, outside it, and past the float range
+EXACT_NUMBERS = [Decimal("1"), Fraction(1), Decimal("2.5"), Fraction(1, 3), Decimal("1e-12"),
+                 Fraction(1, 10**12), Decimal("5.97e24"), Decimal("5.86e33"), Fraction(-1, 2),
+                 Decimal("0"), Decimal("-7"), Decimal("1e400"), Decimal("-Infinity"),
+                 Decimal("NaN")]
+
+
+def _outcome(make, use, x):
+    """(record, what `use` computes from it), or the text of the `DomainError` raised."""
+    try:
+        record = make(x)
+        assert all(type(v) is float for v in record._values() if not isinstance(v, tuple))
+        return record, use(record)
+    except DomainError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("x", EXACT_NUMBERS + [Fraction(10**400, 3)], ids=repr)
+@pytest.mark.parametrize("field", sorted(SCALAR_FIELDS))
+def test_an_exact_number_gives_what_its_float_gives(field, x):
+    # a finite Decimal or Fraction was stored as given, and arithmetic on it raised TypeError
+    make, use = SCALAR_FIELDS[field]
+    try:
+        as_float = float(x)
+    except OverflowError:  # a Fraction past the float range is not a number to is_finite
+        with pytest.raises(DomainError):
+            make(x)
+        return
+    assert _outcome(make, use, x) == _outcome(make, use, as_float)
 
 
 def _identity_with(x):

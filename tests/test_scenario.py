@@ -118,6 +118,13 @@ def test_inline_comment_starts_at_the_first_prefix_after_whitespace():
     assert _read_sections(["[a]\n", "k = x#y #z ;w\n"]) == {"a": {"k": "x#y"}}
 
 
+@pytest.mark.parametrize("prefix", ["#", ";"], ids=["hash", "semicolon"])
+def test_a_comment_with_one_prefix_kind_is_cut(prefix):
+    # the comment pattern runs only on lines that hold `#` or `;`; each alone must reach it
+    lines = ["[bell]", f"seed = 7 {prefix}note", f"{prefix} seed = 8", f"workers = 2{prefix}3"]
+    assert _read_sections(lines) == {"bell": {"seed": "7", "workers": f"2{prefix}3"}}
+
+
 def test_missing_file_is_a_configuration_error():
     with pytest.raises(ConfigurationError):
         load_scenario("/nonexistent/scenario.ini")

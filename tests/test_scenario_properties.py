@@ -10,6 +10,11 @@ finite, or fail with a `ConfigurationError`/`DomainError` that names a
 `[section] key` of the file, or with an `EffectError` that names a group
 ("orbit" when the satellite state itself cannot be computed).
 
+Files with every line end text mode knows, and with the characters that
+`str.splitlines` also breaks at, are read by `load_scenario` and by the
+line-by-line text-mode read it replaced: both must give the same sections
+or the same parse error.
+
 The same files, rendered with random comments, blank lines, whitespace, key
 case and at times one line the grammar may refuse, are also read by the
 scenario reader and by `configparser` as an oracle: the reader must return
@@ -23,6 +28,9 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
+
+import pytest
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -240,3 +248,96 @@ def test_reader_agrees_with_configparser_or_refuses_naming_the_line(text):
         assert "DEFAULT" not in scenario.SECTIONS
         got = {name: {**default, **keys} for name, keys in got.items()}
     assert got == oracle
+
+
+# -- the one-call file read against text mode's line-by-line read ----------------
+
+# characters that `str.splitlines` breaks a line at and text mode does not
+_NOT_LINE_ENDS = ("\v", "\f", "\x1c", "\x85", "\u2028")
+
+
+class _Read(Exception):
+    pass
+
+
+def _sections_loaded(path):
+    """The sections `load_scenario` reads from `path`, before any is validated."""
+    read, parse = {}, scenario._read_sections
+
+    def capture(lines):
+        read["sections"] = parse(lines)
+        raise _Read
+
+    with mock.patch.object(scenario, "_read_sections", capture):
+        try:
+            scenario.load_scenario(path)
+        except _Read:
+            return read["sections"]
+    raise AssertionError("load_scenario did not read the sections")
+
+
+def _sections_line_by_line(path):
+    """The sections of `path` read line by line from a text-mode file."""
+    with open(path, encoding="utf-8") as fh:
+        return scenario._read_sections(fh)
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except ConfigurationError as exc:
+        return str(exc)
+
+
+_PIECES = st.sampled_from(("[a]", "[b]", "a = b", "b=a", "a", "b", " ", "#", ";", "=", "[", "]",
+                           "\r\n", "\r", "\n", *_NOT_LINE_ENDS))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_PIECES, max_size=40).map("".join))
+@example("[a]\r\na = b\r\nb = a\r\n")
+@example("[a]\ra = b\rb = a")
+@example("[a]\r\na = b\rb = a\n[b]\r\r\na = b #\ra\n")
+@example("[a]\r\na = b\ra = a\n")  # a repeated key on line 3
+@example("[a]\r\n\ra = b\v\f\x1c\x85\u2028b ;\u2028\r\n a")  # an indented line 4
+def test_one_call_read_gives_what_text_mode_gave(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.ini"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(_sections_loaded, path) == _outcome(_sections_line_by_line, path), text
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r", "\n"], ids=["crlf", "cr", "lf"])
+def test_each_text_mode_line_end_ends_a_line(tmp_path, end):
+    path = tmp_path / "scenario.ini"
+    path.write_bytes(end.join(["[bell]", "seed = 7", "workers = 2", "[link]", "wavelength = 8e-7"])
+                     .encode("utf-8"))
+    assert scenario.load_scenario(path) == scenario.Scenario(seed=7, workers=2, wavelength=8e-7)
+    path.write_bytes(end.join(["[bell]", "seed = 7", "seed 3", ""]).encode("utf-8"))
+    with pytest.raises(ConfigurationError, match="^scenario parse error: line 3: "):
+        scenario.load_scenario(path)
+
+
+def test_mixed_line_ends_count_lines_as_text_mode_does(tmp_path):
+    path = tmp_path / "scenario.ini"
+    text = b"[bell]\r\nseed = 7\rworkers = 2\n\r\n[link]\rwavelength = 8e-7\r\n"
+    path.write_bytes(text)
+    assert scenario.load_scenario(path) == scenario.Scenario(seed=7, workers=2, wavelength=8e-7)
+    path.write_bytes(text + b"x\n")
+    with pytest.raises(ConfigurationError, match="^scenario parse error: line 7: "):
+        scenario.load_scenario(path)
+
+
+@pytest.mark.parametrize("char", _NOT_LINE_ENDS, ids=ascii)
+def test_other_line_separators_stay_in_the_value(tmp_path, char):
+    path = tmp_path / "scenario.ini"
+    path.write_bytes(f"[bell]\r\nseed = 7{char}8\r\nworkers = 2\n".encode("utf-8"))
+    assert _sections_loaded(path) == {"bell": {"seed": f"7{char}8", "workers": "2"}}
+
+
+def test_the_whole_file_is_decoded_before_any_line_is_parsed(tmp_path):
+    # text mode decoded a large file in chunks, and a parse error on line 2 won
+    path = tmp_path / "scenario.ini"
+    path.write_bytes(b"[bell]\nseed 3\n" + b"#" * 10_000 + b"\n\xff\n")
+    with pytest.raises(ConfigurationError, match="^cannot read scenario file: .*utf-8"):
+        scenario.load_scenario(path)

@@ -152,9 +152,11 @@ def _simulate_numpy(v, n_pairs, seed, workers) -> list:
     """Counts per setting pair from numpy's spawned Philox generators."""
     import numpy as np
     probs = [np.array(joint_probabilities(v, a, b)) for a, b in CHSH_SETTINGS]
-    # stream i's seed is SeedSequence(seed).spawn(workers)[i], without the parent's pool
+    # stream i's seed is SeedSequence(seed).spawn(workers)[i], built without the parent's
+    # pool; all seeds first, as spawn does (built between draws, 64 streams ran ~4% slower)
+    seeds = [np.random.SeedSequence(seed, spawn_key=(i,)) for i in range(workers)]
     draws = (lambda n, p, m=np.random.Generator(np.random.Philox(s)).multinomial: m(n, p).tolist()
-             for s in (np.random.SeedSequence(seed, spawn_key=(i,)) for i in range(workers)))
+             for s in seeds)
     return _draw(draws, probs, n_pairs, workers)
 
 

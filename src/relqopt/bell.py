@@ -57,10 +57,11 @@ class ChshResult(NamedTuple):
 
 def singlet_correlation(v: float, alpha: float, beta: float) -> float:
     """E = -v cos 2(alpha - beta)."""
+    v = check_finite("visibility", v)
     if not 0.0 <= v <= 1.0:
         raise DomainError("visibility must lie in [0, 1]")
-    check_finite("alpha", alpha)
-    check_finite("beta", beta)
+    alpha = check_finite("alpha", alpha)
+    beta = check_finite("beta", beta)
     return -v * math.cos(2.0 * (alpha - beta))
 
 
@@ -72,6 +73,7 @@ def joint_probabilities(v: float, alpha: float, beta: float) -> tuple:
 
 def required_photons(v: float) -> int:
     """Smallest integer N > 36 (1 - V^2/2) / (sqrt(2) V - 1)^2 for 3 sigma."""
+    v = check_finite("visibility", v)
     if not v > V_MIN:
         raise DomainError("no violation possible for visibility <= 1/sqrt(2)")
     if v > 1.0:

@@ -52,9 +52,9 @@ class EarthParams(Record):
     rotation_rate = 7.2921159e-5  # sidereal, rad/s
 
     def __init__(self, mass=5.972e24, angular_momentum=5.86e33):
-        object.__setattr__(self, "mass", float(check_positive("mass", mass)))
+        object.__setattr__(self, "mass", check_positive("mass", mass))
         object.__setattr__(self, "angular_momentum",
-                           float(check_positive("angular_momentum", angular_momentum)))
+                           check_positive("angular_momentum", angular_momentum))
 
     @property
     def mu(self) -> float:

@@ -64,8 +64,8 @@ class CircleDensity:
     @classmethod
     def wrapped_gaussian(cls, mean: float, sigma: float,
                          modes: int = DEFAULT_MODES) -> "CircleDensity":
-        check_finite("mean", mean)
-        check_positive("sigma", sigma)
+        mean = check_finite("mean", mean)
+        sigma = check_positive("sigma", sigma)
         modes = check_integer("modes", modes)
         import numpy as np
         m = np.arange(modes + 1)
@@ -89,14 +89,14 @@ class DiffusionParams(Record):
     __slots__ = ("c_diff", "d_drift")
 
     def __init__(self, c_diff, d_drift):
-        object.__setattr__(self, "c_diff", float(check_nonnegative("c_diff", c_diff)))
-        object.__setattr__(self, "d_drift", float(check_finite("d_drift", d_drift)))
+        object.__setattr__(self, "c_diff", check_nonnegative("c_diff", c_diff))
+        object.__setattr__(self, "d_drift", check_finite("d_drift", d_drift))
 
 
 def evolve_equator(rho0: CircleDensity, params: DiffusionParams,
                    lambda_span: float) -> CircleDensity:
     """Spectral evolution rho_m -> rho_m exp(-c m^2 L - i m d L)."""
-    check_nonnegative("lambda_span", lambda_span)
+    lambda_span = check_nonnegative("lambda_span", lambda_span)
     import numpy as np
     m = np.arange(rho0.modes + 1)
     factor = np.exp(
@@ -108,40 +108,40 @@ def evolve_equator(rho0: CircleDensity, params: DiffusionParams,
 
 def affine_parameter(t: float, nu: float) -> float:
     """Invariant affine parameter lambda = t / (h nu) for coordinate time t."""
-    check_finite("t", t)
-    check_positive("nu", nu)
+    t = check_finite("t", t)
+    nu = check_positive("nu", nu)
     return t / (PLANCK_H * nu)
 
 
 def angle_shift(t: float, nu: float, d_drift: float) -> float:
     """Frame-angle drift chi = t dDrift / nu accumulated over time t."""
-    check_finite("t", t)
-    check_positive("nu", nu)
-    check_finite("d_drift", d_drift)
+    t = check_finite("t", t)
+    nu = check_positive("nu", nu)
+    d_drift = check_finite("d_drift", d_drift)
     return t * d_drift / nu
 
 
 def polarization_decay(t: float, nu: float, c_diff: float) -> float:
     """Depolarization exponent mu = 4 t cDiff / nu (P' = exp(-mu) P)."""
-    check_finite("t", t)
-    check_positive("nu", nu)
-    check_finite("c_diff", c_diff)
+    t = check_finite("t", t)
+    nu = check_positive("nu", nu)
+    c_diff = check_finite("c_diff", c_diff)
     return 4.0 * t * c_diff / nu
 
 
 def drift_bound_from_angle(chi: float, t: float, nu: float) -> float:
     """Invert chi = t d / nu: the drift constant saturating an angle bound."""
-    check_finite("chi", chi)
-    check_positive("t", t)
-    check_positive("nu", nu)
+    chi = check_finite("chi", chi)
+    t = check_positive("t", t)
+    nu = check_positive("nu", nu)
     return chi * nu / t
 
 
 def diffusion_bound_from_decay(mu: float, t: float, nu: float) -> float:
     """Invert mu = 4 t c / nu: the diffusion constant saturating a decay bound."""
-    check_finite("mu", mu)
-    check_positive("t", t)
-    check_positive("nu", nu)
+    mu = check_finite("mu", mu)
+    t = check_positive("t", t)
+    nu = check_positive("nu", nu)
     return mu * nu / (4.0 * t)
 
 
@@ -240,8 +240,8 @@ def equivariance_check(
     one path and after it on the other, and one batched irfft gives the two grids.
     """
     import numpy as np
-    check_nonnegative("lambda_span", lambda_span)
-    check_finite("rotation", rotation)
+    lambda_span = check_nonnegative("lambda_span", lambda_span)
+    rotation = check_finite("rotation", rotation)
     grid_n = check_integer("grid_n", grid_n)
     model.validate()
     v0 = np.fft.rfft(rho0.to_grid(grid_n))

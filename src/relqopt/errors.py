@@ -3,9 +3,10 @@
 Three failure categories: bad configuration (files, unit tags, schema),
 inputs outside a formula's domain, and numerical breakdown (non-convergence,
 non-finite intermediates).  The `check_*` functions are the argument rules
-every module shares: each returns its value or raises `DomainError` naming it.
-The numeric ones are built on `is_finite`, the one rule for what a number is,
-and each comparison is written so that NaN fails it.
+every module shares: each returns its value as a float or raises `DomainError`
+naming it.  The numeric ones are built on `is_finite`, the one rule for what a
+number is; only what it accepts is converted (`float` would also parse text), and
+a range is compared on that float.  Each comparison is written so that NaN fails it.
 """
 
 import math
@@ -45,20 +46,20 @@ def is_finite(x) -> bool:
         return False
 
 
-def check_finite(name: str, x):
+def check_finite(name: str, x) -> float:
     if not is_finite(x):
         raise DomainError(f"{name} must be finite")
-    return x
+    return float(x)
 
 
-def check_positive(name: str, x):
-    if not (is_finite(x) and x > 0.0):
+def check_positive(name: str, x) -> float:
+    if not (is_finite(x) and (x := float(x)) > 0.0):
         raise DomainError(f"{name} must be positive and finite")
     return x
 
 
-def check_nonnegative(name: str, x):
-    if not (is_finite(x) and x >= 0.0):
+def check_nonnegative(name: str, x) -> float:
+    if not (is_finite(x) and (x := float(x)) >= 0.0):
         raise DomainError(f"{name} must be nonnegative and finite")
     return x
 
@@ -109,10 +110,9 @@ class Record:
 
 
 def set_finite_fields(record: Record, *values) -> None:
-    """Set `record`'s fields in `__slots__` order, each through `check_finite`, as floats
-    (an int field would keep the kernels in int arithmetic that overflows on the way back)."""
+    """Set `record`'s fields in `__slots__` order, each to what `check_finite` returns."""
     for name, x in zip(record.__slots__, values):
-        object.__setattr__(record, name, float(check_finite(name, x)))
+        object.__setattr__(record, name, check_finite(name, x))
 
 
 def _rebuild(cls, values):

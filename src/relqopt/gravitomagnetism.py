@@ -19,8 +19,8 @@ import math
 from typing import Callable
 
 from .constants import C_LIGHT, GRAVITATIONAL_G, EarthParams
-from .errors import (DomainError, Record, check_finite, check_integer, check_positive,
-                     check_vector)
+from .errors import (DomainError, NumericFailure, Record, check_finite, check_integer,
+                     check_positive, check_vector)
 
 
 def _unit_vector(name: str, value) -> tuple:
@@ -49,7 +49,7 @@ class RayState(Record):
         object.__setattr__(self, "position", check_vector("position", position))
         object.__setattr__(self, "khat", _unit_vector("khat", khat))
         object.__setattr__(self, "fhat", _unit_vector("fhat", fhat))
-        object.__setattr__(self, "lam", float(check_finite("lam", lam)))
+        object.__setattr__(self, "lam", check_finite("lam", lam))
 
 
 def transport_ray(
@@ -89,30 +89,33 @@ def transport_ray(
 
     y = (*state.position, *state.khat, *state.fhat)
     half, sixth = 0.5 * h, h / 6.0
-    for _ in range(steps):
-        px, py, pz, kx, ky, kz, fx, fy, fz = y
-        a0, a1, a2, a3, a4, a5, a6, a7, a8 = deriv(*y)
-        b0, b1, b2, b3, b4, b5, b6, b7, b8 = deriv(
-            px + half * a0, py + half * a1, pz + half * a2, kx + half * a3, ky + half * a4,
-            kz + half * a5, fx + half * a6, fy + half * a7, fz + half * a8)
-        c0, c1, c2, c3, c4, c5, c6, c7, c8 = deriv(
-            px + half * b0, py + half * b1, pz + half * b2, kx + half * b3, ky + half * b4,
-            kz + half * b5, fx + half * b6, fy + half * b7, fz + half * b8)
-        d0, d1, d2, d3, d4, d5, d6, d7, d8 = deriv(
-            px + h * c0, py + h * c1, pz + h * c2, kx + h * c3, ky + h * c4, kz + h * c5,
-            fx + h * c6, fy + h * c7, fz + h * c8)
-        px += sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
-        py += sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
-        pz += sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
-        kx += sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
-        ky += sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4)
-        kz += sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5)
-        fx += sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6)
-        fy += sixth * (a7 + 2.0 * b7 + 2.0 * c7 + d7)
-        fz += sixth * (a8 + 2.0 * b8 + 2.0 * c8 + d8)
-        nk = math.sqrt(kx * kx + ky * ky + kz * kz)
-        nf = math.sqrt(fx * fx + fy * fy + fz * fz)
-        y = (px, py, pz, kx / nk, ky / nk, kz / nk, fx / nf, fy / nf, fz / nf)
+    try:  # a step too long for the field can shrink k or f to zero length
+        for _ in range(steps):
+            px, py, pz, kx, ky, kz, fx, fy, fz = y
+            a0, a1, a2, a3, a4, a5, a6, a7, a8 = deriv(*y)
+            b0, b1, b2, b3, b4, b5, b6, b7, b8 = deriv(
+                px + half * a0, py + half * a1, pz + half * a2, kx + half * a3, ky + half * a4,
+                kz + half * a5, fx + half * a6, fy + half * a7, fz + half * a8)
+            c0, c1, c2, c3, c4, c5, c6, c7, c8 = deriv(
+                px + half * b0, py + half * b1, pz + half * b2, kx + half * b3, ky + half * b4,
+                kz + half * b5, fx + half * b6, fy + half * b7, fz + half * b8)
+            d0, d1, d2, d3, d4, d5, d6, d7, d8 = deriv(
+                px + h * c0, py + h * c1, pz + h * c2, kx + h * c3, ky + h * c4, kz + h * c5,
+                fx + h * c6, fy + h * c7, fz + h * c8)
+            px += sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
+            py += sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+            pz += sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+            kx += sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
+            ky += sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4)
+            kz += sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5)
+            fx += sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6)
+            fy += sixth * (a7 + 2.0 * b7 + 2.0 * c7 + d7)
+            fz += sixth * (a8 + 2.0 * b8 + 2.0 * c8 + d8)
+            nk = math.sqrt(kx * kx + ky * ky + kz * kz)
+            nf = math.sqrt(fx * fx + fy * fy + fz * fz)
+            y = (px, py, pz, kx / nk, ky / nk, kz / nk, fx / nf, fy / nf, fz / nf)
+    except ZeroDivisionError:
+        raise NumericFailure("khat or fhat collapsed to zero length; step too long") from None
     return RayState(y[0:3], y[3:6], y[6:9], lam_end)
 
 
@@ -123,10 +126,9 @@ def kerr_principal_null_rotation(
 
     delta_chi = arcsin(-(J/(M c)) (1/r1 - 1/r2) cos(theta)); r2 may be inf.
     """
-    check_positive("r1", r1)
-    if not 0.0 < r2:  # r2 = inf is a ray that runs out to infinity
-        raise DomainError("r2 must be positive")
-    check_finite("theta", theta)
+    r1 = check_positive("r1", r1)
+    r2 = math.inf if r2 == math.inf else check_positive("r2", r2)  # a ray out to infinity
+    theta = check_finite("theta", theta)
     x = -(body.angular_momentum / (body.mass * C_LIGHT)) * (1.0 / r1 - 1.0 / r2) * math.cos(theta)
     if abs(x) > 1.0:
         raise DomainError("rotation argument exceeds 1; formula out of range")
@@ -138,7 +140,7 @@ def axial_impact_rotation(body: EarthParams, s: float) -> float:
 
     chi = arcsin(4 G J / (s^2 c^3)) for propagation parallel to the spin.
     """
-    check_positive("s", s)
+    s = check_positive("s", s)
     x = 4.0 * GRAVITATIONAL_G * body.angular_momentum / (s * s * C_LIGHT**3)
     if x >= 1.0:
         raise DomainError("impact parameter too small; arcsin argument >= 1")
@@ -150,7 +152,7 @@ def closed_path_rotation(body: EarthParams, s1: float, s2: float) -> float:
 
     delta_chi = (4 G J / c^3)(1/s1^2 - 1/s2^2); equal legs cancel exactly.
     """
-    check_positive("s1", s1)
-    check_positive("s2", s2)
+    s1 = check_positive("s1", s1)
+    s2 = check_positive("s2", s2)
     coef = 4.0 * GRAVITATIONAL_G * body.angular_momentum / C_LIGHT**3
     return coef * (1.0 / (s1 * s1) - 1.0 / (s2 * s2))

@@ -21,7 +21,7 @@ def cow_neutron_phase(wavelength: float, area: float, tilt: float) -> float:
     v = h/(m lambda); only this form is evaluated, as v^2 can overflow.
     """
     lam, m, g = check_positive("wavelength", wavelength), NEUTRON_MASS, G0
-    check_nonnegative("area", area)
+    area = check_nonnegative("area", area)
     s = math.sin(check_finite("tilt", tilt))
     return -lam * m * m * g * area * s / (2.0 * math.pi * HBAR * HBAR)
 
@@ -34,9 +34,9 @@ def grav_redshift_weak_field(height: float) -> float:
 def optical_cow_phase(wavelength: float, fibre_length: float, altitude: float) -> float:
     """Fibre-delay phase (2 pi l / lambda) (g h / c^2) of a ground interferometer with a
     storage fibre of length l, fed from a source at altitude h."""
-    check_positive("wavelength", wavelength)
-    check_nonnegative("fibre_length", fibre_length)
-    check_nonnegative("altitude", altitude)
+    wavelength = check_positive("wavelength", wavelength)
+    fibre_length = check_nonnegative("fibre_length", fibre_length)
+    altitude = check_nonnegative("altitude", altitude)
     return 2.0 * math.pi * fibre_length / wavelength * grav_redshift_weak_field(altitude)
 
 

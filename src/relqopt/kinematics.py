@@ -12,8 +12,8 @@ import math
 from typing import NamedTuple
 
 from .constants import C_LIGHT
-from .errors import (DomainError, NumericFailure, Record, check_nonnegative, check_vector,
-                     set_finite_fields)
+from .errors import (DomainError, NumericFailure, Record, check_finite, check_nonnegative,
+                     check_vector, set_finite_fields)
 
 INTERVAL_EPS = 1e-12
 
@@ -78,6 +78,7 @@ def simultaneity_boost_speed(e1: Event, e2: Event) -> SimultaneityBoost:
 
 def timing_shift_per_distance(v0: float) -> float:
     """Leading-order clock offset per unit baseline, v0/c^2 (s/m)."""
+    v0 = check_finite("v0", v0)
     if not (0.0 <= v0 < C_LIGHT):
         raise DomainError("v0 must satisfy 0 <= v0 < c")
     return v0 / (C_LIGHT * C_LIGHT)
@@ -85,6 +86,7 @@ def timing_shift_per_distance(v0: float) -> float:
 
 def min_separation_for_switching(v0: float, switch_time: float) -> float:
     """Baseline (m) at which the v0/c^2 offset reaches switch_time seconds."""
+    v0 = check_finite("v0", v0)
     if not 0.0 < v0 < C_LIGHT:
         raise DomainError("v0 must satisfy 0 < v0 < c")
     return check_nonnegative("switch_time", switch_time) * C_LIGHT * C_LIGHT / v0
@@ -97,7 +99,8 @@ def light_travel_time(distance: float) -> float:
 
 def causally_connected(e1: Event, e2: Event, kappa: float = 1.0) -> bool:
     """|dx| <= kappa * c * |dt| with a speed budget kappa >= 1."""
-    if not 1.0 <= kappa < math.inf:
+    kappa = check_finite("kappa", kappa)
+    if not 1.0 <= kappa:
         raise DomainError("kappa must be >= 1 and finite")
     _, dx2, cdt = _quadratic_form(e1, e2)
     return math.sqrt(dx2) <= kappa * abs(cdt)

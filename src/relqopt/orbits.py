@@ -11,7 +11,7 @@ import math
 
 from .constants import EARTH, LUNAR_DISTANCE, ASTRONOMICAL_UNIT
 from .errors import (DomainError, NumericFailure, Record, check_finite, check_nonnegative,
-                     set_finite_fields)
+                     check_positive, set_finite_fields)
 
 _KEPLER_TOL = 1e-12
 _KEPLER_MAX_ITER = 50
@@ -25,8 +25,8 @@ class OrbitSpec(Record):
                  arg_perigee=0.0, mean_anomaly_epoch=0.0, epoch=0.0):
         set_finite_fields(self, semi_major_axis, eccentricity, inclination, raan, arg_perigee,
                           mean_anomaly_epoch, epoch)
-        _check_eccentricity(eccentricity)
-        if not semi_major_axis * (1.0 - eccentricity) > EARTH.radius:
+        _check_eccentricity(self.eccentricity)
+        if not self.semi_major_axis * (1.0 - self.eccentricity) > EARTH.radius:
             raise DomainError("semi_major_axis must put the perigee above the Earth's surface")
 
     def period(self) -> float:
@@ -61,11 +61,12 @@ class GroundStation(Record):
 
     def __init__(self, latitude, longitude, altitude=0.0):
         set_finite_fields(self, latitude, longitude, check_nonnegative("altitude", altitude))
-        if not abs(latitude) <= 0.5 * math.pi:
+        if not abs(self.latitude) <= 0.5 * math.pi:
             raise DomainError("|latitude| must be <= pi/2")
 
 
-def _check_eccentricity(e):
+def _check_eccentricity(e) -> float:
+    e = check_finite("eccentricity", e)
     if not 0.0 <= e < 1.0:
         raise DomainError("eccentricity must lie in [0, 1)")
     return e
@@ -86,7 +87,7 @@ def solve_kepler(mean_anomaly: float, eccentricity: float) -> float:
 
 def propagate(orbit: OrbitSpec, t: float) -> StateVector:
     """Two-body state at time t (inertial frame)."""
-    check_finite("t", t)
+    t = check_finite("t", t)
     a, e = orbit.semi_major_axis, orbit.eccentricity
     mu = EARTH.mu
     n = math.sqrt(mu / orbit._axis_cubed())
@@ -113,7 +114,7 @@ def propagate(orbit: OrbitSpec, t: float) -> StateVector:
 
 def station_state(gs: GroundStation, t: float) -> StateVector:
     """Inertial state of an Earth-fixed station (spin about +z at rotation_rate)."""
-    check_finite("t", t)
+    t = check_finite("t", t)
     r = EARTH.radius + gs.altitude
     bx = r * (math.cos(gs.latitude) * math.cos(gs.longitude))
     by = r * (math.cos(gs.latitude) * math.sin(gs.longitude))
@@ -138,8 +139,7 @@ def relative_geometry(a: StateVector, b: StateVector) -> tuple[float, float]:
 
 def newtonian_potential(r: float) -> float:
     """Potential -mu/r (J/kg), negative and increasing with altitude."""
-    if not 0.0 < r:  # r = inf is the zero at infinity
-        raise DomainError("r must be positive")
+    r = math.inf if r == math.inf else check_positive("r", r)  # the zero at infinity
     return -EARTH.mu / r
 
 

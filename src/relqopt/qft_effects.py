@@ -22,7 +22,7 @@ class EventOperatorModel(Record):
 
     def __init__(self, detector_resolution):
         object.__setattr__(self, "detector_resolution",
-                           float(check_positive("detector_resolution", detector_resolution)))
+                           check_positive("detector_resolution", detector_resolution))
 
 
 def unruh_temperature(a: float) -> float:
@@ -43,9 +43,9 @@ def berry_phase_difference(omega_a: float, a: float, big_g: float) -> float:
     reduced mod 1 first, making period-1 invariance exact.  a = 0 returns the
     0 limit.
     """
-    check_nonnegative("omega_a", omega_a)
-    check_nonnegative("a", a)
-    check_finite("big_g", big_g)
+    omega_a = check_nonnegative("omega_a", omega_a)
+    a = check_nonnegative("a", a)
+    big_g = check_finite("big_g", big_g)
     if a == 0.0:
         return 0.0
     q = math.atan(math.exp(-math.pi * omega_a * C_LIGHT / a))
@@ -56,8 +56,8 @@ def berry_phase_difference(omega_a: float, a: float, big_g: float) -> float:
 def negativity_bound(separation: float, interaction_time: float) -> float:
     """Vacuum-entanglement negativity scale N = exp(-(R/(cT))^3) for two
     detectors at separation R that interact for a time T."""
-    check_positive("separation", separation)
-    check_positive("interaction_time", interaction_time)
+    separation = check_positive("separation", separation)
+    interaction_time = check_positive("interaction_time", interaction_time)
     ratio = separation / (C_LIGHT * interaction_time)
     return math.exp(-(ratio**3))
 
@@ -85,8 +85,8 @@ def proper_time_differential(
     Newtonian potential, larger at higher altitude.  A retroreflector doubles
     the path overlap.
     """
-    check_finite("potential_low", potential_low)
-    check_finite("potential_high", potential_high)
-    check_nonnegative("overlap_time", overlap_time)
+    potential_low = check_finite("potential_low", potential_low)
+    potential_high = check_finite("potential_high", potential_high)
+    overlap_time = check_nonnegative("overlap_time", overlap_time)
     overlap = 2.0 * overlap_time if retroreflector else overlap_time
     return (potential_high - potential_low) / (C_LIGHT * C_LIGHT) * overlap

@@ -102,8 +102,8 @@ def wigner_exact(s: Scenario, sat, *, theta: float, phi: float, theta_b: float,
     report's fixed geometry that angle is zero up to rounding, so only the `wigner`
     subcommand prints these rows."""
     from . import wigner
-    for name, x in (("theta", theta), ("phi", phi), ("theta_b", theta_b), ("phi_b", phi_b)):
-        check_finite(name, x)
+    theta, phi = check_finite("theta", theta), check_finite("phi", phi)
+    theta_b, phi_b = check_finite("theta_b", theta_b), check_finite("phi_b", phi_b)
     beta = sat.speed / C_LIGHT if beta is None else check_finite("beta", beta)
     lam = wigner.LorentzMatrix.boost(tuple(beta * x for x in _direction(theta_b, phi_b)))
     return [

@@ -86,7 +86,7 @@ class LorentzMatrix(Record):
         if norm == 0.0:
             raise DomainError("rotation axis must be nonzero")
         x, y, z = x / norm, y / norm, z / norm
-        check_finite("angle", angle)
+        angle = check_finite("angle", angle)
         c, s, t = math.cos(angle), math.sin(angle), 1.0 - math.cos(angle)
         return cls(((1.0, 0.0, 0.0, 0.0),
                     (0.0, c + t * x * x, t * x * y - s * z, t * x * z + s * y),
@@ -114,7 +114,7 @@ class FourMomentum(Record):
 
     def __init__(self, energy, k):
         x, y, z = check_vector("k", k)
-        energy = float(check_positive("energy", energy))
+        energy = check_positive("energy", energy)
         if not abs(energy - math.hypot(x, y, z)) <= 1e-12 * energy:
             raise DomainError("momentum is not null")
         object.__setattr__(self, "energy", energy)
@@ -191,12 +191,14 @@ def first_order_boost_phase(
     alter the little group's curvature, and helicity amplitudes pick up
     exp(+/- i chi), so chi itself is the rotation of the polarization.
     """
+    theta = check_finite("theta", theta)
     if not 0.0 <= theta <= 0.5 * math.pi:
         raise DomainError("theta must lie in [0, pi/2]")
+    v = check_finite("v", v)
     if not 0.0 <= v < C_LIGHT:
         raise DomainError("v must satisfy 0 <= v < c")
-    for name, x in (("phi", phi), ("theta_b", theta_b), ("phi_b", phi_b)):
-        check_finite(name, x)
+    phi, phi_b = check_finite("phi", phi), check_finite("phi_b", phi_b)
+    theta_b = check_finite("theta_b", theta_b)
     return -math.tan(0.5 * theta) * math.sin(theta_b) * math.sin(phi - phi_b) * (v / C_LIGHT)
 
 
@@ -206,10 +208,10 @@ def diffraction_transform(theta: float, v: float) -> float:
     b = v/c is signed: positive for emitter and detector approaching along
     the beam.  b = 0.6 doubles the angle.
     """
-    beta = v / C_LIGHT
+    beta = check_finite("v", v) / C_LIGHT
     if not -1.0 < beta < 1.0:
         raise DomainError("|v| must be < c")
-    check_nonnegative("theta", theta)
+    theta = check_nonnegative("theta", theta)
     return theta * math.sqrt((1.0 + beta) / (1.0 - beta))
 
 
@@ -240,7 +242,7 @@ def apply_helicity_phase(state, chi: float, photon: int):
         raise DomainError("state must be a TwoPhotonState")
     if photon not in (0, 1):
         raise DomainError("photon index must be 0 or 1")
-    check_finite("chi", chi)
+    chi = check_finite("chi", chi)
     ph = complex(math.cos(chi), math.sin(chi))
     pp, pm, mp, mm = state.amplitudes
     if photon == 0:

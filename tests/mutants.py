@@ -57,7 +57,7 @@ MUTANTS = [
      "if not math.isfinite(e.value):", "if False:",
      "tests/test_scenario.py::test_non_finite_report_value_fails_naming_the_group"),
     ("positive_check_passes_nan", "src/relqopt/errors.py",
-     "if not (is_finite(x) and x > 0.0):", "if x <= 0.0:",
+     "if not (is_finite(x) and (x := float(x)) > 0.0):", "if x <= 0.0:",
      "tests/test_records.py -k 'refuse_what_is_not_a_number and positive'"),
     ("check_vector_parses_text", "src/relqopt/errors.py",
      "x, y, z = v\n", "x, y, z = map(float, v)\n",
@@ -125,7 +125,7 @@ MUTANTS = [
      "boost((-b1, -b2, -b3))", "boost((b1, b2, b3))",
      "tests/test_kinematics.py::test_simultaneity_boost_zeroes_dt_and_preserves_separation"),
     ("perigee_from_apogee", "src/relqopt/orbits.py",
-     "semi_major_axis * (1.0 - eccentricity)", "semi_major_axis * (1.0 + eccentricity)",
+     "(1.0 - self.eccentricity)", "(1.0 + self.eccentricity)",
      "tests/test_orbits.py::test_orbit_validation"),
     ("eccentricity_one_accepted", "src/relqopt/orbits.py",
      "if not 0.0 <= e < 1.0:", "if not 0.0 <= e <= 1.0:",
@@ -175,6 +175,17 @@ MUTANTS = [
     ("bell_spawn_key_shifted", "src/relqopt/bell.py",
      "spawn_key=(i,)", "spawn_key=(i + 1,)",
      "tests/test_bell.py -k numpy_streams_are_the_spawned_children"),
+    ("positive_check_compares_before_converting", "src/relqopt/errors.py",
+     "(x := float(x)) > 0.0):\n        raise DomainError(f\"{name} must be positive and finite\")\n"
+     "    return x\n",
+     "x > 0.0):\n        raise DomainError(f\"{name} must be positive and finite\")\n"
+     "    return float(x)\n",
+     "tests/test_records.py -k 'exact_number and EventOperatorModel and 1E-400'"),
+    ("affine_parameter_binding_dropped", "src/relqopt/diffusion.py",
+     "for coordinate time t.\"\"\"\n    t = check_finite(\"t\", t)",
+     "for coordinate time t.\"\"\"\n    check_finite(\"t\", t)",
+     "tests/test_non_finite_arguments.py::"
+     "test_an_exact_number_gives_what_its_float_gives[diffusion.affine_parameter-t-Decimal]"),
 ]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from relqopt.constants import C_LIGHT, EARTH, GRAVITATIONAL_G, ROUNDED_EARTH, convert_angle
-from relqopt.errors import DomainError
+from relqopt.errors import DomainError, NumericFailure
 from relqopt.gravitomagnetism import (
     GravField,
     RayState,
@@ -165,6 +165,15 @@ def test_transport_requires_a_positive_integer_step_count(steps):
 def test_transport_accepts_numpy_integer_steps():
     field = _uniform_field((0.0, 0.0, 0.1))
     assert transport_ray(_X_START, field, 1.0, np.int64(4)) == transport_ray(_X_START, field, 1.0, 4)
+
+
+def test_transport_raises_numeric_failure_when_khat_collapses():
+    # h |Omega| ~ 1.7e22 per step: one step shrinks k to zero length, and khat = k / |k|
+    # divided by zero
+    start = RayState((7e6, 0, 0), (0, 1, 0), (0, 0, 1), 5.97e24)
+    field = _uniform_field((0.01, 0.0, 0.02), (0.0, 1e-3, 0.0))
+    with pytest.raises(NumericFailure, match=r"^khat or fhat collapsed to zero length"):
+        transport_ray(start, field, 10.0, 8)
 
 
 # ------------------------------------------------------------ closed forms

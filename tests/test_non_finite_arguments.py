@@ -1,19 +1,27 @@
-"""Every public function of the library refuses NaN and ±inf by name.
+"""Every public function of the library refuses NaN, ±inf and text by name, and
+takes an exact number as the float it stands for.
 
 The functions are found with `ast`, as in `test_public_names.py`: each public
-top-level function of `src/relqopt/*.py` with a parameter annotated `float`.
-`CALLS` holds one valid call of each, by keyword; a function found but missing
-there fails `test_every_function_with_a_float_parameter_has_a_valid_call`, as
-does a valid call whose float result (or float in a tuple result) is not finite.
-Each float parameter is then given NaN, +inf and -inf in turn, and the call must
-raise `DomainError` whose message names the parameter; so is each parameter of
-`OPTIONAL_FLOATS`. `ACCEPTED` lists the documented exceptions, each with its reason.
+top-level function of `src/relqopt/*.py`, and each public method of a public
+top-level class, with a parameter annotated `float`.  `CALLS` holds one valid
+call of each, by keyword; a function found but missing there fails
+`test_every_function_with_a_float_parameter_has_a_valid_call`, as does a valid
+call whose float result (or float in a tuple result) is not finite.  Each float
+parameter is then given NaN, +inf and -inf in turn, and the text "1.0" and
+b"1.0" (which `float` would parse), and the call must raise `DomainError` whose
+message names the parameter; so is each parameter of `OPTIONAL_FLOATS`.  Given
+its valid value as a `Decimal` or a `Fraction`, each must return what the float
+call returns, bit for bit.  `ACCEPTED` lists the documented exceptions, each
+with its reason.
 """
 
 import ast
+import functools
 import importlib
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -32,16 +40,24 @@ SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "relqopt").gl
 
 
 def _float_parameters():
-    """{"module.function": (float parameter names)} for every public top-level function."""
+    """{"module.function" or "module.Class.method": (float parameter names)} for every
+    public top-level function and every public method of a public top-level class."""
     found = {}
     for path in SOURCES:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if isinstance(node, ast.FunctionDef):
+                functions = [(node.name, node)]
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                functions = [(f"{node.name}.{f.name}", f) for f in node.body
+                             if isinstance(f, ast.FunctionDef)]
+            else:
+                continue
+            for qualname, f in functions:
+                args = f.args.posonlyargs + f.args.args + f.args.kwonlyargs
                 names = tuple(a.arg for a in args
                               if a.annotation is not None and ast.unparse(a.annotation) == "float")
-                if names:
-                    found[f"{path.stem}.{node.name}"] = names
+                if names and not f.name.startswith("_"):
+                    found[f"{path.stem}.{qualname}"] = names
     return found
 
 
@@ -59,6 +75,7 @@ CALLS = {
     "bell.required_photons": dict(v=0.9),
     "bell.simulate_coincidences": dict(v=0.9, n_pairs=400, seed=3, workers=1),
     "constants.convert_angle": dict(x=1e-9, target="arcmsec"),
+    "diffusion.CircleDensity.wrapped_gaussian": dict(mean=0.3, sigma=0.4, modes=16),
     "diffusion.evolve_equator": dict(rho0=_RHO, params=DiffusionParams(1e-3, 1e-2),
                                      lambda_span=2.0),
     "diffusion.affine_parameter": dict(t=3.0, nu=5e14),
@@ -105,6 +122,7 @@ CALLS = {
     "wigner.first_order_boost_phase": dict(theta=0.5, phi=0.3, theta_b=1.0, phi_b=0.2, v=7e3),
     "wigner.diffraction_transform": dict(theta=1e-5, v=1e3),
     "wigner.apply_helicity_phase": dict(state=_STATE, chi=0.3, photon=0),
+    "wigner.LorentzMatrix.rotation": dict(axis=(0.0, 0.0, 1.0), angle=0.7),
 }
 
 # (function, parameter, value) -> why the value is accepted
@@ -114,16 +132,29 @@ ACCEPTED = {
     ("orbits.newtonian_potential", "r", math.inf): "the potential's zero at infinity",
 }
 
-# float parameters that default to None, which the annotation scan cannot see
-OPTIONAL_FLOATS = [("scenario.wigner_exact", "beta")]
+# float parameters that default to None, which the annotation scan cannot see, each with
+# a valid value
+OPTIONAL_FLOATS = {("scenario.wigner_exact", "beta"): 2.5e-5}
+
+# (function, float parameter, its valid value) for every float parameter
+FLOAT_ARGUMENTS = [(qualname, name, CALLS[qualname][name])
+                   for qualname, names in FLOAT_PARAMETERS.items() for name in names]
+FLOAT_ARGUMENTS += [(qualname, name, value) for (qualname, name), value in OPTIONAL_FLOATS.items()]
 
 # a message may name a parameter by the quantity it stands for
 NAMED_AS = {("bell", "v"): "visibility"}
 
 
 def _function(qualname):
-    module, name = qualname.split(".")
-    return getattr(importlib.import_module(f"relqopt.{module}"), name)
+    module, *names = qualname.split(".")
+    return functools.reduce(getattr, names, importlib.import_module(f"relqopt.{module}"))
+
+
+def _refuses_naming(qualname, name, bad):
+    """The call with `bad` for `name` raises `DomainError` whose message names `name`."""
+    label = NAMED_AS.get((qualname.split(".")[0], name), name)
+    with pytest.raises(DomainError, match=rf"(?<!\w){re.escape(label)}(?!\w)"):
+        _function(qualname)(**{**CALLS[qualname], name: bad})
 
 
 def test_every_function_with_a_float_parameter_has_a_valid_call():
@@ -136,15 +167,40 @@ def test_every_function_with_a_float_parameter_has_a_valid_call():
 
 @pytest.mark.parametrize("qualname, name, bad", [
     pytest.param(qualname, name, bad, id=f"{qualname}-{name}-{bad}")
-    for qualname, name in [(q, n) for q, names in FLOAT_PARAMETERS.items() for n in names]
-    + OPTIONAL_FLOATS
+    for qualname, name, _ in FLOAT_ARGUMENTS
     for bad in (math.nan, math.inf, -math.inf) if (qualname, name, bad) not in ACCEPTED
 ])
 def test_non_finite_argument_is_refused_naming_it(qualname, name, bad):
-    label = NAMED_AS.get((qualname.split(".")[0], name), name)
-    kwargs = {**CALLS[qualname], name: bad}
-    with pytest.raises(DomainError, match=rf"(?<!\w){re.escape(label)}(?!\w)"):
-        _function(qualname)(**kwargs)
+    _refuses_naming(qualname, name, bad)
+
+
+@pytest.mark.parametrize("qualname, name, text", [
+    pytest.param(qualname, name, text, id=f"{qualname}-{name}-{text!r}")
+    for qualname, name, _ in FLOAT_ARGUMENTS for text in ("1.0", b"1.0")
+])
+def test_text_is_refused_naming_it(qualname, name, text):
+    # a number in text is not a number: `float` would parse it, `is_finite` does not
+    _refuses_naming(qualname, name, text)
+
+
+def _bits(result):
+    """`result` in a form equal only for results equal bit for bit: a float's `repr`
+    round-trips, and a `CircleDensity` compares by identity, so its coefficients' bytes."""
+    if isinstance(result, CircleDensity):
+        return result.coefficients.tobytes()
+    return repr(result)
+
+
+@pytest.mark.parametrize("qualname, name, value, exact", [
+    pytest.param(qualname, name, value, exact, id=f"{qualname}-{name}-{type(exact).__name__}")
+    for qualname, name, value in FLOAT_ARGUMENTS
+    for exact in (Decimal(repr(value)), Fraction(value))
+])
+def test_an_exact_number_gives_what_its_float_gives(qualname, name, value, exact):
+    # each check converts once, at entry, and the function computes on that float only
+    function = _function(qualname)
+    as_float = function(**{**CALLS[qualname], name: value})
+    assert _bits(function(**{**CALLS[qualname], name: exact})) == _bits(as_float)
 
 
 @pytest.mark.parametrize("qualname, name, value", sorted(ACCEPTED))

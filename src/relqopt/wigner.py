@@ -197,8 +197,8 @@ def first_order_boost_phase(
     v = check_finite("v", v)
     if not 0.0 <= v < C_LIGHT:
         raise DomainError("v must satisfy 0 <= v < c")
-    phi, phi_b = check_finite("phi", phi), check_finite("phi_b", phi_b)
-    theta_b = check_finite("theta_b", theta_b)
+    phi, theta_b = check_finite("phi", phi), check_finite("theta_b", theta_b)
+    phi_b = check_finite("phi_b", phi_b)
     return -math.tan(0.5 * theta) * math.sin(theta_b) * math.sin(phi - phi_b) * (v / C_LIGHT)
 
 

@@ -60,8 +60,7 @@ def singlet_correlation(v: float, alpha: float, beta: float) -> float:
     v = check_finite("visibility", v)
     if not 0.0 <= v <= 1.0:
         raise DomainError("visibility must lie in [0, 1]")
-    alpha = check_finite("alpha", alpha)
-    beta = check_finite("beta", beta)
+    alpha, beta = check_finite("alpha", alpha), check_finite("beta", beta)
     return -v * math.cos(2.0 * (alpha - beta))
 
 

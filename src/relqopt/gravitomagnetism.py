@@ -76,7 +76,10 @@ def transport_ray(
         wx, wy, wz = field.omega
         ex, ey, ez = field.eg
         n = math.sqrt(kx * kx + ky * ky + kz * kz)
-        nx, ny, nz = kx / n, ky / n, kz / n
+        try:  # a step too long for the field can shrink a stage's k to zero length
+            nx, ny, nz = kx / n, ky / n, kz / n
+        except ZeroDivisionError:
+            raise NumericFailure("khat or fhat collapsed to zero length; step too long") from None
         d = wx * nx + wy * ny + wz * nz  # Omega = 2 omega - (omega . khat) khat - E_g x k
         ox = 2.0 * wx - d * nx - (ey * kz - ez * ky)
         oy = 2.0 * wy - d * ny - (ez * kx - ex * kz)
@@ -89,33 +92,33 @@ def transport_ray(
 
     y = (*state.position, *state.khat, *state.fhat)
     half, sixth = 0.5 * h, h / 6.0
-    try:  # a step too long for the field can shrink k or f to zero length
-        for _ in range(steps):
-            px, py, pz, kx, ky, kz, fx, fy, fz = y
-            a0, a1, a2, a3, a4, a5, a6, a7, a8 = deriv(*y)
-            b0, b1, b2, b3, b4, b5, b6, b7, b8 = deriv(
-                px + half * a0, py + half * a1, pz + half * a2, kx + half * a3, ky + half * a4,
-                kz + half * a5, fx + half * a6, fy + half * a7, fz + half * a8)
-            c0, c1, c2, c3, c4, c5, c6, c7, c8 = deriv(
-                px + half * b0, py + half * b1, pz + half * b2, kx + half * b3, ky + half * b4,
-                kz + half * b5, fx + half * b6, fy + half * b7, fz + half * b8)
-            d0, d1, d2, d3, d4, d5, d6, d7, d8 = deriv(
-                px + h * c0, py + h * c1, pz + h * c2, kx + h * c3, ky + h * c4, kz + h * c5,
-                fx + h * c6, fy + h * c7, fz + h * c8)
-            px += sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
-            py += sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
-            pz += sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
-            kx += sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
-            ky += sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4)
-            kz += sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5)
-            fx += sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6)
-            fy += sixth * (a7 + 2.0 * b7 + 2.0 * c7 + d7)
-            fz += sixth * (a8 + 2.0 * b8 + 2.0 * c8 + d8)
-            nk = math.sqrt(kx * kx + ky * ky + kz * kz)
-            nf = math.sqrt(fx * fx + fy * fy + fz * fz)
+    for _ in range(steps):
+        px, py, pz, kx, ky, kz, fx, fy, fz = y
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = deriv(*y)
+        b0, b1, b2, b3, b4, b5, b6, b7, b8 = deriv(
+            px + half * a0, py + half * a1, pz + half * a2, kx + half * a3, ky + half * a4,
+            kz + half * a5, fx + half * a6, fy + half * a7, fz + half * a8)
+        c0, c1, c2, c3, c4, c5, c6, c7, c8 = deriv(
+            px + half * b0, py + half * b1, pz + half * b2, kx + half * b3, ky + half * b4,
+            kz + half * b5, fx + half * b6, fy + half * b7, fz + half * b8)
+        d0, d1, d2, d3, d4, d5, d6, d7, d8 = deriv(
+            px + h * c0, py + h * c1, pz + h * c2, kx + h * c3, ky + h * c4, kz + h * c5,
+            fx + h * c6, fy + h * c7, fz + h * c8)
+        px += sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
+        py += sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+        pz += sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+        kx += sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
+        ky += sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4)
+        kz += sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5)
+        fx += sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6)
+        fy += sixth * (a7 + 2.0 * b7 + 2.0 * c7 + d7)
+        fz += sixth * (a8 + 2.0 * b8 + 2.0 * c8 + d8)
+        nk = math.sqrt(kx * kx + ky * ky + kz * kz)
+        nf = math.sqrt(fx * fx + fy * fy + fz * fz)
+        try:  # so can the step's sum, for k or for f
             y = (px, py, pz, kx / nk, ky / nk, kz / nk, fx / nf, fy / nf, fz / nf)
-    except ZeroDivisionError:
-        raise NumericFailure("khat or fhat collapsed to zero length; step too long") from None
+        except ZeroDivisionError:
+            raise NumericFailure("khat or fhat collapsed to zero length; step too long") from None
     return RayState(y[0:3], y[3:6], y[6:9], lam_end)
 
 

@@ -191,10 +191,9 @@ def first_order_boost_phase(
     alter the little group's curvature, and helicity amplitudes pick up
     exp(+/- i chi), so chi itself is the rotation of the polarization.
     """
-    theta = check_finite("theta", theta)
+    theta, v = check_finite("theta", theta), check_finite("v", v)
     if not 0.0 <= theta <= 0.5 * math.pi:
         raise DomainError("theta must lie in [0, pi/2]")
-    v = check_finite("v", v)
     if not 0.0 <= v < C_LIGHT:
         raise DomainError("v must satisfy 0 <= v < c")
     phi, theta_b = check_finite("phi", phi), check_finite("theta_b", theta_b)

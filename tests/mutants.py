@@ -181,6 +181,23 @@ MUTANTS = [
      "x > 0.0):\n        raise DomainError(f\"{name} must be positive and finite\")\n"
      "    return float(x)\n",
      "tests/test_records.py -k 'exact_number and EventOperatorModel and 1E-400'"),
+    ("nonnegative_check_compares_before_converting", "src/relqopt/errors.py",
+     "(x := float(x)) >= 0.0):\n        raise DomainError(f\"{name} must be nonnegative and finite\")\n"
+     "    return x\n",
+     "x >= 0.0):\n        raise DomainError(f\"{name} must be nonnegative and finite\")\n"
+     "    return float(x)\n",
+     "tests/test_records.py -k 'exact_number and DiffusionParams and 1E-400'"),
+    ("stage_collapse_uncaught", "src/relqopt/gravitomagnetism.py",
+     "        except ZeroDivisionError:\n            raise NumericFailure(\"khat or fhat collapsed "
+     "to zero length; step too long\") from None\n        d = ",
+     "        except ArithmeticError:\n            raise\n        d = ",
+     "tests/test_gravitomagnetism.py::test_transport_raises_numeric_failure_when_khat_collapses"),
+    ("step_collapse_uncaught", "src/relqopt/gravitomagnetism.py",
+     "        except ZeroDivisionError:\n            raise NumericFailure(\"khat or fhat collapsed "
+     "to zero length; step too long\") from None\n    return ",
+     "        except ArithmeticError:\n            raise\n    return ",
+     "tests/test_gravitomagnetism.py::"
+     "test_transport_raises_numeric_failure_when_a_step_sum_collapses"),
     ("affine_parameter_binding_dropped", "src/relqopt/diffusion.py",
      "for coordinate time t.\"\"\"\n    t = check_finite(\"t\", t)",
      "for coordinate time t.\"\"\"\n    check_finite(\"t\", t)",

@@ -168,12 +168,31 @@ def test_transport_accepts_numpy_integer_steps():
 
 
 def test_transport_raises_numeric_failure_when_khat_collapses():
-    # h |Omega| ~ 1.7e22 per step: one step shrinks k to zero length, and khat = k / |k|
+    # h |Omega| ~ 1.7e22 per step: a stage's k shrinks to zero length, and its khat = k / |k|
     # divided by zero
     start = RayState((7e6, 0, 0), (0, 1, 0), (0, 0, 1), 5.97e24)
     field = _uniform_field((0.01, 0.0, 0.02), (0.0, 1e-3, 0.0))
     with pytest.raises(NumericFailure, match=r"^khat or fhat collapsed to zero length"):
         transport_ray(start, field, 10.0, 8)
+
+
+def test_transport_raises_numeric_failure_when_a_step_sum_collapses():
+    # every stage keeps a nonzero k, but the RK4 sum of one step shrinks k or f so far that
+    # its length is 0.0, and the renormalization after the step divided by zero
+    start = RayState((7e6, 0, 0), (0, 1, 0), (0, 0, 1))
+    field = _uniform_field((0.0, -10.0, 0.0), (-0.001, 5.0, 0.0))
+    with pytest.raises(NumericFailure, match=r"^khat or fhat collapsed to zero length"):
+        transport_ray(start, field, 1e13, 8)
+
+
+def test_a_zero_division_in_the_sampler_is_the_sampler_s_own_error():
+    # the field model divides by y, which is 0 at the start: not a collapse of khat or fhat
+    def sampler(pos):
+        return GravField((1.0 / pos[1], 0.0, 0.0), (0.0, 0.0, 0.0))
+
+    with pytest.raises(ZeroDivisionError) as info:
+        transport_ray(_X_START, sampler, 1.0, 2)
+    assert info.traceback[-1].name == "sampler"
 
 
 # ------------------------------------------------------------ closed forms

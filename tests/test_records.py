@@ -172,13 +172,17 @@ SCALAR_FIELDS = {
     "EventOperatorModel-detector_resolution": (
         lambda x: qft_effects.EventOperatorModel(x),
         lambda r: qft_effects.ralph_correlation(r, 1e-13)),
+    "DiffusionParams-c_diff": (
+        lambda x: diffusion.DiffusionParams(x, 0.0),
+        lambda r: diffusion.polarization_decay(1.0, 1e14, r.c_diff)),
 }
-# exact numbers: in each record's domain, outside it, past the float range, and positive
-# but below the smallest subnormal, so that the float they become is 0.0
+# exact numbers: in each record's domain, outside it, past the float range, and of either
+# sign but below the smallest subnormal, so that the float they become is 0.0 or -0.0
 EXACT_NUMBERS = [Decimal("1"), Fraction(1), Decimal("2.5"), Fraction(1, 3), Decimal("1e-12"),
                  Fraction(1, 10**12), Decimal("5.97e24"), Decimal("5.86e33"), Fraction(-1, 2),
                  Decimal("0"), Decimal("-7"), Decimal("1e400"), Decimal("-Infinity"),
-                 Decimal("NaN"), Decimal("1e-400"), Fraction(1, 10**400)]
+                 Decimal("NaN"), Decimal("1e-400"), Fraction(1, 10**400), Decimal("-1e-400"),
+                 Fraction(-1, 10**400)]
 
 
 def _outcome(make, use, x):

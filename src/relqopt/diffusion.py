@@ -203,7 +203,9 @@ def _rk4_rfft(spec: np.ndarray, c_diff: float, d_drift: float, lambda_span: floa
     with classical RK4; return them and the step count, which keeps every
     |dt lambda_m| <= 2.  With constant coefficients the right-hand side is
     diagonal, rhs(V)_m = lambda_m V_m with lambda_m = -c m^2 - i d m, so each
-    stage is one product with lambda.
+    stage is one product with lambda.  The stages run into six buffers made
+    once per call, in the order of the written-out RK4 step, so every bit
+    matches it (tests/reference_kernels.py holds that form).
     """
     import numpy as np
     m_max = grid_n // 2
@@ -215,12 +217,16 @@ def _rk4_rfft(spec: np.ndarray, c_diff: float, d_drift: float, lambda_span: floa
     stiff = c_diff * m_max**2 + abs(d_drift) * m_max
     n_steps = max(64, int(lambda_span * stiff / 2.0) + 1)
     dt = lambda_span / n_steps
+    lam = np.broadcast_to(lam, spec.shape).copy()  # a broadcasting product costs twice as much
+    spec, k1, k2, k3, k4, w = np.array([spec] * 6, dtype=complex)  # a copy, and 5 buffers
     for _ in range(n_steps):
-        k1 = lam * spec
-        k2 = lam * (spec + 0.5 * dt * k1)
-        k3 = lam * (spec + 0.5 * dt * k2)
-        k4 = lam * (spec + dt * k3)
-        spec = spec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        np.multiply(lam, spec, out=k1)
+        np.multiply(lam, np.add(spec, np.multiply(0.5 * dt, k1, out=w), out=w), out=k2)
+        np.multiply(lam, np.add(spec, np.multiply(0.5 * dt, k2, out=w), out=w), out=k3)
+        np.multiply(lam, np.add(spec, np.multiply(dt, k3, out=w), out=w), out=k4)
+        np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
+        np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
+        np.add(spec, np.multiply(dt / 6.0, np.add(k1, k4, out=k1), out=k1), out=spec)
     return spec, n_steps
 
 

@@ -119,7 +119,10 @@ def transport_ray(
             y = (px, py, pz, kx / nk, ky / nk, kz / nk, fx / nf, fy / nf, fz / nf)
         except ZeroDivisionError:
             raise NumericFailure("khat or fhat collapsed to zero length; step too long") from None
-    return RayState(y[0:3], y[3:6], y[6:9], lam_end)
+    try:  # a step's sum can overflow, which RayState would report as a bad argument
+        return RayState(y[0:3], y[3:6], y[6:9], lam_end)
+    except DomainError as e:
+        raise NumericFailure(f"the ray state overflowed ({e}); step too long") from None
 
 
 def kerr_principal_null_rotation(

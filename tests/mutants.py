@@ -29,8 +29,16 @@ ROOT = Path(__file__).resolve().parent.parent
 # (name, file, text, replacement, the test that must kill it or None for tier-1)
 MUTANTS = [
     ("rk4_k4_from_k2", "src/relqopt/diffusion.py",
-     "k4 = lam * (spec + dt * k3)", "k4 = lam * (spec + dt * k2)",
+     "np.multiply(dt, k3, out=w)", "np.multiply(dt, k2, out=w)",
      "tests/test_reference_equivalence.py -k exact_solution_on_witness_models"),
+    ("rk4_stage_buffer_aliased", "src/relqopt/diffusion.py",
+     "np.multiply(0.5 * dt, k2, out=w), out=w), out=k3)",
+     "np.multiply(0.5 * dt, k2, out=w), out=w), out=k2)",
+     "tests/test_reference_equivalence.py -k 'stage_form_bit_for_bit and witness_models'"),
+    ("rk4_update_summed_in_another_order", "src/relqopt/diffusion.py",
+     "np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)",
+     "np.add(k4, np.multiply(2.0, k3, out=k3), out=k4)",
+     "tests/test_reference_equivalence.py -k 'stage_form_bit_for_bit and top_mode_255'"),
     ("nyquist_zero_dropped", "src/relqopt/diffusion.py",
      "lam[-1] = 0.0", "pass",
      "tests/test_reference_equivalence.py -k 'top_mode_excited and 256'"),
@@ -194,10 +202,13 @@ MUTANTS = [
      "tests/test_gravitomagnetism.py::test_transport_raises_numeric_failure_when_khat_collapses"),
     ("step_collapse_uncaught", "src/relqopt/gravitomagnetism.py",
      "        except ZeroDivisionError:\n            raise NumericFailure(\"khat or fhat collapsed "
-     "to zero length; step too long\") from None\n    return ",
-     "        except ArithmeticError:\n            raise\n    return ",
+     "to zero length; step too long\") from None\n    try:",
+     "        except ArithmeticError:\n            raise\n    try:",
      "tests/test_gravitomagnetism.py::"
      "test_transport_raises_numeric_failure_when_a_step_sum_collapses"),
+    ("step_overflow_uncaught", "src/relqopt/gravitomagnetism.py",
+     "    except DomainError as e:\n", "    except ArithmeticError as e:\n",
+     "tests/test_gravitomagnetism.py -k 'step_sum_overflows and khat'"),
     ("affine_parameter_binding_dropped", "src/relqopt/diffusion.py",
      "for coordinate time t.\"\"\"\n    t = check_finite(\"t\", t)",
      "for coordinate time t.\"\"\"\n    check_finite(\"t\", t)",

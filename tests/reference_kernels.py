@@ -1,12 +1,13 @@
-"""Reference copies of the Wigner-angle and transport kernels.
+"""Reference copies of the Wigner-angle, transport and diffusion-witness RK4 kernels.
 
 These are the straightforward formulations the library kernels were first
 written in: the little-group decomposition as a product of validated
-`LorentzMatrix` objects, and the RK4 transport on a numpy state vector with
-`np.cross`.  The library now computes the angle and the transport on raw
-arrays and floats; `test_reference_equivalence.py` holds the two pairs to
-agreement.  The diffusion witness has no copy here: that file holds its RK4
-to the exact solution instead.  The Lorentz helpers below build each
+`LorentzMatrix` objects, the RK4 transport on a numpy state vector with
+`np.cross`, and the witness's RK4 with each stage a fresh array.  The library
+now computes the angle and the transport on raw arrays and floats, and runs
+the witness's stages, in the same order, in reused buffers;
+`test_reference_equivalence.py` holds the first two pairs to agreement and
+the third to equality bit for bit.  The Lorentz helpers below build each
 transform as a validated `LorentzMatrix` and form every product and
 matrix-vector product in numpy, apart from the library's float path.  The
 metric `ETA`, the reference null vector `K_REF` and `as_array` are the numpy
@@ -107,3 +108,22 @@ def transport_ray(state: RayState, sampler, lam_end: float, steps: int) -> RaySt
         y[3:6] /= np.linalg.norm(y[3:6])
         y[6:9] /= np.linalg.norm(y[6:9])
     return RayState(tuple(y[0:3]), tuple(y[3:6]), tuple(y[6:9]), lam_end)
+
+
+def rk4_rfft(spec, c_diff, d_drift, lambda_span, grid_n):
+    """`diffusion._rk4_rfft` with each stage and the update written as one expression."""
+    m_max = grid_n // 2
+    m = np.arange(m_max + 1, dtype=float)
+    lam = -c_diff * m**2 - 1j * d_drift * m
+    if grid_n % 2 == 0:
+        lam[-1] = 0.0
+    stiff = c_diff * m_max**2 + abs(d_drift) * m_max
+    n_steps = max(64, int(lambda_span * stiff / 2.0) + 1)
+    dt = lambda_span / n_steps
+    for _ in range(n_steps):
+        k1 = lam * spec
+        k2 = lam * (spec + 0.5 * dt * k1)
+        k3 = lam * (spec + 0.5 * dt * k2)
+        k4 = lam * (spec + dt * k3)
+        spec = spec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return spec, n_steps

@@ -185,6 +185,17 @@ def test_transport_raises_numeric_failure_when_a_step_sum_collapses():
         transport_ray(start, field, 1e13, 8)
 
 
+@pytest.mark.parametrize("field, lam_end, what", [
+    (_uniform_field((0.0, 0.0, 1.0), (1.0, 0.0, 0.0)), 1e100, "position must be a finite"),
+    (_uniform_field((0.0, 0.0, 1.0)), 1e50, "khat must be a unit vector"),
+], ids=["position", "khat"])
+def test_transport_raises_numeric_failure_when_a_step_sum_overflows(field, lam_end, what):
+    # one step so long that its RK4 sum overflows: the arguments were valid, the state is not
+    start = RayState((7e6, 0, 0), (0, 1, 0), (0, 0, 1))
+    with pytest.raises(NumericFailure, match=rf"^the ray state overflowed \({what}"):
+        transport_ray(start, field, lam_end, 1)
+
+
 def test_a_zero_division_in_the_sampler_is_the_sampler_s_own_error():
     # the field model divides by y, which is 0 at the start: not a collapse of khat or fhat
     def sampler(pos):

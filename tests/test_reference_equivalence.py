@@ -174,23 +174,56 @@ def _rk4_error_over_bound(v0, c_diff, d_drift, lambda_span, grid_n):
     return float(np.max(np.abs(got - v0 * np.exp(n * z)) / (truncation + rounding)))
 
 
-def test_witness_rk4_meets_exact_solution_on_witness_models():
-    ratios = []
+def _witness_states():
+    """The 50 witness cases as the witness hands them to its RK4: the (2, 129) rfft state
+    of its two paths, c, d and lambda."""
     for model, rho0, rotation, lambda_span in _witness_cases():
         params = model.equator_params()
         v = np.fft.rfft(rho0.to_grid(256))
         v0 = np.stack([v, v * np.exp(-1j * np.arange(v.size) * rotation)])
-        ratios.append(_rk4_error_over_bound(v0, params.c_diff, params.d_drift,
-                                            lambda_span, 256))
+        yield v0, params.c_diff, params.d_drift, lambda_span
+
+
+def _top_mode_state(grid_n):
+    """A 1-d rfft state of white noise, its top mode excited, with the first witness model."""
+    model, _, _, lambda_span = next(_witness_cases(1, grid_n))
+    params = model.equator_params()
+    v0 = np.fft.rfft(np.random.default_rng(grid_n).standard_normal(grid_n))
+    return v0, params.c_diff, params.d_drift, lambda_span
+
+
+def test_witness_rk4_meets_exact_solution_on_witness_models():
+    ratios = [_rk4_error_over_bound(v0, c, d, lam, 256) for v0, c, d, lam in _witness_states()]
     assert len(ratios) == 50
     assert max(ratios) <= 1.0
 
 
 @pytest.mark.parametrize("grid_n", [256, 255])
 def test_witness_rk4_meets_exact_solution_with_top_mode_excited(grid_n):
-    model, _, _, lambda_span = next(_witness_cases(1, grid_n))
-    params = model.equator_params()
-    v0 = np.fft.rfft(np.random.default_rng(grid_n).standard_normal(grid_n))
+    v0, c_diff, d_drift, lambda_span = _top_mode_state(grid_n)
     assert abs(v0[-1]) >= 1.0
-    assert _rk4_error_over_bound(v0, params.c_diff, params.d_drift,
-                                 lambda_span, grid_n) <= 1.0
+    assert _rk4_error_over_bound(v0, c_diff, d_drift, lambda_span, grid_n) <= 1.0
+
+
+def _stage_form_cases(name):
+    if name == "witness_models":
+        return [(*state, 256) for state in _witness_states()]
+    if name == "step_floor":  # a hundredth of the first span: the step rule asks for < 64
+        v0, c_diff, d_drift, lambda_span = next(_witness_states())
+        return [(v0, c_diff, d_drift, lambda_span / 100.0, 256)]
+    grid_n = int(name.removeprefix("top_mode_"))
+    return [(*_top_mode_state(grid_n), grid_n)]
+
+
+# The rounding bound above counts the roundings of the stage form in reference_kernels.py,
+# in its order; the library's RK4 must stay that form bit for bit.
+@pytest.mark.parametrize("name", ["witness_models", "top_mode_256", "top_mode_255", "step_floor"])
+def test_witness_rk4_equals_its_stage_form_bit_for_bit(name):
+    for v0, c_diff, d_drift, lambda_span, grid_n in _stage_form_cases(name):
+        got, n = _rk4_rfft(v0, c_diff, d_drift, lambda_span, grid_n)
+        want, want_n = ref.rk4_rfft(v0, c_diff, d_drift, lambda_span, grid_n)
+        assert n == want_n
+        assert (n == 64) == (name == "step_floor")
+        assert got.shape == want.shape
+        # as raw 64-bit words, so that a moved sign of zero or NaN payload fails too
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

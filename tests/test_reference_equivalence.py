@@ -1,5 +1,5 @@
 """The library kernels agree with the reference formulations in reference_kernels.py,
-and the diffusion witness's RK4 with the exact solution."""
+the diffusion witness's RK4 bit for bit, and that RK4 with the exact solution."""
 
 import math
 

@@ -22,42 +22,47 @@ def _words(n: int) -> list:
     return [n >> s & _M32 for s in range(0, max(n.bit_length(), 1), 32)]
 
 
-def _hash(value: int, h: int, mult: int = 0x931E8875) -> tuple:
+def _hash(value, h: int, mult: int = 0x931E8875) -> tuple:
     """SeedSequence's hashmix (generate_state's with its `mult`): (word, next h)."""
-    value ^= h
+    value = value ^ h  # not ^=, which would overwrite a caller's uint64 array
     h = h * mult & _M32
     value = value * h & _M32
     return value ^ value >> 16, h
 
 
-def _mix(x: int, y: int) -> int:
+def _mix(x, y):
     x = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
     return x ^ x >> 16
 
 
-def _keys(seed: int, children: int):
-    """Each child's Philox key, generate_state(2, uint64); the children differ only
-    in their spawn key, mixed in after the seed's words."""
+def _seed_pool(seed: int) -> tuple:
+    """SeedSequence(seed)'s pool and hash constant after the seed's words, which every
+    spawned child shares: its spawn key is mixed in after them."""
     entropy = _words(seed)
     entropy += [0] * (4 - len(entropy))  # padded to the pool size before a spawn key
-    base, h0 = [], 0x43B0D7E5
+    pool, h = [], 0x43B0D7E5
     for w in entropy[:4]:
-        w, h0 = _hash(w, h0)
-        base.append(w)
+        w, h = _hash(w, h)
+        pool.append(w)
     for src, dst in itertools.permutations(range(4), 2):
-        w, h0 = _hash(base[src], h0)
-        base[dst] = _mix(base[dst], w)
-    for child in range(children):
-        pool, h = base[:], h0
-        for extra in entropy[4:] + _words(child):
-            for dst in range(4):
-                w, h = _hash(extra, h)
-                pool[dst] = _mix(pool[dst], w)
-        out, h = [], 0x8B51F9DD
-        for w in pool:
-            w, h = _hash(w, h, 0x58F38DED)
-            out.append(w)
-        yield out[0] | out[1] << 32, out[2] | out[3] << 32
+        w, h = _hash(pool[src], h)
+        pool[dst] = _mix(pool[dst], w)
+    for extra in entropy[4:]:
+        for dst in range(4):
+            w, h = _hash(extra, h)
+            pool[dst] = _mix(pool[dst], w)
+    return pool, h
+
+
+def _child_key(pool: list, h: int, child) -> tuple:
+    """Spawn key (child,)'s Philox key, generate_state(2, uint64), from `_seed_pool`'s pool
+    and h: for an int child < 2**32 (one word), or elementwise for a uint64 array of them."""
+    out, h_out = [], 0x8B51F9DD
+    for p in pool:  # with one spawn word, a pool word is final once it is mixed in
+        w, h = _hash(child, h)
+        w, h_out = _hash(_mix(p, w), h_out, 0x58F38DED)
+        out.append(w)
+    return out[0] | out[1] << 32, out[2] | out[3] << 32
 
 
 def _doubles(k0: int, k1: int):
@@ -179,5 +184,6 @@ def _multinomial(rand, n: int, pvals) -> list:
 
 def spawned_multinomials(seed: int, children: int):
     """Per child, `multinomial(n, pvals)` as a list of ints."""
-    for key in _keys(seed, children):
-        yield functools.partial(_multinomial, _doubles(*key).__next__)
+    pool, h = _seed_pool(seed)
+    for child in range(children):
+        yield functools.partial(_multinomial, _doubles(*_child_key(pool, h, child)).__next__)

@@ -119,6 +119,8 @@ def transport_ray(
             y = (px, py, pz, kx / nk, ky / nk, kz / nk, fx / nf, fy / nf, fz / nf)
         except ZeroDivisionError:
             raise NumericFailure("khat or fhat collapsed to zero length; step too long") from None
+        if not nk + nf < math.inf:  # |k|^2 or |f|^2 overflowed: RayState refuses its zero vector
+            break
     try:  # a step's sum can overflow, which RayState would report as a bad argument
         return RayState(y[0:3], y[3:6], y[6:9], lam_end)
     except DomainError as e:

@@ -183,6 +183,15 @@ MUTANTS = [
     ("bell_spawn_key_shifted", "src/relqopt/bell.py",
      "spawn_key=(i,)", "spawn_key=(i + 1,)",
      "tests/test_bell.py -k numpy_streams_are_the_spawned_children"),
+    ("rekeyed_child_indices_from_one", "src/relqopt/bell.py",
+     "np.arange(workers, dtype=np.uint64)", "np.arange(1, workers + 1, dtype=np.uint64)",
+     "tests/test_bell.py::test_numpy_streams_are_the_spawned_children[0-8]"),
+    ("seed_hash_in_place", "src/relqopt/_philox.py",
+     "value = value ^ h  #", "value ^= h  #",
+     "tests/test_bell.py::test_array_keys_are_the_spawned_children_s_states[7]"),
+    ("rekeyed_buffer_pos_kept", "src/relqopt/bell.py",
+     "bits.state = state\n", "bits.state = dict(state, buffer_pos=bits.state[\"buffer_pos\"])\n",
+     "tests/test_bell.py::test_numpy_streams_are_the_spawned_children[0-8]"),
     ("positive_check_compares_before_converting", "src/relqopt/errors.py",
      "(x := float(x)) > 0.0):\n        raise DomainError(f\"{name} must be positive and finite\")\n"
      "    return x\n",
@@ -202,13 +211,17 @@ MUTANTS = [
      "tests/test_gravitomagnetism.py::test_transport_raises_numeric_failure_when_khat_collapses"),
     ("step_collapse_uncaught", "src/relqopt/gravitomagnetism.py",
      "        except ZeroDivisionError:\n            raise NumericFailure(\"khat or fhat collapsed "
-     "to zero length; step too long\") from None\n    try:",
-     "        except ArithmeticError:\n            raise\n    try:",
+     "to zero length; step too long\") from None\n        if not",
+     "        except ArithmeticError:\n            raise\n        if not",
      "tests/test_gravitomagnetism.py::"
      "test_transport_raises_numeric_failure_when_a_step_sum_collapses"),
     ("step_overflow_uncaught", "src/relqopt/gravitomagnetism.py",
      "    except DomainError as e:\n", "    except ArithmeticError as e:\n",
      "tests/test_gravitomagnetism.py -k 'step_sum_overflows and khat'"),
+    ("step_overflow_renormalized", "src/relqopt/gravitomagnetism.py",
+     "if not nk + nf < math.inf:", "if False:",
+     "tests/test_gravitomagnetism.py::"
+     "test_transport_raises_numeric_failure_when_a_step_sum_overflows[khat_before_the_last_step]"),
     ("affine_parameter_binding_dropped", "src/relqopt/diffusion.py",
      "for coordinate time t.\"\"\"\n    t = check_finite(\"t\", t)",
      "for coordinate time t.\"\"\"\n    check_finite(\"t\", t)",

@@ -218,10 +218,32 @@ def test_python_stream_matches_numpy_generator(monkeypatch):
     assert all(calls.values()), calls
 
 
-@pytest.mark.parametrize("workers", [1, 2, 8, 64])
-@pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 - 1])
+# the seeds of one, two, three and five words: 2**130 + 5's words past the pool's four are
+# mixed in before the spawn word
+SPAWN_SEEDS = [0, 7, 2**32, 2**64 - 1, 2**130 + 5]
+
+
+@pytest.mark.parametrize("seed", SPAWN_SEEDS)
+def test_array_keys_are_the_spawned_children_s_states(seed):
+    # one pass over an array of child indices gives every child's generate_state(2, uint64);
+    # an int child gives the same key
+    pool, h = _philox._seed_pool(seed)
+    children = np.arange(WORKER_CAP, dtype=np.uint64)
+    k0, k1 = _philox._child_key(pool, h, children)
+    expected = np.array([c.generate_state(2, np.uint64)
+                         for c in np.random.SeedSequence(seed).spawn(WORKER_CAP)])
+    assert k0.tolist() == expected[:, 0].tolist() and k1.tolist() == expected[:, 1].tolist()
+    assert children.tolist() == list(range(WORKER_CAP))  # the pass leaves its input as it was
+    assert [_philox._child_key(pool, h, i) for i in (0, 1, WORKER_CAP - 1)] == [
+        tuple(expected[i].tolist()) for i in (0, 1, WORKER_CAP - 1)]
+
+
+# the two middle counts sit on either side of the re-keyed path's threshold
+@pytest.mark.parametrize("workers", [1, 2, bell._REKEY_FROM - 1, bell._REKEY_FROM, 64, WORKER_CAP])
+@pytest.mark.parametrize("seed", SPAWN_SEEDS)
 def test_numpy_streams_are_the_spawned_children(seed, workers):
-    # each stream is built from its spawn key alone, without the parent's pool
+    # each stream is built, or a Philox re-keyed, from its spawn key alone, without the
+    # parent's pool
     def spawned(v, n_pairs, seed, workers):
         draws = (lambda n, p, m=np.random.Generator(np.random.Philox(s)).multinomial:
                  m(n, p).tolist() for s in np.random.SeedSequence(seed).spawn(workers))

@@ -167,33 +167,55 @@ def test_transport_accepts_numpy_integer_steps():
     assert transport_ray(_X_START, field, 1.0, np.int64(4)) == transport_ray(_X_START, field, 1.0, 4)
 
 
+def _field_by_point(rates):
+    """A sampler of omega = (0, 0, w / 2) at each listed point: in the xy plane, Omega = w z."""
+    return lambda pos: GravField((0.0, 0.0, rates[pos] / 2.0), (0.0, 0.0, 0.0))
+
+
+# one step of h = 2 from the origin along y, through fields that differ at the four stage
+# points; every product and sum is exact, so the lengths below are exactly zero
+_COLLAPSE_START = RayState((0, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
 def test_transport_raises_numeric_failure_when_khat_collapses():
-    # h |Omega| ~ 1.7e22 per step: a stage's k shrinks to zero length, and its khat = k / |k|
-    # divided by zero
-    start = RayState((7e6, 0, 0), (0, 1, 0), (0, 0, 1), 5.97e24)
-    field = _uniform_field((0.01, 0.0, 0.02), (0.0, 1e-3, 0.0))
+    # the fourth stage's k = k + h c is (0, 0, 0), and its khat = k / |k| divided by zero
+    rates = {(0.0, 0.0, 0.0): 1.0, (0.0, 1.0, 0.0): 1.0, (-1.0, 1.0, 0.0): 0.5,
+             (-2.0, 0.0, 0.0): 0.0}
     with pytest.raises(NumericFailure, match=r"^khat or fhat collapsed to zero length"):
-        transport_ray(start, field, 10.0, 8)
+        transport_ray(_COLLAPSE_START, _field_by_point(rates), 2.0, 1)
 
 
 def test_transport_raises_numeric_failure_when_a_step_sum_collapses():
-    # every stage keeps a nonzero k, but the RK4 sum of one step shrinks k or f so far that
-    # its length is 0.0, and the renormalization after the step divided by zero
-    start = RayState((7e6, 0, 0), (0, 1, 0), (0, 0, 1))
-    field = _uniform_field((0.0, -10.0, 0.0), (-0.001, 5.0, 0.0))
+    # every stage keeps a nonzero k, but the step's RK4 sum is k = (0, 0, 0), and the
+    # renormalization after the step divided by zero
+    rates = {(0.0, 0.0, 0.0): -3.5, (0.0, 1.0, 0.0): 0.0, (3.5, 1.0, 0.0): 1.0,
+             (0.0, 2.0, 0.0): 1.5}
     with pytest.raises(NumericFailure, match=r"^khat or fhat collapsed to zero length"):
-        transport_ray(start, field, 1e13, 8)
+        transport_ray(_COLLAPSE_START, _field_by_point(rates), 2.0, 1)
 
 
-@pytest.mark.parametrize("field, lam_end, what", [
-    (_uniform_field((0.0, 0.0, 1.0), (1.0, 0.0, 0.0)), 1e100, "position must be a finite"),
-    (_uniform_field((0.0, 0.0, 1.0)), 1e50, "khat must be a unit vector"),
-], ids=["position", "khat"])
-def test_transport_raises_numeric_failure_when_a_step_sum_overflows(field, lam_end, what):
-    # one step so long that its RK4 sum overflows: the arguments were valid, the state is not
-    start = RayState((7e6, 0, 0), (0, 1, 0), (0, 0, 1))
+_OVERFLOW_START = RayState((7e6, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+@pytest.mark.parametrize("start, field, lam_end, steps, what", [
+    (_OVERFLOW_START, _uniform_field((0.0, 0.0, 1.0), (1.0, 0.0, 0.0)), 1e100, 1,
+     "position must be a finite"),
+    (_OVERFLOW_START, _uniform_field((0.0, 0.0, 1.0)), 1e50, 1, "khat must be a unit vector"),
+    # |k|^2 overflows in the first of two steps: renormalized, k would be zero, and the
+    # second step would report a collapse instead
+    (_OVERFLOW_START, _uniform_field((0.0, 0.0, 1.0)), 1e50, 2, "khat must be a unit vector"),
+    # h |Omega| ~ 1.7e22 per step: |k|^2 overflows in the first of eight steps
+    (RayState((7e6, 0, 0), (0, 1, 0), (0, 0, 1), 5.97e24),
+     _uniform_field((0.01, 0.0, 0.02), (0.0, 1e-3, 0.0)), 10.0, 8, "khat must be a unit vector"),
+    # |f|^2 overflows in the first of eight steps, and k stays finite
+    (_OVERFLOW_START, _uniform_field((0.0, -10.0, 0.0), (-0.001, 5.0, 0.0)), 1e13, 8,
+     "fhat must be a unit vector"),
+], ids=["position", "khat", "khat_before_the_last_step", "khat_of_eight", "fhat_of_eight"])
+def test_transport_raises_numeric_failure_when_a_step_sum_overflows(start, field, lam_end, steps,
+                                                                      what):
+    # a step so long that its RK4 sum overflows: the arguments were valid, the state is not
     with pytest.raises(NumericFailure, match=rf"^the ray state overflowed \({what}"):
-        transport_ray(start, field, lam_end, 1)
+        transport_ray(start, field, lam_end, steps)
 
 
 def test_a_zero_division_in_the_sampler_is_the_sampler_s_own_error():

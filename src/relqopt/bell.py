@@ -117,9 +117,10 @@ def simulate_coincidences(
 
     Pairs are split as evenly as possible across the four setting pairs, then
     across worker streams (SeedSequence spawn of `seed`).  Each stream draws
-    its shares with numpy's Generator(Philox(child)).multinomial, and each row
-    sums its streams' draws, so counts are bitwise reproducible for a given
-    (seed, workers).  The draws run in numpy when a caller has already imported
+    its shares as numpy's Generator(Philox(child)).multinomial does (from
+    `_REKEY_FROM` streams, one Philox re-keyed to each child's key draws them),
+    and each row sums its streams' draws, so counts are bitwise reproducible for
+    a given (seed, workers).  The draws run in numpy when a caller has already imported
     it, and otherwise in `_philox`, which gives the same counts without numpy's
     import.  `n_pairs`, `seed` and `workers` must be integers (numpy integers
     too); a float or a bool is a TypeError on both paths.
@@ -154,7 +155,7 @@ def _simulate_numpy(v, n_pairs, seed, workers) -> list:
     """Counts per setting pair from numpy's spawned Philox generators.
 
     Below `_REKEY_FROM` streams, each stream builds its child's SeedSequence, Philox and
-    Generator (~12 us).  From there, one Philox is re-keyed per stream, after one `_philox`
+    Generator (~13 us).  From there, one Philox is re-keyed per stream, after one `_philox`
     pass over the child indices gives every key (~90 us): a Philox stream is its key and
     counter, so a child's key with a zero counter draws what Generator(Philox(child)) does.
     """

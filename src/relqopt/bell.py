@@ -17,7 +17,6 @@ from .constants import PHOTON_CAP, WORKER_CAP
 from .errors import DomainError, Record, check_finite, is_finite
 
 V_MIN = 1.0 / math.sqrt(2.0)
-_REKEY_FROM = 8  # Monte Carlo streams from which numpy's draws re-key one Philox per stream
 
 # standard CHSH arrangement (alpha, beta) per correlation slot; S uses
 # E1 - E2 + E3 + E4
@@ -117,13 +116,13 @@ def simulate_coincidences(
 
     Pairs are split as evenly as possible across the four setting pairs, then
     across worker streams (SeedSequence spawn of `seed`).  Each stream draws
-    its shares as numpy's Generator(Philox(child)).multinomial does (from
-    `_REKEY_FROM` streams, one Philox re-keyed to each child's key draws them),
-    and each row sums its streams' draws, so counts are bitwise reproducible for
-    a given (seed, workers).  The draws run in numpy when a caller has already imported
-    it, and otherwise in `_philox`, which gives the same counts without numpy's
-    import.  `n_pairs`, `seed` and `workers` must be integers (numpy integers
-    too); a float or a bool is a TypeError on both paths.
+    its shares as numpy's Generator(Philox(child)).multinomial does
+    (`_simulate_numpy` says how, and at what cost per stream), and each row sums
+    its streams' draws, so counts are bitwise reproducible for a given (seed,
+    workers).  The draws run in numpy when a caller has already imported it, and
+    otherwise in `_philox`, which gives the same counts without numpy's import.
+    `n_pairs`, `seed` and `workers` must be integers (numpy integers too); a
+    float or a bool is a TypeError on both paths.
     """
     if any(isinstance(x, bool) for x in (n_pairs, seed, workers)):
         raise TypeError("n_pairs, seed and workers must be integers, not bool")
@@ -154,33 +153,30 @@ def _draw(multinomials, probs, n_pairs, workers) -> list:
 def _simulate_numpy(v, n_pairs, seed, workers) -> list:
     """Counts per setting pair from numpy's spawned Philox generators.
 
-    Below `_REKEY_FROM` streams, each stream builds its child's SeedSequence, Philox and
-    Generator (~13 us).  From there, one Philox is re-keyed per stream, after one `_philox`
-    pass over the child indices gives every key (~90 us): a Philox stream is its key and
-    counter, so a child's key with a zero counter draws what Generator(Philox(child)) does.
+    Stream 0 draws from Generator(Philox(child 0)), built as spawn builds it (~13 us).  A
+    Philox stream is its key and counter, so each later stream re-keys that Philox to its
+    child's key with stream 0's starting state, a zero counter and an empty buffer (~1 us
+    each), after one `_philox` pass over child indices 1 to workers - 1 gives every key
+    (~60 us; so 2 to 6 streams cost more than building each would).  Without numpy,
+    `_simulate_python` takes ~37 us per stream (2-core x86-64).
     """
     import numpy as np
     probs = [np.array(joint_probabilities(v, a, b)) for a, b in CHSH_SETTINGS]
-    if workers >= _REKEY_FROM:
-        return _draw(_rekeyed_streams(np, seed, workers), probs, n_pairs, workers)
-    # stream i's seed is SeedSequence(seed).spawn(workers)[i], built without the parent's
-    # pool; all seeds first, as spawn does (built between draws, 64 streams ran ~4% slower)
-    seeds = [np.random.SeedSequence(seed, spawn_key=(i,)) for i in range(workers)]
-    draws = (lambda n, p, m=np.random.Generator(np.random.Philox(s)).multinomial: m(n, p).tolist()
-             for s in seeds)
-    return _draw(draws, probs, n_pairs, workers)
-
-
-def _rekeyed_streams(np, seed, workers):
-    """Per stream, the multinomial of one Philox re-keyed to that child's key."""
+    bits = np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,)))
+    draw = lambda n, p, m=np.random.Generator(bits).multinomial: m(n, p).tolist()
+    if workers == 1:
+        return _draw([draw], probs, n_pairs, workers)
     from . import _philox
-    bits = np.random.Philox(0)  # a seed: Philox() or Philox(key=...) would draw OS entropy
-    state, multinomial = bits.state, np.random.Generator(bits).multinomial
-    k0, k1 = _philox._child_key(*_philox._seed_pool(seed), np.arange(workers, dtype=np.uint64))
-    for key in zip(k0.tolist(), k1.tolist()):
-        state["state"]["key"] = key  # with Philox(0)'s zero counter and buffer_pos 4 (empty)
-        bits.state = state
-        yield lambda n, p: multinomial(n, p).tolist()
+    state = bits.state  # read before stream 0 draws: a zero counter, buffer_pos 4 (empty)
+    k0, k1 = _philox._child_key(*_philox._seed_pool(seed), np.arange(1, workers, dtype=np.uint64))
+
+    def streams():
+        yield draw
+        for key in zip(k0.tolist(), k1.tolist()):
+            state["state"]["key"] = key
+            bits.state = state
+            yield draw
+    return _draw(streams(), probs, n_pairs, workers)
 
 
 def _simulate_python(v, n_pairs, seed, workers) -> list:

@@ -22,9 +22,8 @@ NEUTRON_MASS = 1.67492749804e-27  # kg
 ASTRONOMICAL_UNIT = 1.496e11     # m
 LUNAR_DISTANCE = 3.84e8          # m
 
-# largest Bell pair budget, and the most Monte Carlo streams: with numpy, each stream
-# builds its generator (~13 us) below 8 streams, and from 8 re-keys a shared one (~1 us,
-# after a ~90 us key pass); ~37 us each without numpy (2-core x86-64), so the count is bounded
+# largest Bell pair budget, and the most Monte Carlo streams: each stream costs time
+# (bell._simulate_numpy gives the costs), so the count is bounded
 PHOTON_CAP = 1.0e12
 WORKER_CAP = 1024
 

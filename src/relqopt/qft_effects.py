@@ -59,7 +59,7 @@ def negativity_bound(separation: float, interaction_time: float) -> float:
     separation = check_positive("separation", separation)
     interaction_time = check_positive("interaction_time", interaction_time)
     ratio = separation / (C_LIGHT * interaction_time)
-    return math.exp(-(ratio**3))
+    return math.exp(-(ratio**3)) if ratio < 10.0 else 0.0  # exp(-1000) == 0.0; the cube can overflow
 
 
 def spacelike_window(separation: float) -> float:

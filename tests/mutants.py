@@ -181,11 +181,18 @@ MUTANTS = [
      '.split("\\n"))', ".splitlines())",
      "tests/test_scenario_properties.py -k other_line_separators_stay_in_the_value"),
     ("bell_spawn_key_shifted", "src/relqopt/bell.py",
-     "spawn_key=(i,)", "spawn_key=(i + 1,)",
+     "spawn_key=(0,)", "spawn_key=(1,)",
      "tests/test_bell.py -k numpy_streams_are_the_spawned_children"),
-    ("rekeyed_child_indices_from_one", "src/relqopt/bell.py",
-     "np.arange(workers, dtype=np.uint64)", "np.arange(1, workers + 1, dtype=np.uint64)",
+    ("rekeyed_child_indices_from_zero", "src/relqopt/bell.py",
+     "np.arange(1, workers, dtype=np.uint64)", "np.arange(workers - 1, dtype=np.uint64)",
      "tests/test_bell.py::test_numpy_streams_are_the_spawned_children[0-8]"),
+    ("rekey_state_read_after_stream_0", "src/relqopt/bell.py",
+     "        yield draw\n        for key",
+     "        yield draw\n        state = bits.state\n        for key",
+     "tests/test_bell.py::test_numpy_streams_are_the_spawned_children[0-2]"),
+    ("one_stream_key_pass", "src/relqopt/bell.py",
+     "    if workers == 1:\n        return _draw([draw], probs, n_pairs, workers)\n", "",
+     "tests/test_bell.py::test_numpy_streams_share_one_generator[1]"),
     ("seed_hash_in_place", "src/relqopt/_philox.py",
      "value = value ^ h  #", "value ^= h  #",
      "tests/test_bell.py::test_array_keys_are_the_spawned_children_s_states[7]"),
@@ -222,6 +229,9 @@ MUTANTS = [
      "if not nk + nf < math.inf:", "if False:",
      "tests/test_gravitomagnetism.py::"
      "test_transport_raises_numeric_failure_when_a_step_sum_overflows[khat_before_the_last_step]"),
+    ("negativity_cube_unguarded", "src/relqopt/qft_effects.py",
+     "math.exp(-(ratio**3)) if ratio < 10.0 else 0.0", "math.exp(-(ratio**3))",
+     "tests/test_qft_effects.py::test_negativity_bound_is_zero_where_the_cube_would_overflow"),
     ("affine_parameter_binding_dropped", "src/relqopt/diffusion.py",
      "for coordinate time t.\"\"\"\n    t = check_finite(\"t\", t)",
      "for coordinate time t.\"\"\"\n    check_finite(\"t\", t)",

@@ -238,8 +238,7 @@ def test_array_keys_are_the_spawned_children_s_states(seed):
         tuple(expected[i].tolist()) for i in (0, 1, WORKER_CAP - 1)]
 
 
-# the two middle counts sit on either side of the re-keyed path's threshold
-@pytest.mark.parametrize("workers", [1, 2, bell._REKEY_FROM - 1, bell._REKEY_FROM, 64, WORKER_CAP])
+@pytest.mark.parametrize("workers", [1, 2, 3, 7, 8, 64, WORKER_CAP])
 @pytest.mark.parametrize("seed", SPAWN_SEEDS)
 def test_numpy_streams_are_the_spawned_children(seed, workers):
     # each stream is built, or a Philox re-keyed, from its spawn key alone, without the
@@ -257,6 +256,10 @@ def test_numpy_streams_are_the_spawned_children(seed, workers):
 # (v, n_pairs, seed, workers) -> counts, fixed so that a fault that both streams
 # share (the split into shares, or the sum over workers) fails a test
 PINNED_COUNTS = {
+    (0.95, 1_000_003, 2**64 - 1, 1): [[20387, 104305, 104703, 20606],
+                                       [104546, 20655, 20600, 104200],
+                                       [20651, 104174, 104562, 20614],
+                                       [20507, 104706, 104143, 20644]],
     (0.95, 1_000_003, 2**64 - 1, 64): [[20504, 104452, 104536, 20509],
                                         [103952, 20555, 20773, 104721],
                                         [20562, 104325, 104404, 20710],
@@ -278,6 +281,20 @@ def test_stream_counts_are_pinned(simulate, case, monkeypatch):
     # simulate_coincidences takes the numpy path while numpy is loaded
     monkeypatch.setattr(bell, "_simulate_numpy", getattr(bell, simulate))
     assert simulate_coincidences(*case) == CoincidenceCounts(expected)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8, 64])
+def test_numpy_streams_share_one_generator(workers, monkeypatch):
+    # every later stream re-keys stream 0's generator, and one stream makes no key pass
+    calls = {"Generator": 0}
+    monkeypatch.setattr(np.random, "Generator",
+                        _counting(calls, "Generator", np.random.Generator))
+    if workers == 1:
+        monkeypatch.setattr(_philox, "_seed_pool", lambda seed: pytest.fail("a key pass ran"))
+    counts = bell._simulate_numpy(0.95, 1_000_003, 2**64 - 1, workers)
+    assert calls["Generator"] == 1
+    if workers == 1:
+        assert counts == PINNED_COUNTS[(0.95, 1_000_003, 2**64 - 1, 1)]
 
 
 def test_invalid_simulation_inputs():

@@ -471,12 +471,24 @@ def test_satellite_state_overflow_exits_3_naming_the_orbit(capsys, tmp_path):
 
 
 def test_group_overflow_exits_3_with_a_readable_message(capsys, tmp_path):
-    # (R / (c T))**3 overflows in the negativity bound
-    path = _write(tmp_path, "[qft]\ninteraction_time = 1e-300\n")
+    # the required photon number passes its cap just above V = 1/sqrt(2)
+    path = _write(tmp_path, "[bell]\nvisibility = 0.7071067811866\n")
     code, out, err = _run(capsys, "report", "--scenario", path)
     assert code == 3 and out == ""
-    assert err.startswith("error: effect 'qft' failed: numeric overflow")
+    assert err.startswith("error: effect 'bell' failed: numeric overflow")
     assert "(34," not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [
+    "[geometry]\nseparation = 1e200\n[qft]\ninteraction_time = 1\n",
+    "[qft]\ninteraction_time = 1e-300\n",
+], ids=["far_apart", "brief"])
+def test_a_negativity_ratio_whose_cube_overflows_reports_zero(capsys, tmp_path, text):
+    path = _write(tmp_path, text)
+    code, out, err = _run(capsys, "report", "--scenario", path, "--effects", "qft",
+                          "--format", "csv")
+    assert (code, err) == (0, "")
+    assert ["qft.negativity_bound", "0", "dimensionless", "§3.3"] in _csv_rows(out)
 
 
 @pytest.mark.parametrize("argv, flag", [

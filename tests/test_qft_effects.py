@@ -79,6 +79,15 @@ def test_negativity_bound_values():
     assert negativity_bound(2.0 * C_LIGHT * t, t) == pytest.approx(math.exp(-8.0), rel=1e-12)
 
 
+def test_negativity_bound_is_zero_where_the_cube_would_overflow():
+    # exp(-ratio**3) is already 0.0 from ratio = 10; past ~6e102 the cube itself overflows
+    for separation in (10.0 * C_LIGHT, 1e103, 1e200, 1e308):
+        assert negativity_bound(separation, 1.0) == 0.0
+    assert negativity_bound(1e6, 1e-300) == 0.0
+    # just below ratio = 10, the exponential has underflowed to the same 0.0
+    assert negativity_bound(math.nextafter(10.0, 0.0) * C_LIGHT, 1.0) == 0.0
+
+
 def test_negativity_monotone_in_separation():
     t = 1e-3
     seps = np.linspace(1.0, 3.0 * C_LIGHT * t, 60)

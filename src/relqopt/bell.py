@@ -14,7 +14,7 @@ import sys
 from typing import NamedTuple
 
 from .constants import PHOTON_CAP, WORKER_CAP
-from .errors import DomainError, Record, check_finite, is_finite
+from .errors import DomainError, NumericFailure, Record, check_finite, is_finite
 
 V_MIN = 1.0 / math.sqrt(2.0)
 
@@ -98,7 +98,10 @@ def chsh_estimate(counts: CoincidenceCounts) -> ChshResult:
             raise DomainError("every setting needs a positive total count")
         e.append((same - diff) / total)
         # var(E) = 4 A B / T^3 from Poisson propagation through (A - B)/(A + B)
-        variance += 4.0 * same * diff / total**3
+        try:
+            variance += 4.0 * same * diff / total**3
+        except (OverflowError, ZeroDivisionError):  # total**3 leaves the float range
+            raise NumericFailure("count totals out of range for the Poisson error") from None
     if variance <= 0.0:
         raise DomainError("degenerate counts: Poisson error estimate vanished")
     s = abs(e[0] - e[1] + e[2] + e[3])

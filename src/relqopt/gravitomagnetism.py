@@ -149,7 +149,8 @@ def axial_impact_rotation(body: EarthParams, s: float) -> float:
     chi = arcsin(4 G J / (s^2 c^3)) for propagation parallel to the spin.
     """
     s = check_positive("s", s)
-    x = 4.0 * GRAVITATIONAL_G * body.angular_momentum / (s * s * C_LIGHT**3)
+    s2c3 = s * s * C_LIGHT**3  # 0 where s * s underflows: as too small as any s giving x >= 1
+    x = 4.0 * GRAVITATIONAL_G * body.angular_momentum / s2c3 if s2c3 > 0.0 else math.inf
     if x >= 1.0:
         raise DomainError("impact parameter too small; arcsin argument >= 1")
     return math.asin(x)
@@ -163,4 +164,6 @@ def closed_path_rotation(body: EarthParams, s1: float, s2: float) -> float:
     s1 = check_positive("s1", s1)
     s2 = check_positive("s2", s2)
     coef = 4.0 * GRAVITATIONAL_G * body.angular_momentum / C_LIGHT**3
+    if not (s1 * s1 > 0.0 and s2 * s2 > 0.0):
+        raise NumericFailure("an impact parameter's square underflows to 0; the rotation overflows")
     return coef * (1.0 / (s1 * s1) - 1.0 / (s2 * s2))

@@ -29,16 +29,21 @@ ROOT = Path(__file__).resolve().parent.parent
 # (name, file, text, replacement, the test that must kill it or None for tier-1)
 MUTANTS = [
     ("rk4_k4_from_k2", "src/relqopt/diffusion.py",
-     "np.multiply(dt, k3, out=w)", "np.multiply(dt, k2, out=w)",
+     "mul(full, k3, w)", "mul(full, k2, w)",
+     "tests/test_reference_equivalence.py -k exact_solution_on_witness_models"),
+    ("rk4_k4_half_step", "src/relqopt/diffusion.py",
+     "mul(full, k3, w)", "mul(half, k3, w)",
      "tests/test_reference_equivalence.py -k exact_solution_on_witness_models"),
     ("rk4_stage_buffer_aliased", "src/relqopt/diffusion.py",
-     "np.multiply(0.5 * dt, k2, out=w), out=w), out=k3)",
-     "np.multiply(0.5 * dt, k2, out=w), out=w), out=k2)",
+     "mul(half, k2, w), w), k3)", "mul(half, k2, w), w), k2)",
      "tests/test_reference_equivalence.py -k 'stage_form_bit_for_bit and witness_models'"),
     ("rk4_update_summed_in_another_order", "src/relqopt/diffusion.py",
-     "np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)",
-     "np.add(k4, np.multiply(2.0, k3, out=k3), out=k4)",
+     "add(k1, mul(two, k3, k3), k1)", "add(k4, mul(two, k3, k3), k4)",
      "tests/test_reference_equivalence.py -k 'stage_form_bit_for_bit and top_mode_255'"),
+    ("rk4_caller_state_written", "src/relqopt/diffusion.py",
+     "spec, k1, k2, k3, k4, w = np.array([spec] * 6, dtype=complex)",
+     "k1, k2, k3, k4, w = np.array([spec] * 5, dtype=complex)",
+     "tests/test_reference_equivalence.py -k 'stage_form_bit_for_bit and step_floor'"),
     ("nyquist_zero_dropped", "src/relqopt/diffusion.py",
      "lam[-1] = 0.0", "pass",
      "tests/test_reference_equivalence.py -k 'top_mode_excited and 256'"),
@@ -237,6 +242,21 @@ MUTANTS = [
      "for coordinate time t.\"\"\"\n    check_finite(\"t\", t)",
      "tests/test_non_finite_arguments.py::"
      "test_an_exact_number_gives_what_its_float_gives[diffusion.affine_parameter-t-Decimal]"),
+    ("affine_underflow_passed", "src/relqopt/diffusion.py",
+     "if not (h_nu := PLANCK_H * nu) > 0.0:", "if not (h_nu := PLANCK_H * nu) >= 0.0:",
+     "tests/test_diffusion.py::test_affine_parameter_reports_an_underflowed_h_nu"),
+    ("axial_underflow_passed", "src/relqopt/gravitomagnetism.py",
+     "/ s2c3 if s2c3 > 0.0 else math.inf", "/ s2c3 if s2c3 >= 0.0 else math.inf",
+     "tests/test_gravitomagnetism.py::"
+     "test_an_impact_parameter_whose_square_underflows_is_too_small"),
+    ("closed_path_second_leg_unguarded", "src/relqopt/gravitomagnetism.py",
+     "if not (s1 * s1 > 0.0 and s2 * s2 > 0.0):", "if not s1 * s1 > 0.0:",
+     "tests/test_gravitomagnetism.py::"
+     "test_an_impact_parameter_whose_square_underflows_is_too_small"),
+    ("chsh_cube_underflow_uncaught", "src/relqopt/bell.py",
+     "except (OverflowError, ZeroDivisionError):", "except OverflowError:",
+     "tests/test_bell.py::"
+     "test_estimator_reports_a_total_whose_cube_leaves_the_float_range[cube_underflows]"),
 ]
 
 

@@ -18,7 +18,7 @@ from relqopt.bell import (
     singlet_correlation,
 )
 from relqopt.cli import main
-from relqopt.errors import DomainError
+from relqopt.errors import DomainError, NumericFailure
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -93,6 +93,13 @@ def test_estimator_rejects_degenerate_input():
     perfect = np.array([[0.0, 50.0, 50.0, 0.0]] * 4)
     with pytest.raises(DomainError):
         chsh_estimate(CoincidenceCounts(perfect))
+
+
+@pytest.mark.parametrize("counts", [[[1e-300, 0, 0, 1e-300]] * 4, [[1e300] * 4] * 4],
+                         ids=["cube_underflows", "cube_overflows"])
+def test_estimator_reports_a_total_whose_cube_leaves_the_float_range(counts):
+    with pytest.raises(NumericFailure, match="out of range for the Poisson error"):
+        chsh_estimate(CoincidenceCounts(counts))
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (5, 4), (4, 3)])

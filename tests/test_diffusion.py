@@ -19,7 +19,7 @@ from relqopt.diffusion import (
     evolve_equator,
     polarization_decay,
 )
-from relqopt.errors import DomainError
+from relqopt.errors import DomainError, NumericFailure
 
 LEO_T = 400e3 / C_LIGHT
 LEO_NU = 3.75e14
@@ -237,6 +237,12 @@ def test_affine_parameter():
     assert affine_parameter(1.0, 1e14) == pytest.approx(1.0 / (PLANCK_H * 1e14), rel=1e-15)
     with pytest.raises(DomainError):
         affine_parameter(1.0, 0.0)
+
+
+def test_affine_parameter_reports_an_underflowed_h_nu():
+    assert affine_parameter(3.0, 7e-11) == 3.0 / (PLANCK_H * 7e-11)  # the same division
+    with pytest.raises(NumericFailure, match="h nu underflows to 0"):
+        affine_parameter(1e300, 1e-300)
 
 
 def test_effective_exposure_leo():

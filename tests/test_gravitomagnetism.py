@@ -284,6 +284,14 @@ def test_axial_impact_domain():
         axial_impact_rotation(EARTH_BODY, -1.0)
 
 
+def test_an_impact_parameter_whose_square_underflows_is_too_small():
+    with pytest.raises(DomainError, match="impact parameter too small"):
+        axial_impact_rotation(EARTH_BODY, 1e-200)
+    for s1, s2 in [(1e-200, 1.0), (1.0, 1e-200)]:
+        with pytest.raises(NumericFailure, match="square underflows to 0"):
+            closed_path_rotation(EARTH_BODY, s1, s2)
+
+
 def test_closed_path_rotation():
     assert closed_path_rotation(EARTH_BODY, 7e6, 7e6) == 0.0
     r = EARTH.radius

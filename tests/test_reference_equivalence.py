@@ -216,11 +216,17 @@ def _stage_form_cases(name):
 
 
 # The rounding bound above counts the roundings of the stage form in reference_kernels.py,
-# in its order; the library's RK4 must stay that form bit for bit.
+# in its order; the library's RK4 must stay that form bit for bit.  It runs in buffers
+# of its own: the caller's state is copied once, never written, and may be read-only.
 @pytest.mark.parametrize("name", ["witness_models", "top_mode_256", "top_mode_255", "step_floor"])
 def test_witness_rk4_equals_its_stage_form_bit_for_bit(name):
     for v0, c_diff, d_drift, lambda_span, grid_n in _stage_form_cases(name):
+        before = v0.copy()
         got, n = _rk4_rfft(v0, c_diff, d_drift, lambda_span, grid_n)
+        assert np.array_equal(v0.view(np.uint64), before.view(np.uint64))
+        v0.flags.writeable = False
+        again, _ = _rk4_rfft(v0, c_diff, d_drift, lambda_span, grid_n)
+        assert np.array_equal(again.view(np.uint64), got.view(np.uint64))
         want, want_n = ref.rk4_rfft(v0, c_diff, d_drift, lambda_span, grid_n)
         assert n == want_n
         assert (n == 64) == (name == "step_floor")

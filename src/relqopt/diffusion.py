@@ -207,7 +207,7 @@ def _rk4_rfft(spec: np.ndarray, c_diff: float, d_drift: float, lambda_span: floa
     the order of the written-out step (tests/reference_kernels.py), so every bit matches it, into
     six buffers made once per call.  Each ufunc gets its output positionally and operands of the
     state's shape (the step constants are laid out like lambda), so no call parses `out=` or
-    converts a float: ~7.2 us a (2, 129) step on a 2-core x86-64 box, 10.9 us with both.
+    converts a float: ~7.2 us a (2, 129) step on a 2-core x86-64 box, where those cost 10.9 us.
     """
     import numpy as np
     m_max = grid_n // 2
